@@ -32,7 +32,7 @@ from .legendre import (
     clenshaw_eval,
 )
 from .quadrature import QuadratureRule, gauss_legendre_rule, compute_coeff_grid, l2_norm_quadrature
-from .cross import HyperbolicCross, build_cross, cardinality
+from .cross import HyperbolicCross, build_cross
 from .noise import NoiseSpec, RNG_ALGORITHM, lp_norm, perturb
 from .truncation import (
     AdmissibilityError,
@@ -84,7 +84,6 @@ __all__ = [
     "l2_norm_quadrature",
     "HyperbolicCross",
     "build_cross",
-    "cardinality",
     "NoiseSpec",
     "RNG_ALGORITHM",
     "lp_norm",

@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 input error, 3 admissibility violation,
 4 config validation failure, 5 witness infeasibility.
 
 Every emitted file references a manifest hash computed over the tool
-version, command, argument echo, and RNG algorithm id, so results can
+version, command, argument echo (for ``diff`` including the sha256 of
+each input file's contents), and RNG algorithm id, so results can
 be traced back to the invocation that produced them; the hash excludes
 timestamps, keeping repeated runs byte-identical.  File writes go
 through a temp-file rename, so interrupted runs never leave half
@@ -31,7 +32,7 @@ import tempfile
 from datetime import datetime, timezone
 
 from . import __version__
-from .cross import build_cross, cardinality, dump_cross
+from .cross import build_cross, dump_cross
 from .harness import (
     REGISTRY,
     DecayProfile,
@@ -47,7 +48,7 @@ from .quadrature import compute_coeff_grid
 from .spectral import (
     ClassParams,
     dump_grid,
-    load_grid,
+    parse_grid,
     parseval_l2_norm,
     sup_norm_on_grid,
 )
@@ -89,6 +90,13 @@ def _atomic_write(path: str, data: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _load_input(path: str):
+    """The grid in a file, and the sha256 of the file's bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_grid(data.decode("ascii")), hashlib.sha256(data).hexdigest()
 
 
 def _manifest_hash(command: str, echo: dict) -> str:
@@ -147,7 +155,8 @@ def _cmd_coeffs(args) -> int:
 # diff
 
 def _cmd_diff(args) -> int:
-    grid = load_grid(args.coeffs)
+    grid, coeffs_sha256 = _load_input(args.coeffs)
+    ref, ref_sha256 = _load_input(args.reference) if args.reference else (None, None)
     cls = ClassParams(s=args.s, mu=args.mu)
     metric = "c" if args.metric == "c" else "l2"
     si = SelectionInput(
@@ -179,6 +188,8 @@ def _cmd_diff(args) -> int:
     deriv = apply_method(c_delta, MethodParams(n=sel.n, gamma=sel.gamma, r1=args.r1, r2=args.r2))
     echo = {
         "coeffs": os.path.basename(args.coeffs),
+        "coeffs_sha256": coeffs_sha256,
+        "reference_sha256": ref_sha256,
         "r1": args.r1, "r2": args.r2, "delta": args.delta,
         "p": "inf" if math.isinf(args.p) else args.p,
         "s": args.s, "mu": args.mu, "metric": args.metric,
@@ -191,11 +202,10 @@ def _cmd_diff(args) -> int:
         "n": sel.n,
         "gamma": sel.gamma,
         "case_label": sel.case_label,
-        "cross_cardinality": cardinality(cross),
+        "cross_cardinality": len(cross),
         "noise": noise_meta,
     }
-    if args.reference:
-        ref = load_grid(args.reference)
+    if ref is not None:
         diff = deriv - ref
         sidecar["error_l2"] = parseval_l2_norm(diff)
         sidecar["error_c"] = sup_norm_on_grid(diff, args.resolution)
@@ -211,7 +221,7 @@ def _cmd_cross(args) -> int:
     echo = {"n": args.n, "gamma": args.gamma, "r1": args.r1, "r2": args.r2}
     digest = _write_manifest(args.out, "cross", echo, [args.out])
     _atomic_write(args.out, f"# manifest sha256={digest}\n" + dump_cross(cross))
-    print(f"cross cardinality: {cardinality(cross)}")
+    print(f"cross cardinality: {len(cross)}")
     return EXIT_OK
 
 

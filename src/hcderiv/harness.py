@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cross import build_cross, cardinality
+from .cross import build_cross
 from .noise import RNG_ALGORITHM, NoiseSpec, lp_norm, perturb
 from .quadrature import compute_coeff_grid
 from .spectral import (
@@ -190,8 +190,7 @@ def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int
     weights = np.outer(kk, kk) ** (cls.s * cls.mu)
     norm = float(np.sum(weights * np.abs(mags) ** cls.s) ** (1.0 / cls.s))
     mags /= norm
-    side = profile.kmax + 1
-    return CoeffGrid({(k, j): mags[k, j] for k in range(side) for j in range(side)})
+    return CoeffGrid(mags)
 
 
 def single_term_class_function(cls: ClassParams, k: int, j: int) -> CoeffGrid:
@@ -430,7 +429,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
             start = time.perf_counter() if config.timing else 0.0
             sel = selections[i]
             cross = build_cross(sel.n, sel.gamma, config.r1, config.r2)
-            cards[i] = cardinality(cross)
+            cards[i] = len(cross)
             if config.noise_mode == "off":
                 c_delta, noise_norm = ref, 0.0
             else:

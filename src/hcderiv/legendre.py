@@ -10,9 +10,12 @@ phi_k' expands over the lower-index phi_l of opposite parity,
 
 which turns d/dt into a sparse linear map on coefficient sequences.
 
-One-dimensional coefficient sequences are plain ``{index: value}`` dicts
-with non-negative integer keys and finite float values; zero entries may
-be present or omitted interchangeably.
+One-dimensional coefficient sequences stay plain ``{index: value}``
+dicts (``Coeffs1D``) in the public API, with non-negative integer keys
+and finite float values; zero entries may be present or omitted
+interchangeably.  Internally each dict becomes a dense float64 array,
+and the array kernels :func:`differentiate_coeffs` and
+:func:`clenshaw_rows` also act on every row of a 2-D array at once.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "muller_differentiate",
     "muller_differentiate_iterated",
     "clenshaw_eval",
+    "clenshaw_rows",
+    "differentiate_coeffs",
     "phi_vandermonde",
 ]
 
@@ -102,6 +107,52 @@ def eval_phi_derivative(k: int, r: int, t: float) -> float:
     return _w(k) * cur[r]
 
 
+def _weights(n: int) -> np.ndarray:
+    """sqrt(k + 1/2) for 0 <= k < n."""
+    return np.sqrt(np.arange(n) + 0.5)
+
+
+def differentiate_coeffs(a: np.ndarray, r: int = 1) -> np.ndarray:
+    """Differentiate dense coefficient sequences r times along the last axis.
+
+    Each row a[..., :] holds the coefficients a_k of f = sum_k a_k phi_k;
+    the result holds the coefficients of f^(r), one index shorter per
+    derivative.  One derivative is
+
+        b_l = 2 sqrt(l + 1/2) * sum_{k > l, k + l odd} sqrt(k + 1/2) a_k,
+
+    computed as a reverse cumulative sum over each parity class of k, so
+    the tail sums accumulate from the top index down, one term at a time.
+    """
+    if r < 0:
+        raise ValueError("derivative order r must be >= 0")
+    a = np.asarray(a, dtype=float)
+    for _ in range(r):
+        size = a.shape[-1]
+        if size <= 1:
+            return np.zeros(a.shape[:-1] + (0,))
+        w = _weights(size)
+        scaled = a * w
+        tails = np.empty(a.shape[:-1] + (size - 1,))
+        # tails over odd k feed even l = k - 1; tails over even k >= 2 feed odd l
+        for parity, out in ((1, tails[..., 0::2]), (0, tails[..., 1::2])):
+            rev = np.cumsum(scaled[..., parity::2][..., ::-1], axis=-1)[..., ::-1]
+            out[...] = rev[..., 1 - parity:]
+        a = (2.0 * w[:-1]) * tails
+    return a
+
+
+def _to_dense(a: Coeffs1D) -> np.ndarray:
+    dense = np.zeros(max(a) + 1)
+    for k, v in a.items():
+        dense[k] = v
+    return dense
+
+
+def _from_dense(dense: np.ndarray) -> Coeffs1D:
+    return {l: v for l, v in enumerate(dense.tolist()) if v != 0.0}
+
+
 def muller_differentiate(a: Coeffs1D) -> Coeffs1D:
     """Differentiate a coefficient sequence once, exactly.
 
@@ -112,70 +163,62 @@ def muller_differentiate(a: Coeffs1D) -> Coeffs1D:
     for 0 <= l < max index of ``a``.  Exact zeros are omitted from the
     result.  An empty input yields an empty output.
     """
-    if not a:
-        return {}
-    kmax = max(a)
-    if kmax == 0:
-        return {}
-    scaled = np.zeros(kmax + 1)
-    for k, v in a.items():
-        if k < 0:
-            raise ValueError("coefficient indices must be >= 0")
-        if not math.isfinite(v):
-            raise ValueError(f"coefficient at index {k} is not finite: {v!r}")
-        scaled[k] = _w(k) * v
-    out: Coeffs1D = {}
-    tail_even = 0.0
-    tail_odd = 0.0
-    # march l downward so the opposite-parity tail sums accumulate in O(kmax)
-    for l in range(kmax - 1, -1, -1):
-        k = l + 1
-        if k % 2 == 0:
-            tail_even += scaled[k]
-        else:
-            tail_odd += scaled[k]
-        tail = tail_odd if l % 2 == 0 else tail_even
-        if tail != 0.0:
-            out[l] = float(2.0 * _w(l) * tail)
-    return dict(sorted(out.items()))
+    return muller_differentiate_iterated(a, 1)
 
 
 def muller_differentiate_iterated(a: Coeffs1D, r: int) -> Coeffs1D:
     """Apply :func:`muller_differentiate` r times (r >= 1)."""
     if r < 1:
         raise ValueError("derivative order r must be >= 1")
-    for _ in range(r):
-        a = muller_differentiate(a)
-    return a
+    if not a:
+        return {}
+    for k, v in a.items():
+        if k < 0:
+            raise ValueError("coefficient indices must be >= 0")
+        if not math.isfinite(v):
+            raise ValueError(f"coefficient at index {k} is not finite: {v!r}")
+    return _from_dense(differentiate_coeffs(_to_dense(a), r))
 
 
-def clenshaw_eval(a: Coeffs1D, t: float) -> float:
-    """Evaluate sum_k a_k phi_k(t) by backward recurrence.
+def _recurrence(n: int) -> tuple[list[float], list[float]]:
+    """Clenshaw factors alpha_k and c_k for 0 <= k < n, as Python floats.
+
+    alpha_k = (2k+1)/(k+1) w_{k+1}/w_k and c_k = k/(k+1) w_{k+1}/w_{k-1}
+    with w_k = sqrt(k + 1/2); c_0 is unused and set to 0.
+    """
+    k = np.arange(n)
+    w = _weights(n + 1)
+    alpha = (2 * k + 1) / (k + 1) * w[1:] / w[:-1]
+    c = np.zeros(n)
+    c[1:] = k[1:] / (k[1:] + 1) * w[2:] / w[:-2]
+    return alpha.tolist(), c.tolist()
+
+
+def clenshaw_rows(a: np.ndarray, t: float):
+    """Evaluate sum_k a[..., k] phi_k(t) along the last axis of a nonempty array.
 
     Uses the Clenshaw scheme for the orthonormal recurrence
-    phi_{k+1} = alpha_k t phi_k - c_k phi_{k-1}.
+    phi_{k+1} = alpha_k t phi_k - c_k phi_{k-1}; a 1-D input gives a
+    float, a 2-D input one value per row.
     """
     _check_point(t)
-    if not a:
-        return 0.0
-    n = max(a)
-    if n == 0:
-        return a.get(0, 0.0) * _w(0)
-    dense = np.zeros(n + 1)
-    for k, v in a.items():
-        dense[k] = v
-
-    def alpha(k: int) -> float:
-        return (2 * k + 1) / (k + 1) * _w(k + 1) / _w(k)
-
-    def c(k: int) -> float:
-        return k / (k + 1) * _w(k + 1) / _w(k - 1)
-
+    n = a.shape[-1] - 1
+    alpha, c = _recurrence(n + 2)
+    w0, w1 = _w(0), _w(1)
+    cols = a.tolist() if a.ndim == 1 else np.ascontiguousarray(a.T)
     b1 = 0.0
     b2 = 0.0
     for k in range(n, 0, -1):
-        b1, b2 = dense[k] + alpha(k) * t * b1 - c(k + 1) * b2, b1
-    return float((dense[0] - c(1) * b2) * _w(0) + b1 * _w(1) * t)
+        b1, b2 = cols[k] + alpha[k] * t * b1 - c[k + 1] * b2, b1
+    return (cols[0] - c[1] * b2) * w0 + b1 * w1 * t
+
+
+def clenshaw_eval(a: Coeffs1D, t: float) -> float:
+    """Evaluate sum_k a_k phi_k(t) by backward recurrence."""
+    _check_point(t)
+    if not a:
+        return 0.0
+    return float(clenshaw_rows(_to_dense(a), t))
 
 
 def phi_vandermonde(kmax: int, t: np.ndarray) -> np.ndarray:

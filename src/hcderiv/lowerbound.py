@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Container
+
+import numpy as np
 
 from .cross import HyperbolicCross
 from .spectral import (
@@ -84,7 +87,7 @@ def build_witness_pair(
     r1: int,
     r2: int,
     cls: ClassParams,
-    excluded: frozenset[tuple[int, int]] | set[tuple[int, int]] = frozenset(),
+    excluded: Container[tuple[int, int]] = frozenset(),
     parity: str = "any",
 ) -> WitnessPair:
     """Construct the witness pair for band size N.
@@ -100,11 +103,12 @@ def build_witness_pair(
         raise ValueError("orders r1, r2 must be >= 1")
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be any/even/odd, got {parity!r}")
-    admissible = [k for k in range(N + r1, 3 * N + r1 + 1) if (k, r2) not in excluded]
+    band = range(N + r1, 3 * N + r1 + 1)
+    admissible = [k for k in band if (k, r2) not in excluded]
     if len(admissible) < N:
         raise WitnessInfeasibleError(
             f"only {len(admissible)} admissible band indices for N={N} "
-            f"(band [{N + r1}, {3 * N + r1}], {len(excluded)} excluded)"
+            f"(band [{N + r1}, {3 * N + r1}], {len(band) - len(admissible)} excluded)"
         )
     if parity == "any":
         selected = admissible[:N]
@@ -115,10 +119,11 @@ def build_witness_pair(
         selected = sorted((preferred + rest)[:N])
     c_tilde = _c_tilde(cls)
     value = c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu
-    f2 = CoeffGrid({(0, 0): c_tilde})
-    entries = {(0, 0): c_tilde}
-    entries.update({(k, r2): value for k in selected})
-    f1 = CoeffGrid(entries)
+    f2 = CoeffGrid(np.array([[c_tilde]]))
+    band_rows = np.zeros((selected[-1] + 1, r2 + 1))
+    band_rows[0, 0] = c_tilde
+    band_rows[selected, r2] = value
+    f1 = CoeffGrid(band_rows)
     c_bar = (
         c_tilde
         * math.sqrt(r2 + 0.5)
@@ -212,4 +217,4 @@ def witness_for_cross(
     threshold = min_N_for_delta(delta, p, cls, r2)
     escape = (cross.k_extent() - r1) / 2.0 + 1.0
     N = max(math.ceil(threshold), math.ceil(escape), 1)
-    return build_witness_pair(N, r1, r2, cls, excluded=cross.index_set)
+    return build_witness_pair(N, r1, r2, cls, excluded=cross)

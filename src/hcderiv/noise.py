@@ -80,13 +80,7 @@ def _sphere_noise(spec: NoiseSpec) -> CoeffGrid:
     else:
         norm = float(np.sum(np.abs(g) ** spec.p) ** (1.0 / spec.p))
     unit = g / norm
-    entries = {}
-    pos = 0
-    for k in range(side):
-        for j in range(side):
-            entries[(k, j)] = spec.delta * unit[pos]
-            pos += 1
-    return CoeffGrid(entries)
+    return CoeffGrid((spec.delta * unit).reshape(side, side))
 
 
 def _single_noise(spec: NoiseSpec) -> CoeffGrid:

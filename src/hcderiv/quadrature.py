@@ -135,13 +135,7 @@ def compute_coeff_grid(
     v = phi_vandermonde(kmax, rule.nodes)
     c = v.T @ weighted @ v
     cut = drop_tol * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    entries = {
-        (k, j): float(c[k, j])
-        for k in range(kmax + 1)
-        for j in range(kmax + 1)
-        if abs(c[k, j]) > cut
-    }
-    return CoeffGrid(entries)
+    return CoeffGrid(np.where(np.abs(c) > cut, c, 0.0))
 
 
 def l2_norm_quadrature(g: Callable, m: int) -> float:

@@ -1,10 +1,11 @@
-"""Sparse bivariate Fourier-Legendre coefficient grids.
+"""Bivariate Fourier-Legendre coefficient grids.
 
 A :class:`CoeffGrid` represents a function f on Q = [-1, 1]^2 through
-its coefficients c_{k,j} = <f, phi_k phi_j>.  The module provides the
+its coefficients c_{k,j} = <f, phi_k phi_j>, held as one dense float64
+array whose zeros are the absent entries.  The module provides the
 smoothness-class norm, the Parseval L2 norm, synthesis back to point
 values, sup-norm estimation on Chebyshev-clustered grids, restriction
-to an index set, coefficient-space mixed differentiation, and a
+to a hyperbolic cross, coefficient-space mixed differentiation, and a
 tab-separated text format.
 
 All operations are pure and grids are immutable after construction, so
@@ -13,13 +14,12 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .legendre import clenshaw_eval, muller_differentiate_iterated, phi_vandermonde
+from .legendre import clenshaw_rows, differentiate_coeffs, phi_vandermonde
 
 if TYPE_CHECKING:
     from .cross import HyperbolicCross
@@ -46,83 +46,86 @@ Index = tuple[int, int]
 
 
 class CoeffGrid:
-    """Immutable sparse grid of Fourier-Legendre coefficients.
+    """Immutable grid of Fourier-Legendre coefficients.
 
-    Entries map (k, j) pairs of non-negative integers to finite floats.
-    Exact zeros are dropped on construction; iteration and serialization
-    are sorted by (k, j), so equal grids produce identical output.
+    The coefficients live in one read-only float64 array ``array`` of
+    shape (K1, K2) with c_{k,j} = array[k, j]; zeros are absent entries,
+    and the array is trimmed so its last row and last column each hold a
+    nonzero (an empty grid has shape (0, 0)).  A grid is built from a
+    2-D array of finite values or from (k, j) -> value entries with
+    unique non-negative integer indices and finite values.  Iteration
+    and serialization are sorted by (k, j), so equal grids produce
+    identical output.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("array",)
 
-    def __init__(self, entries: Mapping[Index, float] | Iterable[tuple[Index, float]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        store: dict[Index, float] = {}
-        for (k, j), value in items:
-            if k != int(k) or j != int(j):
-                raise ValueError(f"indices must be integers, got {(k, j)!r}")
-            k, j = int(k), int(j)
-            if k < 0 or j < 0:
-                raise ValueError(f"indices must be non-negative, got {(k, j)}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"coefficient at {(k, j)} is not finite: {value!r}")
-            if (k, j) in store:
-                raise ValueError(f"duplicate index {(k, j)}")
-            if value != 0.0:
-                store[(k, j)] = value
-        self._entries = store
+    def __init__(
+        self,
+        entries: np.ndarray | Mapping[Index, float] | Iterable[tuple[Index, float]] = (),
+    ):
+        if isinstance(entries, np.ndarray):
+            dense = np.asarray(entries, dtype=float)
+            if dense.ndim != 2:
+                raise ValueError(f"coefficient array must be 2-D, got shape {dense.shape}")
+            if not np.all(np.isfinite(dense)):
+                raise ValueError("coefficient array holds non-finite values")
+        else:
+            dense = _dense_from_entries(entries)
+        nonzero = dense != 0.0
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        if rows.size:
+            dense = np.array(dense[: rows[-1] + 1, : cols[-1] + 1])
+        else:
+            dense = np.zeros((0, 0))
+        dense.flags.writeable = False
+        self.array = dense
 
     def items(self) -> list[tuple[Index, float]]:
         """Entries sorted by (k, j)."""
-        return sorted(self._entries.items())
+        ks, js = np.nonzero(self.array)
+        return list(zip(zip(ks.tolist(), js.tolist()), self.array[ks, js].tolist()))
 
     def get(self, k: int, j: int, default: float = 0.0) -> float:
-        return self._entries.get((k, j), default)
+        if 0 <= k < self.array.shape[0] and 0 <= j < self.array.shape[1]:
+            value = float(self.array[k, j])
+            if value != 0.0:
+                return value
+        return default
 
     def to_dict(self) -> dict[Index, float]:
-        return dict(self._entries)
+        return dict(self.items())
 
     def support(self) -> frozenset[Index]:
-        return frozenset(self._entries)
+        return frozenset(self)
 
     def values(self) -> np.ndarray:
         """Coefficient values in (k, j) order."""
-        return np.array([v for _, v in self.items()], dtype=float)
+        return self.array[self.array != 0.0]
 
     def max_index(self) -> Index | None:
         """Largest k and largest j over the support, or None when empty."""
-        if not self._entries:
+        if self.array.size == 0:
             return None
-        return (
-            max(k for k, _ in self._entries),
-            max(j for _, j in self._entries),
-        )
-
-    def to_dense(self) -> np.ndarray:
-        """Dense (kmax+1, jmax+1) array; a 1x1 zero array when empty."""
-        mi = self.max_index()
-        if mi is None:
-            return np.zeros((1, 1))
-        dense = np.zeros((mi[0] + 1, mi[1] + 1))
-        for (k, j), v in self._entries.items():
-            dense[k, j] = v
-        return dense
+        return (self.array.shape[0] - 1, self.array.shape[1] - 1)
 
     def scale(self, factor: float) -> "CoeffGrid":
-        return CoeffGrid({idx: factor * v for idx, v in self._entries.items()})
+        return CoeffGrid(factor * self.array)
+
+    def _combine(self, other: "CoeffGrid", op) -> "CoeffGrid":
+        a, b = self.array, other.array
+        out = np.zeros((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])))
+        out[: a.shape[0], : a.shape[1]] = a
+        region = out[: b.shape[0], : b.shape[1]]
+        op(region, b, out=region)
+        return CoeffGrid(out)
 
     def __add__(self, other: "CoeffGrid") -> "CoeffGrid":
-        merged = dict(self._entries)
-        for idx, v in other._entries.items():
-            merged[idx] = merged.get(idx, 0.0) + v
-        return CoeffGrid(merged)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "CoeffGrid") -> "CoeffGrid":
-        merged = dict(self._entries)
-        for idx, v in other._entries.items():
-            merged[idx] = merged.get(idx, 0.0) - v
-        return CoeffGrid(merged)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, factor: float) -> "CoeffGrid":
         return self.scale(float(factor))
@@ -130,21 +133,57 @@ class CoeffGrid:
     __rmul__ = __mul__
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return int(np.count_nonzero(self.array))
 
     def __iter__(self) -> Iterator[Index]:
-        return iter(sorted(self._entries))
+        ks, js = np.nonzero(self.array)
+        return zip(ks.tolist(), js.tolist())
 
     def __contains__(self, idx: Index) -> bool:
-        return idx in self._entries
+        return self.get(*idx) != 0.0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffGrid):
             return NotImplemented
-        return self._entries == other._entries
+        return np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
-        return f"CoeffGrid({len(self._entries)} entries)"
+        return f"CoeffGrid({len(self)} entries)"
+
+
+def _dense_from_entries(entries) -> np.ndarray:
+    """Scatter (k, j) -> value entries into a dense array, checking them."""
+    items = list(entries.items() if isinstance(entries, Mapping) else entries)
+    if not items:
+        return np.zeros((0, 0))
+    keys = [idx for idx, _ in items]
+    try:
+        idx = np.array(keys, dtype=float).reshape(len(keys), 2)
+        vals = np.array([v for _, v in items], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed coefficient entries: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(idx).all(axis=1) | (idx != np.floor(idx)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"indices must be integers, got {keys[bad[0]]!r}")
+    bad = np.flatnonzero((idx < 0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"indices must be non-negative, got {keys[bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"coefficient at {keys[bad[0]]} is not finite: {vals[bad[0]]!r}")
+    ks, js = idx[:, 0].astype(np.int64), idx[:, 1].astype(np.int64)
+    flat = ks * (int(js.max()) + 1) + js
+    uniq, first, counts = np.unique(flat, return_index=True, return_counts=True)
+    if uniq.size < flat.size:
+        dup = first[np.flatnonzero(counts > 1)[0]]
+        raise ValueError(f"duplicate index {(int(ks[dup]), int(js[dup]))}")
+    keep = vals != 0.0
+    if not keep.any():
+        return np.zeros((0, 0))
+    ks, js, vals = ks[keep], js[keep], vals[keep]
+    dense = np.zeros((int(ks.max()) + 1, int(js.max()) + 1))
+    dense[ks, js] = vals
+    return dense
 
 
 @dataclass(frozen=True)
@@ -169,11 +208,10 @@ def class_norm(c: CoeffGrid, params: ClassParams) -> float:
     """
     if len(c) == 0:
         return 0.0
-    s, mu = params.s, params.mu
-    total = 0.0
-    for (k, j), v in c.items():
-        total += (max(1, k) * max(1, j)) ** (s * mu) * abs(v) ** s
-    return total ** (1.0 / s)
+    ks, js = np.nonzero(c.array)
+    weights = (np.maximum(1.0, ks) * np.maximum(1.0, js)) ** float(params.s * params.mu)
+    total = np.sum(weights * np.abs(c.array[ks, js]) ** params.s)
+    return float(total ** (1.0 / params.s))
 
 
 def parseval_l2_norm(c: CoeffGrid) -> float:
@@ -186,43 +224,29 @@ def parseval_l2_norm(c: CoeffGrid) -> float:
 def synth_eval(c: CoeffGrid, t: float, tau: float) -> float:
     """Evaluate sum c_{k,j} phi_k(t) phi_j(tau) at a single point.
 
-    Factors the double sum into one Clenshaw sum per occupied row k and
-    a final Clenshaw sum over k.
+    Factors the double sum into one Clenshaw sum per row k, run over all
+    rows at once, and a final Clenshaw sum over k.
     """
     for x in (t, tau):
         if not -1.0 <= x <= 1.0:
             raise ValueError(f"evaluation point {(t, tau)!r} lies outside the square")
     if len(c) == 0:
         return 0.0
-    rows: dict[int, dict[int, float]] = {}
-    for (k, j), v in c.items():
-        rows.setdefault(k, {})[j] = v
-    outer = {k: clenshaw_eval(row, tau) for k, row in rows.items()}
-    return clenshaw_eval(outer, t)
+    return float(clenshaw_rows(clenshaw_rows(c.array, tau), t))
 
 
 def mixed_derivative_coeffs(c: CoeffGrid, r1: int, r2: int) -> CoeffGrid:
     """Coefficient grid of the mixed derivative f^(r1, r2).
 
     Differentiates r1 times along the k axis (each fixed-j column) and
-    r2 times along the j axis (each fixed-k row), both in coefficient
-    space; source entries with k < r1 or j < r2 contribute nothing.
+    then r2 times along the j axis (each fixed-k row), both in
+    coefficient space; source entries with k < r1 or j < r2 contribute
+    nothing.
     """
     if r1 < 1 or r2 < 1:
         raise ValueError("derivative orders r1, r2 must be >= 1")
-    return CoeffGrid(_axis_pass(_axis_pass(c.to_dict(), 0, r1), 1, r2))
-
-
-def _axis_pass(entries: dict[Index, float], axis: int, times: int) -> dict[Index, float]:
-    groups: dict[int, dict[int, float]] = {}
-    for (k, j), v in entries.items():
-        fixed, moving = (j, k) if axis == 0 else (k, j)
-        groups.setdefault(fixed, {})[moving] = v
-    out: dict[Index, float] = {}
-    for fixed in sorted(groups):
-        for moving, v in muller_differentiate_iterated(groups[fixed], times).items():
-            out[(moving, fixed) if axis == 0 else (fixed, moving)] = v
-    return out
+    along_k = differentiate_coeffs(c.array.T, r1).T
+    return CoeffGrid(differentiate_coeffs(along_k, r2))
 
 
 def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
@@ -240,13 +264,19 @@ def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
     pts = np.cos(np.pi * np.arange(resolution) / (resolution - 1))
     vt = phi_vandermonde(mi[0], pts)
     vu = phi_vandermonde(mi[1], pts)
-    return float(np.max(np.abs(vt @ c.to_dense() @ vu.T)))
+    return float(np.max(np.abs(vt @ c.array @ vu.T)))
 
 
 def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:
-    """Keep exactly the entries whose index pair lies in the cross."""
-    members = cross.index_set
-    return CoeffGrid({idx: v for idx, v in c.items() if idx in members})
+    """Keep exactly the entries whose index pair lies in the cross.
+
+    Only the rows the grid has are compared with the cross's per-row
+    limits, so the work is bounded by the grid, not by the cross.
+    """
+    limits = cross.jmax[: c.array.shape[0], None]
+    j = np.arange(c.array.shape[1])
+    keep = (j >= cross.r2) & (j <= limits)
+    return CoeffGrid(np.where(keep, c.array[: len(limits)], 0.0))
 
 
 def dump_grid(c: CoeffGrid) -> str:

@@ -125,6 +125,29 @@ def test_diff_gamma_override(tmp_path, poly_grid):
     assert sidecar["case_label"].endswith("-forced")
 
 
+def _diff_manifest_hash(workdir, coeffs, reference=None):
+    out = workdir / "d.grid"
+    extra = ["--reference", reference] if reference else []
+    assert run(
+        "diff", coeffs, "--r1", 1, "--r2", 1, "--delta", "1e-4", "--mu", 5, *extra, "--out", out
+    ) == 0
+    return json.loads((workdir / "d.grid.manifest.json").read_text())["hash"]
+
+
+def test_diff_manifest_hashes_input_contents(tmp_path):
+    # same file names, different contents: the manifests must differ
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d, fn in zip(dirs, ("poly", "exp-sum")):
+        d.mkdir()
+        save_grid(compute_coeff_grid(REGISTRY[fn].callable(), 8), d / "in.grid")
+        save_grid(compute_coeff_grid(REGISTRY[fn].derivative_callable(1, 1), 8), d / "ref.grid")
+    coeff_hashes = [_diff_manifest_hash(d, d / "in.grid") for d in dirs]
+    assert coeff_hashes[0] != coeff_hashes[1]
+    ref_hashes = [_diff_manifest_hash(d, dirs[0] / "in.grid", d / "ref.grid") for d in dirs]
+    assert ref_hashes[0] != ref_hashes[1]
+    assert _diff_manifest_hash(dirs[1], dirs[0] / "in.grid") == coeff_hashes[0]
+
+
 # ---------------------------------------------------------------------------
 # cross
 

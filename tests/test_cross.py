@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcderiv.cross import build_cross, cardinality, dump_cross
+from hcderiv.cross import build_cross, dump_cross
+from hcderiv.lowerbound import build_witness_pair
+from hcderiv.spectral import ClassParams, CoeffGrid, mixed_derivative_coeffs, restrict_to_cross
 
 GUARD = 1.0 + 1e-12
 
@@ -24,25 +27,25 @@ def test_example_n4():
     cross = build_cross(4, 1, 1, 1)
     expected = {(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)}
     assert set(cross.indices) == expected
-    assert cardinality(cross) == 8
+    assert len(cross) == 8
 
 
 def test_example_n6_r2():
     cross = build_cross(6, 1, 2, 1)
     expected = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1)}
     assert set(cross.indices) == expected
-    assert cardinality(cross) == 8
+    assert len(cross) == 8
 
 
 def test_empty_below_minimal_product():
-    assert cardinality(build_cross(0.5, 1, 1, 1)) == 0
-    assert cardinality(build_cross(3.9, 2, 2, 1)) == 2  # k=2,3 with j=1 only
+    assert len(build_cross(0.5, 1, 1, 1)) == 0
+    assert len(build_cross(3.9, 2, 2, 1)) == 2  # k=2,3 with j=1 only
 
 
 def test_divisor_sum_cardinality():
     cross = build_cross(100, 1, 1, 1)
-    assert cardinality(cross) == 482
-    assert cardinality(cross) == sum(100 // k for k in range(1, 101))
+    assert len(cross) == 482
+    assert len(cross) == sum(100 // k for k in range(1, 101))
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
@@ -82,7 +85,7 @@ def test_monotone_in_n(n1, n2, gamma):
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 def test_cardinality_growth(n):
-    ratio = cardinality(build_cross(n, 1, 1, 1)) / (n * math.log(n))
+    ratio = len(build_cross(n, 1, 1, 1)) / (n * math.log(n))
     assert 0.5 <= ratio <= 2.0
 
 
@@ -107,3 +110,24 @@ def test_dump_format():
     lines = text.splitlines()
     assert lines[0] == "# cross v1 n=2.0 gamma=1.0 r1=1 r2=1"
     assert lines[1:] == ["1\t1", "1\t2", "2\t1"]
+
+
+def test_radius_shaped_inputs_stay_small():
+    # the largest radius sweep point: a cross of about 161k pairs restricts a
+    # one-entry grid, and the N = 4096 witness has a 12290 x 2 band; the dict
+    # representation of the cross alone took about 25 MB here, the row limits
+    # and dense arrays take about 1 MB
+    tracemalloc.start()
+    try:
+        cross = build_cross(16384, 1, 1, 1)
+        kept = restrict_to_cross(CoeffGrid({(0, 0): 1.0}), cross)
+        w = build_witness_pair(4096, 1, 1, ClassParams(2, 3))
+        deriv = mixed_derivative_coeffs(w.f1, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(kept) == 0 and len(deriv) > 0
+    # pairs k * j <= n counted per k with exact integer division
+    assert len(cross) == sum(16384 // k for k in range(1, 16385))
+    assert "indices" not in vars(cross) and "index_set" not in vars(cross)
