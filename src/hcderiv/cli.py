@@ -34,6 +34,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .cross import build_cross, dump_cross
 from .harness import (
+    _NOISE_MODE_MAP,
     REGISTRY,
     DecayProfile,
     ExperimentConfig,
@@ -169,8 +170,7 @@ def _cmd_diff(args) -> int:
     if args.noise == "off":
         c_delta = grid
     else:
-        mode = {"sphere": "random-sphere", "single": "single-coefficient",
-                "witness": "adversarial-witness"}[args.noise]
+        mode = _NOISE_MODE_MAP[args.noise]
         spec = NoiseSpec(p=args.p, delta=args.delta, mode=mode, seed=args.seed, support=support)
         witness = None
         if args.noise == "witness":
@@ -228,34 +228,35 @@ def _cmd_cross(args) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 
-_CONFIG_SCHEMA = {
-    "class": {"s": float, "mu": float},
-    "orders": {"r1": int, "r2": int},
-    "noise": {"mode": str, "p": _parse_p, "seed": int, "num_seeds": int},
-    "sweep": {"delta_start": float, "delta_stop": float, "count": int},
-    "function": {"id": str, "epsilon": float, "k_ref": int},
-    "method": {"metric": str, "sup_resolution": int, "gamma": float},
-    "output": {"timing": str},
-}
+def _parse_on_off(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("on", "off"):
+        raise ValueError(text)
+    return value == "on"
 
-_CONFIG_FIELD_MAP = {
-    ("class", "s"): "s",
-    ("class", "mu"): "mu",
-    ("orders", "r1"): "r1",
-    ("orders", "r2"): "r2",
-    ("noise", "mode"): "noise_mode",
-    ("noise", "p"): "p",
-    ("noise", "seed"): "seed",
-    ("noise", "num_seeds"): "num_seeds",
-    ("sweep", "delta_start"): "delta_start",
-    ("sweep", "delta_stop"): "delta_stop",
-    ("sweep", "count"): "delta_count",
-    ("function", "id"): "function_id",
-    ("function", "epsilon"): "epsilon",
-    ("function", "k_ref"): "k_ref",
-    ("method", "metric"): "metric",
-    ("method", "sup_resolution"): "sup_resolution",
-    ("method", "gamma"): "gamma_override",
+
+# section -> key -> (ExperimentConfig field, parser)
+_CONFIG_SCHEMA = {
+    "class": {"s": ("s", float), "mu": ("mu", float)},
+    "orders": {"r1": ("r1", int), "r2": ("r2", int)},
+    "noise": {
+        "mode": ("noise_mode", str),
+        "p": ("p", _parse_p),
+        "seed": ("seed", int),
+        "num_seeds": ("num_seeds", int),
+    },
+    "sweep": {
+        "delta_start": ("delta_start", float),
+        "delta_stop": ("delta_stop", float),
+        "count": ("delta_count", int),
+    },
+    "function": {"id": ("function_id", str), "epsilon": ("epsilon", float), "k_ref": ("k_ref", int)},
+    "method": {
+        "metric": ("metric", str),
+        "sup_resolution": ("sup_resolution", int),
+        "gamma": ("gamma_override", float),
+    },
+    "output": {"timing": ("timing", _parse_on_off)},
 }
 
 
@@ -279,20 +280,16 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             problems.append(f"unknown section [{section}]")
             continue
         for key, raw in parser.items(section):
-            conv = _CONFIG_SCHEMA[section].get(key)
-            if conv is None:
+            entry = _CONFIG_SCHEMA[section].get(key)
+            if entry is None:
                 problems.append(f"unknown key {key!r} in section [{section}]")
                 continue
-            if (section, key) == ("output", "timing"):
-                if raw.strip().lower() not in ("on", "off"):
-                    problems.append(f"timing: must be on/off, got {raw!r}")
-                else:
-                    fields["timing"] = raw.strip().lower() == "on"
-                continue
+            field, conv = entry
             try:
-                fields[_CONFIG_FIELD_MAP[(section, key)]] = conv(raw)
+                fields[field] = conv(raw)
             except ValueError:
-                problems.append(f"{key}: cannot parse value {raw!r}")
+                reason = "must be on/off, got" if conv is _parse_on_off else "cannot parse value"
+                problems.append(f"{key}: {reason} {raw!r}")
     if problems:
         raise ConfigError(problems)
     config = ExperimentConfig(**fields)
@@ -302,14 +299,19 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     return config
 
 
-def _result_to_json(result: ExperimentResult, config: ExperimentConfig, digest: str) -> str:
+def _json_config(config: ExperimentConfig) -> dict:
+    """The config's fields, with infinite values spelled "inf" for JSON."""
+    return {
+        key: ("inf" if isinstance(value, float) and math.isinf(value) else value)
+        for key, value in dataclasses.asdict(config).items()
+    }
+
+
+def _result_to_json(result: ExperimentResult, config: dict, digest: str) -> str:
     payload = {
         "schema": "experiment-result v1",
         "manifest": digest,
-        "config": {
-            key: ("inf" if isinstance(value, float) and math.isinf(value) else value)
-            for key, value in dataclasses.asdict(config).items()
-        },
+        "config": config,
         "rng_algorithm": result.rng_algorithm,
         "case_label": result.case_label,
         "noise_support": result.noise_support,
@@ -410,19 +412,14 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
 def _cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
     result = run_convergence_study(config)
-    echo = {"config": os.path.basename(args.config)}
-    echo.update(
-        {
-            key: ("inf" if isinstance(value, float) and math.isinf(value) else value)
-            for key, value in dataclasses.asdict(config).items()
-        }
-    )
+    config_json = _json_config(config)
+    echo = {"config": os.path.basename(args.config), **config_json}
     outputs = [p for p in (args.out_csv, args.out_json, args.out_svg) if p]
     digest = _write_manifest(outputs[0], "experiment", echo, outputs)
     if args.out_csv:
         _atomic_write(args.out_csv, _result_to_csv(result, digest))
     if args.out_json:
-        _atomic_write(args.out_json, _result_to_json(result, config, digest))
+        _atomic_write(args.out_json, _result_to_json(result, config_json, digest))
     if args.out_svg:
         _atomic_write(args.out_svg, _svg_rate_plot(result, config, digest))
     return EXIT_OK
@@ -453,46 +450,18 @@ def _cmd_radius(args) -> int:
         "p": "inf" if math.isinf(args.p) else args.p,
     }
     digest = _write_manifest(args.out_json, "radius", echo, [args.out_json])
-
-    def report(rep):
-        return {
-            "metric": rep.metric, "N": rep.N, "measured": rep.measured,
-            "bound": rep.bound, "passed": rep.passed, "ratio": rep.ratio,
+    payload = dataclasses.asdict(study)
+    for record in payload["records"]:
+        record["skew"] = {
+            skew: dict(zip(("c", "l2"), pair)) for skew, pair in record.pop("skew_reports").items()
         }
-
-    payload = {
-        "schema": "radius-study v1",
-        "manifest": digest,
-        "params": echo,
-        "c_tilde": study.c_tilde,
-        "c_bar": study.c_bar,
-        "c_dbar": study.c_dbar,
-        "records": [
-            {
-                "N": r.N,
-                "delta": r.delta,
-                "n": r.n,
-                "gamma": r.gamma,
-                "verify_c": report(r.verify_c),
-                "verify_l2": report(r.verify_l2),
-                "skew": {
-                    skew: {"c": report(pair[0]), "l2": report(pair[1])}
-                    for skew, pair in r.skew_reports.items()
-                },
-                "method_error_c": r.method_error_c,
-                "method_error_l2": r.method_error_l2,
-                "radius_bound_c": r.radius_bound_c,
-                "radius_bound_l2": r.radius_bound_l2,
-            }
-            for r in study.records
-        ],
-        "fitted_method_l2": study.fitted_method_l2,
-        "fitted_bound_l2": study.fitted_bound_l2,
-        "fitted_method_c": study.fitted_method_c,
-        "fitted_bound_c": study.fitted_bound_c,
-        "exponent_gap_l2": study.exponent_gap_l2(),
-        "exponent_gap_c": study.exponent_gap_c(),
-    }
+    payload.update(
+        schema="radius-study v1",
+        manifest=digest,
+        params=echo,
+        exponent_gap_l2=study.exponent_gap_l2(),
+        exponent_gap_c=study.exponent_gap_c(),
+    )
     _atomic_write(args.out_json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 

@@ -32,8 +32,8 @@ class HyperbolicCross:
 
     Row k holds the pairs (k, j) with r2 <= j <= jmax[k]; ``jmax`` has one
     entry per k in [0, k_extent()], and rows below r1 hold r2 - 1, so they
-    are empty.  Storage is O(k_extent); the enumerated ``indices`` and
-    ``index_set`` are derived on first use.
+    are empty.  Storage is O(k_extent); the enumerated ``indices`` are
+    derived on first use, and membership is tested on ``jmax``.
     """
 
     n: float
@@ -50,10 +50,6 @@ class HyperbolicCross:
             for k, top in enumerate(self.jmax.tolist())
             for j in range(self.r2, top + 1)
         )
-
-    @cached_property
-    def index_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.indices)
 
     def k_extent(self) -> int:
         """Largest admissible k, i.e. floor-guarded n / r2**gamma."""

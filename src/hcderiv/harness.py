@@ -195,8 +195,9 @@ def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int
 
 def single_term_class_function(cls: ClassParams, k: int, j: int) -> CoeffGrid:
     """Unit-norm class function supported on a single index."""
-    value = (max(1, k) * max(1, j)) ** (-cls.mu)
-    return CoeffGrid({(k, j): value})
+    grid = np.zeros((k + 1, j + 1))
+    grid[k, j] = (max(1, k) * max(1, j)) ** (-cls.mu)
+    return CoeffGrid(grid)
 
 
 # ---------------------------------------------------------------------------

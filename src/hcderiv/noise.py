@@ -88,7 +88,9 @@ def _single_noise(spec: NoiseSpec) -> CoeffGrid:
     k = int(rng.integers(0, spec.support + 1))
     j = int(rng.integers(0, spec.support + 1))
     sign = 1.0 if int(rng.integers(0, 2)) else -1.0
-    return CoeffGrid({(k, j): sign * spec.delta})
+    xi = np.zeros((k + 1, j + 1))
+    xi[k, j] = sign * spec.delta
+    return CoeffGrid(xi)
 
 
 def perturb(c: CoeffGrid, spec: NoiseSpec, witness=None) -> tuple[CoeffGrid, CoeffGrid]:

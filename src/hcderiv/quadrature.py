@@ -3,9 +3,7 @@
 Rules live on [-1, 1]; bivariate integrals use the tensor product of a
 one-dimensional rule with itself.  Integrand callbacks are invoked with
 two equal-shape numpy arrays and must broadcast elementwise; callbacks
-that only accept scalars are evaluated pointwise as a fallback.  The
-callback may be invoked concurrently by future parallel drivers and
-must be safe for that.
+that only accept scalars are evaluated pointwise as a fallback.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 A :class:`CoeffGrid` represents a function f on Q = [-1, 1]^2 through
 its coefficients c_{k,j} = <f, phi_k phi_j>, held as one dense float64
-array whose zeros are the absent entries.  The module provides the
+array whose zeros are the absent entries.  Grids are array-only: they
+are built from a 2-D array, and sparse (k, j) -> value entries are
+loaded through the text format.  The module provides the
 smoothness-class norm, the Parseval L2 norm, synthesis back to point
 values, sup-norm estimation on Chebyshev-clustered grids, restriction
 to a hyperbolic cross, coefficient-space mixed differentiation, and a
@@ -17,7 +19,8 @@ was kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -54,26 +57,19 @@ class CoeffGrid:
     shape (K1, K2) with c_{k,j} = array[k, j]; zeros are absent entries,
     and the array is trimmed so its last row and last column each hold a
     nonzero (an empty grid has shape (0, 0)).  A grid is built from a
-    2-D array of finite values or from (k, j) -> value entries with
-    unique non-negative integer indices and finite values.  Iteration
-    and serialization are sorted by (k, j), so equal grids produce
-    identical output.
+    2-D array of finite values and only from that: sparse (k, j) ->
+    value entries are read through the text format (:func:`parse_grid`),
+    and entries are read back through ``array``.
     """
 
     __slots__ = ("array",)
 
-    def __init__(
-        self,
-        entries: np.ndarray | Mapping[Index, float] | Iterable[tuple[Index, float]] = (),
-    ):
-        if isinstance(entries, np.ndarray):
-            dense = np.asarray(entries, dtype=float)
-            if dense.ndim != 2:
-                raise ValueError(f"coefficient array must be 2-D, got shape {dense.shape}")
-            if not np.all(np.isfinite(dense)):
-                raise ValueError("coefficient array holds non-finite values")
-        else:
-            dense = _dense_from_entries(entries)
+    def __init__(self, array: np.ndarray | None = None):
+        dense = np.zeros((0, 0)) if array is None else np.asarray(array, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError(f"coefficient array must be 2-D, got shape {dense.shape}")
+        if not np.all(np.isfinite(dense)):
+            raise ValueError("coefficient array holds non-finite values")
         nonzero = dense != 0.0
         rows = np.flatnonzero(nonzero.any(axis=1))
         cols = np.flatnonzero(nonzero.any(axis=0))
@@ -83,24 +79,6 @@ class CoeffGrid:
             dense = np.zeros((0, 0))
         dense.flags.writeable = False
         self.array = dense
-
-    def items(self) -> list[tuple[Index, float]]:
-        """Entries sorted by (k, j)."""
-        ks, js = np.nonzero(self.array)
-        return list(zip(zip(ks.tolist(), js.tolist()), self.array[ks, js].tolist()))
-
-    def get(self, k: int, j: int, default: float = 0.0) -> float:
-        if 0 <= k < self.array.shape[0] and 0 <= j < self.array.shape[1]:
-            value = float(self.array[k, j])
-            if value != 0.0:
-                return value
-        return default
-
-    def to_dict(self) -> dict[Index, float]:
-        return dict(self.items())
-
-    def support(self) -> frozenset[Index]:
-        return frozenset(self)
 
     def values(self) -> np.ndarray:
         """Coefficient values in (k, j) order."""
@@ -129,20 +107,8 @@ class CoeffGrid:
     def __sub__(self, other: "CoeffGrid") -> "CoeffGrid":
         return self._combine(other, np.subtract)
 
-    def __mul__(self, factor: float) -> "CoeffGrid":
-        return self.scale(float(factor))
-
-    __rmul__ = __mul__
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.array))
-
-    def __iter__(self) -> Iterator[Index]:
-        ks, js = np.nonzero(self.array)
-        return zip(ks.tolist(), js.tolist())
-
-    def __contains__(self, idx: Index) -> bool:
-        return self.get(*idx) != 0.0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoeffGrid):
@@ -151,41 +117,6 @@ class CoeffGrid:
 
     def __repr__(self) -> str:
         return f"CoeffGrid({len(self)} entries)"
-
-
-def _dense_from_entries(entries) -> np.ndarray:
-    """Scatter (k, j) -> value entries into a dense array, checking them."""
-    items = list(entries.items() if isinstance(entries, Mapping) else entries)
-    if not items:
-        return np.zeros((0, 0))
-    keys = [idx for idx, _ in items]
-    try:
-        idx = np.array(keys, dtype=float).reshape(len(keys), 2)
-        vals = np.array([v for _, v in items], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed coefficient entries: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(idx).all(axis=1) | (idx != np.floor(idx)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"indices must be integers, got {keys[bad[0]]!r}")
-    bad = np.flatnonzero((idx < 0).any(axis=1))
-    if bad.size:
-        raise ValueError(f"indices must be non-negative, got {keys[bad[0]]}")
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise ValueError(f"coefficient at {keys[bad[0]]} is not finite: {vals[bad[0]]!r}")
-    ks, js = idx[:, 0].astype(np.int64), idx[:, 1].astype(np.int64)
-    flat = ks * (int(js.max()) + 1) + js
-    uniq, first, counts = np.unique(flat, return_index=True, return_counts=True)
-    if uniq.size < flat.size:
-        dup = first[np.flatnonzero(counts > 1)[0]]
-        raise ValueError(f"duplicate index {(int(ks[dup]), int(js[dup]))}")
-    keep = vals != 0.0
-    if not keep.any():
-        return np.zeros((0, 0))
-    ks, js, vals = ks[keep], js[keep], vals[keep]
-    dense = np.zeros((int(ks.max()) + 1, int(js.max()) + 1))
-    dense[ks, js] = vals
-    return dense
 
 
 @dataclass(frozen=True)
@@ -367,27 +298,64 @@ def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:
 
 
 def dump_grid(c: CoeffGrid) -> str:
-    """Serialize to the one-entry-per-line text format."""
+    """Serialize to the one-entry-per-line text format, sorted by (k, j)."""
+    ks, js = np.nonzero(c.array)
     lines = [GRID_HEADER]
-    for (k, j), v in c.items():
-        lines.append(f"{k}\t{j}\t{v!r}")
+    lines.extend(
+        f"{k}\t{j}\t{v!r}"
+        for k, j, v in zip(ks.tolist(), js.tolist(), c.array[ks, js].tolist())
+    )
     return "\n".join(lines) + "\n"
 
 
+_ENTRY = np.dtype([("k", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _grid_entry(line: str) -> tuple[int, int, float]:
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ValueError(f"malformed grid line {line!r}")
+    return int(parts[0]), int(parts[1]), float(parts[2])
+
+
 def parse_grid(text: str) -> CoeffGrid:
+    """Read the text format into a grid.
+
+    Below the header every non-blank line is ``k<TAB>j<TAB>value``; the
+    indices must be unique non-negative integers that fit in 64 bits and
+    the values finite.  The entries go straight into index and value
+    arrays, and zero values are dropped before the grid array is sized.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     # tolerate decoration comments (e.g. a manifest reference) above the header
     while lines and lines[0].startswith("#") and lines[0].strip() != GRID_HEADER:
         lines.pop(0)
     if not lines or lines[0].strip() != GRID_HEADER:
         raise ValueError(f"missing grid header {GRID_HEADER!r}")
-    entries = []
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"malformed grid line {ln!r}")
-        entries.append(((int(parts[0]), int(parts[1])), float(parts[2])))
-    return CoeffGrid(entries)
+    try:
+        table = np.fromiter(map(_grid_entry, islice(lines, 1, None)), _ENTRY, len(lines) - 1)
+    except OverflowError:
+        raise ValueError("grid indices must fit in 64 bits") from None
+    ks, js, vals = table["k"], table["j"], table["v"]
+    bad = np.flatnonzero((ks < 0) | (js < 0))
+    if bad.size:
+        raise ValueError(f"indices must be non-negative, got {(int(ks[bad[0]]), int(js[bad[0]]))}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k, j, v = table[bad[0]].tolist()
+        raise ValueError(f"coefficient at {(k, j)} is not finite: {v!r}")
+    order = np.lexsort((js, ks))
+    repeats = (np.diff(ks[order]) == 0) & (np.diff(js[order]) == 0)
+    if repeats.any():
+        dup = order[np.argmax(repeats)]
+        raise ValueError(f"duplicate index {(int(ks[dup]), int(js[dup]))}")
+    keep = vals != 0.0
+    if not keep.any():
+        return CoeffGrid()
+    ks, js = ks[keep], js[keep]
+    dense = np.zeros((int(ks.max()) + 1, int(js.max()) + 1))
+    dense[ks, js] = vals[keep]
+    return CoeffGrid(dense)
 
 
 def save_grid(c: CoeffGrid, path) -> None:

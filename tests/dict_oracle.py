@@ -4,7 +4,9 @@ Grids here are tuple-keyed dicts, the derivative is a scalar loop per
 column and row, crosses enumerate their index tuples, and noise and
 synthetic functions are filled entry by entry.  The property tests in
 ``test_dense_oracle.py`` assert that the array code in ``hcderiv``
-reproduces these results exactly, bit for bit.
+reproduces these results exactly, bit for bit.  ``scatter`` turns
+entries into the 2-D array that ``hcderiv.spectral.CoeffGrid`` is built
+from, for the tests that write grids down entry by entry.
 """
 
 from __future__ import annotations
@@ -89,6 +91,16 @@ def dump_grid(c: CoeffGrid) -> str:
     for (k, j), v in c.items():
         lines.append(f"{k}\t{j}\t{v!r}")
     return "\n".join(lines) + "\n"
+
+
+def scatter(entries: Mapping[Index, float]) -> np.ndarray:
+    """Entries (k, j) -> value as a 2-D array just large enough to hold them."""
+    if not entries:
+        return np.zeros((0, 0))
+    out = np.zeros((max(k for k, _ in entries) + 1, max(j for _, j in entries) + 1))
+    for (k, j), value in entries.items():
+        out[k, j] = value
+    return out
 
 
 # ---------------------------------------------------------------------------

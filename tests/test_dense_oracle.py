@@ -6,7 +6,9 @@ loops they replaced, so nothing may move even in the last bit.
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from hcderiv.spectral import (
     CoeffGrid,
     dump_grid,
     mixed_derivative_coeffs,
+    parse_grid,
     parseval_l2_norm,
     restrict_to_cross,
     synth_eval,
@@ -43,8 +46,7 @@ def entries(draw, extent=14):
 
 def _same(dense: CoeffGrid, ref: oracle.CoeffGrid) -> bool:
     return (
-        dense.to_dict() == ref.to_dict()
-        and dense.items() == ref.items()
+        np.array_equal(dense.array, oracle.scatter(ref.to_dict()))
         and len(dense) == len(ref)
         and dense.max_index() == ref.max_index()
         and dump_grid(dense) == oracle.dump_grid(ref)
@@ -60,10 +62,52 @@ LONE = {(0, 0): 1.5}
 @example(EMPTY)
 @example(LONE)
 def test_construction_and_text_match(e):
-    dense, ref = CoeffGrid(e), oracle.CoeffGrid(e)
+    dense, ref = CoeffGrid(oracle.scatter(e)), oracle.CoeffGrid(e)
     assert _same(dense, ref)
     assert dense.values().tolist() == ref.values().tolist()
     assert parseval_l2_norm(dense) == oracle.parseval_l2_norm(ref)
+
+
+# entry lists as a grid file may hold them: repeated and negative indices,
+# zero, nan and infinite values
+FILE_INDICES = st.tuples(st.integers(-2, 6), st.integers(-2, 6))
+FILE_VALUES = VALUES | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(FILE_INDICES, FILE_VALUES), max_size=12))
+@example([])
+@example([((0, 0), 0.0), ((0, 0), 1.0)])
+@example([((0, 0), 1.0), ((0, 0), 0.0)])
+@example([((-1, 0), 0.0)])
+@example([((2, 3), math.nan)])
+def test_grid_files_accepted_and_rejected_as_entries(items):
+    text = oracle.GRID_HEADER + "\n" + "".join(f"{k}\t{j}\t{v!r}\n" for (k, j), v in items)
+    try:
+        ref = oracle.CoeffGrid(items)
+    except ValueError:
+        ref = None
+    # the oracle only notices a repeat after a nonzero entry; parse_grid
+    # rejects every repeated index, zero-valued or not
+    repeated = len({idx for idx, _ in items}) < len(items)
+    if ref is None or repeated:
+        with pytest.raises(ValueError):
+            parse_grid(text)
+    else:
+        assert dump_grid(parse_grid(text)) == oracle.dump_grid(ref)
+
+
+def test_far_zero_entry_parses_without_sizing_an_array():
+    far_zero = "100000000\t100000000\t0.0\n"
+    tracemalloc.start()
+    try:
+        empty = parse_grid("# coeffgrid v1\n" + far_zero)
+        lone = parse_grid("# coeffgrid v1\n0\t0\t1.0\n" + far_zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert empty == CoeffGrid() and lone == CoeffGrid(np.ones((1, 1)))
+    assert peak < 2**20
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,7 +116,7 @@ def test_construction_and_text_match(e):
 @example(LONE, EMPTY, -3.0)
 @example(LONE, LONE, 0.0)
 def test_arithmetic_matches(a, b, factor):
-    da, db = CoeffGrid(a), CoeffGrid(b)
+    da, db = CoeffGrid(oracle.scatter(a)), CoeffGrid(oracle.scatter(b))
     ra, rb = oracle.CoeffGrid(a), oracle.CoeffGrid(b)
     assert _same(da + db, ra + rb)
     assert _same(da - db, ra - rb)
@@ -85,7 +129,7 @@ def test_arithmetic_matches(a, b, factor):
 @example(LONE, 1, 1)
 @example({(1, 1): 1.0}, 1, 1)
 def test_mixed_derivative_matches(e, r1, r2):
-    dense = mixed_derivative_coeffs(CoeffGrid(e), r1, r2)
+    dense = mixed_derivative_coeffs(CoeffGrid(oracle.scatter(e)), r1, r2)
     ref = oracle.mixed_derivative_coeffs(oracle.CoeffGrid(e), r1, r2)
     assert _same(dense, ref)
 
@@ -95,7 +139,8 @@ def test_mixed_derivative_matches(e, r1, r2):
 @example(EMPTY, 0.5, -0.5)
 @example(LONE, -1.0, 1.0)
 def test_synth_eval_matches(e, t, tau):
-    assert synth_eval(CoeffGrid(e), t, tau) == oracle.synth_eval(oracle.CoeffGrid(e), t, tau)
+    dense = CoeffGrid(oracle.scatter(e))
+    assert synth_eval(dense, t, tau) == oracle.synth_eval(oracle.CoeffGrid(e), t, tau)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,7 +205,7 @@ def test_cross_on_floor_guarded_boundaries_matches(n, gamma, r1, r2):
 @example(LONE, (12.0, 1.0, 1, 1))
 def test_restriction_matches(e, case):
     members = frozenset(oracle.build_cross(*case))
-    dense = restrict_to_cross(CoeffGrid(e), build_cross(*case))
+    dense = restrict_to_cross(CoeffGrid(oracle.scatter(e)), build_cross(*case))
     assert _same(dense, oracle.restrict_to_cross(oracle.CoeffGrid(e), members))
 
 

@@ -73,7 +73,8 @@ def test_synthetic_function_deterministic():
 def test_single_term_function():
     cls = ClassParams(2, 3)
     g = single_term_class_function(cls, 2, 3)
-    assert g.to_dict() == {(2, 3): pytest.approx(6.0**-3, rel=1e-15)}
+    assert g.array.shape == (3, 4) and np.count_nonzero(g.array) == 1
+    assert g.array[2, 3] == pytest.approx(6.0**-3, rel=1e-15)
     assert class_norm(g, cls) == pytest.approx(1.0, rel=1e-14)
 
 

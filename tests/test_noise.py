@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
+from dict_oracle import scatter
 from hcderiv.lowerbound import build_witness_pair, witness_lp_distance
 from hcderiv.noise import NoiseSpec, lp_norm, perturb
 from hcderiv.spectral import ClassParams, CoeffGrid
 
 
 def test_lp_norm_examples():
-    g = CoeffGrid({(0, 0): -3.0, (1, 1): 4.0})
+    g = CoeffGrid(scatter({(0, 0): -3.0, (1, 1): 4.0}))
     assert lp_norm(g, 1) == 7.0
     assert lp_norm(g, math.inf) == 4.0
     assert lp_norm(g, 2) == 5.0
@@ -35,7 +37,7 @@ def test_spec_validation():
 
 def test_single_coefficient_mode():
     spec = NoiseSpec(p=2, delta=0.01, mode="single-coefficient", seed=5, support=10)
-    c = CoeffGrid({(1, 1): 1.0})
+    c = CoeffGrid(scatter({(1, 1): 1.0}))
     c_delta, xi = perturb(c, spec)
     assert len(xi) == 1
     for p in (1, 2, 7, math.inf):
@@ -53,7 +55,7 @@ def test_sphere_norm_is_exactly_delta(p):
 
 
 def test_sphere_determinism_and_seed_sensitivity():
-    c = CoeffGrid({(0, 0): 1.0})
+    c = CoeffGrid(scatter({(0, 0): 1.0}))
     spec = NoiseSpec(p=2, delta=1e-2, mode="random-sphere", seed=9, support=5)
     a = perturb(c, spec)
     b = perturb(c, spec)
@@ -67,15 +69,16 @@ def test_sphere_homogeneity_in_delta():
     doubled = NoiseSpec(p=2, delta=0.5, mode="random-sphere", seed=3, support=6)
     _, xi1 = perturb(CoeffGrid(), base)
     _, xi2 = perturb(CoeffGrid(), doubled)
-    assert xi2 == 2.0 * xi1  # scaling by 2 is exact
+    assert xi2 == xi1.scale(2.0)  # scaling by 2 is exact
     tripled = NoiseSpec(p=2, delta=0.75, mode="random-sphere", seed=3, support=6)
     _, xi3 = perturb(CoeffGrid(), tripled)
-    for idx, v in (3.0 * xi1).items():
-        assert xi3.get(*idx) == pytest.approx(v, rel=1e-15)
+    expected = xi1.scale(3.0).array
+    for idx in zip(*np.nonzero(expected)):
+        assert xi3.array[idx] == pytest.approx(expected[idx], rel=1e-15)
 
 
 def test_budget_all_modes():
-    c = CoeffGrid({(2, 2): 0.5, (3, 1): -0.25})
+    c = CoeffGrid(scatter({(2, 2): 0.5, (3, 1): -0.25}))
     for mode in ("random-sphere", "single-coefficient"):
         for p in (1, 2, math.inf):
             spec = NoiseSpec(p=p, delta=0.05, mode=mode, seed=1, support=8)
@@ -84,15 +87,14 @@ def test_budget_all_modes():
 
 
 def test_entrywise_reconstruction():
-    c = CoeffGrid({(0, 0): 0.7, (1, 3): -0.2, (4, 4): 1e-9})
+    c = CoeffGrid(scatter({(0, 0): 0.7, (1, 3): -0.2, (4, 4): 1e-9}))
     spec = NoiseSpec(p=2, delta=0.01, mode="random-sphere", seed=77, support=6)
     c_delta, xi = perturb(c, spec)
-    support = c.support() | xi.support()
-    for k, j in support:
-        lhs = c_delta.get(k, j) + xi.get(k, j)
-        rhs = c.get(k, j)
-        # reconstruction is exact up to one rounding of the stored sum
-        assert abs(lhs - rhs) <= 4e-16 * (abs(c.get(k, j)) + abs(xi.get(k, j)))
+    rows, cols = np.maximum(c.array.shape, xi.array.shape)
+    cd, x, c0 = (np.pad(g.array, [(0, rows - g.array.shape[0]), (0, cols - g.array.shape[1])])
+                 for g in (c_delta, xi, c))
+    # reconstruction is exact up to one rounding of the stored sum
+    assert np.all(np.abs((cd + x) - c0) <= 4e-16 * (np.abs(c0) + np.abs(x)))
 
 
 def test_witness_mode_requires_pair():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dict_oracle import scatter
 from hcderiv.legendre import eval_phi
 from hcderiv.quadrature import compute_coeff_grid, gauss_legendre_rule, l2_norm_quadrature
 from hcderiv.spectral import CoeffGrid, parseval_l2_norm, synth_eval
@@ -62,17 +63,17 @@ def test_order_out_of_range():
 
 def test_constant_function_grid():
     grid = compute_coeff_grid(lambda t, u: 1.0 + 0 * t, 3)
-    assert set(grid.support()) == {(0, 0)}
-    assert grid.get(0, 0) == pytest.approx(2.0, abs=1e-12)
+    assert grid.array.shape == (1, 1)  # the support is {(0, 0)}
+    assert grid.array[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_basis_element_grid():
     f = lambda t, u: eval_phi(5, t) * eval_phi(2, u)
     grid = compute_coeff_grid(np.vectorize(f), 6, m=16)
-    assert grid.get(5, 2) == pytest.approx(1.0, rel=1e-12)
-    for (k, j), v in grid.items():
-        if (k, j) != (5, 2):
-            assert abs(v) <= 1e-12
+    assert grid.array[5, 2] == pytest.approx(1.0, rel=1e-12)
+    others = grid.array.copy()
+    others[5, 2] = 0.0
+    assert np.max(np.abs(others)) <= 1e-12
 
 
 def _simpson_weights(npts: int, h: float) -> np.ndarray:
@@ -86,6 +87,7 @@ def test_monomial_grid_against_simpson_oracle():
     # independent oracle: composite tensor Simpson on a dense grid
     f = lambda t, u: t * t * u
     grid = compute_coeff_grid(f, 4, m=8)
+    coeffs = np.pad(grid.array, [(0, 5 - grid.array.shape[0]), (0, 5 - grid.array.shape[1])])
     npts = 201
     pts = np.linspace(-1.0, 1.0, npts)
     w = _simpson_weights(npts, pts[1] - pts[0])
@@ -96,7 +98,7 @@ def test_monomial_grid_against_simpson_oracle():
             phi_k = np.array([eval_phi(k, float(x)) for x in pts])
             phi_j = np.array([eval_phi(j, float(x)) for x in pts])
             oracle = float((w * phi_k) @ vals @ (w * phi_j))
-            assert abs(grid.get(k, j) - oracle) < 1e-6
+            assert abs(coeffs[k, j] - oracle) < 1e-6
 
 
 def test_aliasing_guard():
@@ -126,12 +128,10 @@ def test_round_trip_recovery():
             rng.integers(0, 31, 40), rng.integers(0, 31, 40), rng.standard_normal(40)
         )
     }
-    original = CoeffGrid(entries.items())
+    original = CoeffGrid(scatter(entries))
     f = lambda t, u: synth_eval(original, t, u)
     recovered = compute_coeff_grid(f, 30, m=32)
-    for k in range(31):
-        for j in range(31):
-            assert abs(recovered.get(k, j) - original.get(k, j)) < 1e-10
+    assert np.max(np.abs((recovered - original).array), initial=0.0) < 1e-10
 
 
 def test_parseval_consistency():
@@ -142,7 +142,7 @@ def test_parseval_consistency():
             rng.integers(0, 31, 25), rng.integers(0, 31, 25), rng.standard_normal(25)
         )
     }
-    grid = CoeffGrid(entries.items())
+    grid = CoeffGrid(scatter(entries))
     f = lambda t, u: synth_eval(grid, t, u)
     assert l2_norm_quadrature(f, 33) == pytest.approx(parseval_l2_norm(grid), rel=1e-10)
 
@@ -150,4 +150,4 @@ def test_parseval_consistency():
 def test_scalar_only_callback_fallback():
     grid = compute_coeff_grid(lambda t, u: float(t) ** 2 * float(u) ** 0, 2, m=6)
     # <t^2, phi_0 phi_0> = (2/3) * 2 / 2 = 2/3
-    assert grid.get(0, 0) == pytest.approx(2 / 3, rel=1e-13)
+    assert grid.array[0, 0] == pytest.approx(2 / 3, rel=1e-13)

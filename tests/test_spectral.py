@@ -24,6 +24,7 @@ from hcderiv.spectral import (
     synth_eval,
 )
 from hcderiv.legendre import differentiate_coeffs
+from dict_oracle import scatter
 
 
 def _random_grid(seed, kmax=12, count=30):
@@ -33,54 +34,62 @@ def _random_grid(seed, kmax=12, count=30):
         entries[(int(rng.integers(0, kmax + 1)), int(rng.integers(0, kmax + 1)))] = float(
             rng.standard_normal()
         )
-    return CoeffGrid(entries)
+    return CoeffGrid(scatter(entries))
 
 
 # ---------------------------------------------------------------------------
 # CoeffGrid type
 
 def test_grid_validation():
+    for body in [
+        "-1\t0\t1.0",
+        "0\t0\tnan",
+        "0\t0\tinf",
+        "0\t0\t1.0\n0\t0\t2.0",
+        "0.5\t0\t1.0",
+        f"{2**63}\t0\t1.0",
+    ]:
+        with pytest.raises(ValueError):
+            parse_grid(f"# coeffgrid v1\n{body}\n")
+
+
+def test_grid_array_validation():
     with pytest.raises(ValueError):
-        CoeffGrid({(-1, 0): 1.0})
+        CoeffGrid(np.zeros(3))
     with pytest.raises(ValueError):
-        CoeffGrid({(0, 0): float("nan")})
-    with pytest.raises(ValueError):
-        CoeffGrid({(0, 0): float("inf")})
-    with pytest.raises(ValueError):
-        CoeffGrid([((0, 0), 1.0), ((0, 0), 2.0)])
-    with pytest.raises(ValueError):
-        CoeffGrid({(0.5, 0): 1.0})
+        CoeffGrid(np.array([[0.0, float("nan")]]))
 
 
 def test_grid_drops_zeros_and_sorts():
-    g = CoeffGrid({(3, 1): 1.0, (0, 2): 0.0, (1, 1): -2.0})
+    g = parse_grid("# coeffgrid v1\n3\t1\t1.0\n0\t2\t0.0\n1\t1\t-2.0\n")
     assert len(g) == 2
-    assert [idx for idx, _ in g.items()] == [(1, 1), (3, 1)]
-    assert g.get(0, 2) == 0.0
+    assert list(zip(*np.nonzero(g.array))) == [(1, 1), (3, 1)]
+    assert g.array.shape == (4, 2)  # the zero at (0, 2) is dropped, not stored
+    assert dump_grid(g) == "# coeffgrid v1\n1\t1\t-2.0\n3\t1\t1.0\n"
 
 
 def test_grid_arithmetic():
-    a = CoeffGrid({(0, 0): 1.0, (1, 1): 2.0})
-    b = CoeffGrid({(1, 1): 2.0, (2, 2): -1.0})
-    assert (a - b).to_dict() == {(0, 0): 1.0, (2, 2): 1.0}
-    assert (a + b).to_dict() == {(0, 0): 1.0, (1, 1): 4.0, (2, 2): -1.0}
-    assert (2.0 * a).to_dict() == {(0, 0): 2.0, (1, 1): 4.0}
+    a = CoeffGrid(scatter({(0, 0): 1.0, (1, 1): 2.0}))
+    b = CoeffGrid(scatter({(1, 1): 2.0, (2, 2): -1.0}))
+    assert np.array_equal((a - b).array, scatter({(0, 0): 1.0, (2, 2): 1.0}))
+    assert np.array_equal((a + b).array, scatter({(0, 0): 1.0, (1, 1): 4.0, (2, 2): -1.0}))
+    assert np.array_equal(a.scale(2.0).array, scatter({(0, 0): 2.0, (1, 1): 4.0}))
 
 
 # ---------------------------------------------------------------------------
 # norms
 
 def test_class_norm_single_term():
-    assert class_norm(CoeffGrid({(2, 3): 1.0}), ClassParams(2, 2)) == pytest.approx(36.0)
+    assert class_norm(CoeffGrid(scatter({(2, 3): 1.0})), ClassParams(2, 2)) == pytest.approx(36.0)
 
 
 def test_class_norm_underline_convention():
     for s, mu in [(1, 1), (2, 3), (1.5, 0.5)]:
-        assert class_norm(CoeffGrid({(0, 0): 0.5}), ClassParams(s, mu)) == pytest.approx(0.5)
+        assert class_norm(CoeffGrid(scatter({(0, 0): 0.5})), ClassParams(s, mu)) == pytest.approx(0.5)
 
 
 def test_class_norm_hand_sum():
-    g = CoeffGrid({(1, 1): 3.0, (2, 2): 4.0})
+    g = CoeffGrid(scatter({(1, 1): 3.0, (2, 2): 4.0}))
     assert class_norm(g, ClassParams(2, 1)) == pytest.approx(math.sqrt(265), rel=1e-14)
 
 
@@ -89,9 +98,9 @@ def test_class_norm_empty():
 
 
 def test_parseval_examples():
-    assert parseval_l2_norm(CoeffGrid({(0, 0): 3.0})) == 3.0
+    assert parseval_l2_norm(CoeffGrid(scatter({(0, 0): 3.0}))) == 3.0
     assert parseval_l2_norm(CoeffGrid()) == 0.0
-    assert parseval_l2_norm(CoeffGrid({(1, 2): 3.0, (4, 4): 4.0})) == pytest.approx(5.0)
+    assert parseval_l2_norm(CoeffGrid(scatter({(1, 2): 3.0, (4, 4): 4.0}))) == pytest.approx(5.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -110,8 +119,8 @@ def test_parseval_examples():
 )
 def test_class_norm_is_a_norm(a_entries, b_entries, alpha):
     params = ClassParams(2, 1.5)
-    a, b = CoeffGrid(a_entries), CoeffGrid(b_entries)
-    assert class_norm(alpha * a, params) == pytest.approx(
+    a, b = CoeffGrid(scatter(a_entries)), CoeffGrid(scatter(b_entries))
+    assert class_norm(a.scale(alpha), params) == pytest.approx(
         abs(alpha) * class_norm(a, params), rel=1e-12, abs=1e-12
     )
     lhs = class_norm(a + b, params)
@@ -119,7 +128,7 @@ def test_class_norm_is_a_norm(a_entries, b_entries, alpha):
 
 
 def test_class_norm_monotone_in_mu():
-    g = CoeffGrid({(1, 2): 0.3, (4, 1): -0.2, (3, 3): 0.05})
+    g = CoeffGrid(scatter({(1, 2): 0.3, (4, 1): -0.2, (3, 3): 0.05}))
     norms = [class_norm(g, ClassParams(2, mu)) for mu in (0.5, 1.0, 2.0, 3.0)]
     assert all(x <= y for x, y in zip(norms, norms[1:]))
 
@@ -128,13 +137,13 @@ def test_class_norm_monotone_in_mu():
 # synthesis
 
 def test_synth_constant():
-    g = CoeffGrid({(0, 0): 2.0})
+    g = CoeffGrid(scatter({(0, 0): 2.0}))
     for t, tau in [(-1, -1), (0.3, -0.4), (1, 1)]:
         assert synth_eval(g, t, tau) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_synth_single_term_factorizes():
-    g = CoeffGrid({(5, 2): 1.0})
+    g = CoeffGrid(scatter({(5, 2): 1.0}))
     assert synth_eval(g, 0.1, -0.4) == pytest.approx(
         eval_phi(5, 0.1) * eval_phi(2, -0.4), rel=1e-13
     )
@@ -143,37 +152,41 @@ def test_synth_single_term_factorizes():
 def test_synth_matches_naive_double_sum():
     g = _random_grid(seed=3, kmax=20, count=50)
     t, tau = 0.33, 0.71
-    naive = sum(v * eval_phi(k, t) * eval_phi(j, tau) for (k, j), v in g.items())
+    naive = sum(
+        g.array[k, j] * eval_phi(k, t) * eval_phi(j, tau) for k, j in zip(*np.nonzero(g.array))
+    )
     assert synth_eval(g, t, tau) == pytest.approx(naive, rel=1e-12)
 
 
 def test_synth_domain_error():
     with pytest.raises(ValueError):
-        synth_eval(CoeffGrid({(0, 0): 1.0}), 1.2, 0.0)
+        synth_eval(CoeffGrid(scatter({(0, 0): 1.0})), 1.2, 0.0)
     with pytest.raises(ValueError):
-        synth_eval(CoeffGrid({(0, 0): 1.0}), 0.0, -1.01)
+        synth_eval(CoeffGrid(scatter({(0, 0): 1.0})), 0.0, -1.01)
 
 
 # ---------------------------------------------------------------------------
 # mixed differentiation
 
 def test_mixed_derivative_bilinear_mode():
-    out = mixed_derivative_coeffs(CoeffGrid({(1, 1): 1.0}), 1, 1)
-    assert out.to_dict() == {(0, 0): pytest.approx(3.0, rel=1e-15)}
+    out = mixed_derivative_coeffs(CoeffGrid(scatter({(1, 1): 1.0})), 1, 1)
+    assert out.array.shape == (1, 1)
+    assert out.array[0, 0] == pytest.approx(3.0, rel=1e-15)
 
 
 def test_mixed_derivative_kills_low_index():
-    assert len(mixed_derivative_coeffs(CoeffGrid({(0, 5): 7.0}), 1, 1)) == 0
+    assert len(mixed_derivative_coeffs(CoeffGrid(scatter({(0, 5): 7.0})), 1, 1)) == 0
 
 
 def test_mixed_derivative_linearity():
     g = _random_grid(seed=5)
     base = mixed_derivative_coeffs(g, 1, 2)
-    doubled = mixed_derivative_coeffs(2.0 * g, 1, 2)
-    assert doubled == 2.0 * base  # doubling is exact in binary floating point
-    tripled = mixed_derivative_coeffs(3.0 * g, 1, 2)
-    for idx, v in (3.0 * base).items():
-        assert tripled.get(*idx) == pytest.approx(v, rel=1e-14)
+    doubled = mixed_derivative_coeffs(g.scale(2.0), 1, 2)
+    assert doubled == base.scale(2.0)  # doubling is exact in binary floating point
+    tripled = mixed_derivative_coeffs(g.scale(3.0), 1, 2)
+    expected = base.scale(3.0).array
+    for idx in zip(*np.nonzero(expected)):
+        assert tripled.array[idx] == pytest.approx(expected[idx], rel=1e-14)
 
 
 def _k_then_j(a, r1, r2):
@@ -188,7 +201,7 @@ def test_mixed_derivative_axis_order_commutes():
     # the two axis orders compute the same real number; in floats they
     # agree on support exactly and on values up to reassociation rounding
     for k, j in [(1, 1), (4, 2), (7, 5)]:
-        a = CoeffGrid({(k, j): 1.0}).array
+        a = CoeffGrid(scatter({(k, j): 1.0})).array
         kj, jk = _k_then_j(a, 2, 1), _j_then_k(a, 2, 1)
         assert np.array_equal(kj != 0, jk != 0)
         for idx in zip(*np.nonzero(kj)):
@@ -239,13 +252,13 @@ def test_mixed_derivative_matches_finite_differences():
 # sup norm and restriction
 
 def test_sup_norm_constant():
-    g = CoeffGrid({(0, 0): 2.0})
+    g = CoeffGrid(scatter({(0, 0): 2.0}))
     for res in (2, 11, 101):
         assert sup_norm_on_grid(g, res) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_sup_norm_peaks_at_endpoint():
-    g = CoeffGrid({(3, 0): 1.0})
+    g = CoeffGrid(scatter({(3, 0): 1.0}))
     assert sup_norm_on_grid(g, 101) == pytest.approx(math.sqrt(7) / 2, rel=1e-13)
 
 
@@ -273,7 +286,7 @@ def _tied_grids():
     return [
         (column, 33),
         (CoeffGrid(even), 21),
-        (CoeffGrid({(1, 0): 0.5}), 9),
+        (CoeffGrid(scatter({(1, 0): 0.5})), 9),
         (CoeffGrid(b + b.T), 17),
     ]
 
@@ -312,10 +325,10 @@ def test_sup_norm_within_its_bound_of_the_exact_sample_max(grid, resolution):
 
 
 def test_restrict_to_cross():
-    g = CoeffGrid({(1, 1): 1.0, (9, 9): 1.0})
+    g = CoeffGrid(scatter({(1, 1): 1.0, (9, 9): 1.0}))
     cross = build_cross(4, 1, 1, 1)
     out = restrict_to_cross(g, cross)
-    assert out.to_dict() == {(1, 1): 1.0}
+    assert np.array_equal(out.array, scatter({(1, 1): 1.0}))
     assert restrict_to_cross(out, cross) == out
 
 
@@ -329,7 +342,7 @@ def test_restrict_empty_cross():
 # serialization
 
 def test_dump_format():
-    g = CoeffGrid({(1, 0): -0.5, (0, 0): 2.0})
+    g = CoeffGrid(scatter({(1, 0): -0.5, (0, 0): 2.0}))
     assert dump_grid(g) == "# coeffgrid v1\n0\t0\t2.0\n1\t0\t-0.5\n"
 
 
@@ -345,3 +358,5 @@ def test_parse_rejects_garbage():
         parse_grid("0\t0\t1.0\n")
     with pytest.raises(ValueError):
         parse_grid("# coeffgrid v1\n0 0 1.0\n")
+    with pytest.raises(ValueError):
+        parse_grid("# coeffgrid v1\n0\t0\t1.0\t2.0\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dict_oracle import scatter
 from hcderiv.quadrature import compute_coeff_grid
 from hcderiv.spectral import ClassParams, CoeffGrid, mixed_derivative_coeffs
 from hcderiv.truncation import (
@@ -207,12 +208,14 @@ def test_apply_method_exact_on_covered_polynomial():
 
 
 def test_apply_method_single_mode():
-    out = apply_method(CoeffGrid({(1, 1): 1.0}), MethodParams(n=1.0, gamma=1.0, r1=1, r2=1))
-    assert out.to_dict() == {(0, 0): pytest.approx(3.0)}
+    params = MethodParams(n=1.0, gamma=1.0, r1=1, r2=1)
+    out = apply_method(CoeffGrid(scatter({(1, 1): 1.0})), params)
+    assert out.array.shape == (1, 1)
+    assert out.array[0, 0] == pytest.approx(3.0)
 
 
 def test_apply_method_outside_cross_is_empty():
-    c = CoeffGrid({(8, 8): 1.0, (12, 3): -2.0})
+    c = CoeffGrid(scatter({(8, 8): 1.0, (12, 3): -2.0}))
     out = apply_method(c, MethodParams(n=5.0, gamma=1.0, r1=1, r2=1))
     assert len(out) == 0
 
@@ -225,12 +228,12 @@ def test_error_decomposition_recombines():
             rng.integers(0, 15, 40), rng.integers(0, 15, 40), rng.standard_normal(40)
         )
     }
-    c = CoeffGrid(entries.items())
-    xi = CoeffGrid(
+    c = CoeffGrid(scatter(entries))
+    xi = CoeffGrid(scatter(
         {(int(k), int(j)): 1e-3 * float(v)
          for k, j, v in zip(rng.integers(0, 15, 20), rng.integers(0, 15, 20),
-                            rng.standard_normal(20))}.items()
-    )
+                            rng.standard_normal(20))}
+    ))
     c_delta = c - xi
     params = MethodParams(n=8.0, gamma=1.0, r1=1, r2=1)
     exact = mixed_derivative_coeffs(c, 1, 1)
@@ -240,7 +243,9 @@ def test_error_decomposition_recombines():
     noise_part = a - b
     total = exact - b
     recombined = truncation_part + noise_part
-    assert set(recombined.support()) <= set(total.support()) | set(a.support())
-    scale = max(abs(v) for _, v in exact.items())
-    for k, j in total.support() | recombined.support():
-        assert abs(recombined.get(k, j) - total.get(k, j)) <= 1e-14 * scale
+    rows, cols = np.max([g.array.shape for g in (recombined, total, a)], axis=0)
+    r, t, kept = (np.pad(g.array, [(0, rows - g.array.shape[0]), (0, cols - g.array.shape[1])])
+                  for g in (recombined, total, a))
+    assert not np.any((r != 0) & (t == 0) & (kept == 0))
+    scale = np.max(np.abs(exact.array))
+    assert np.all(np.abs(r - t) <= 1e-14 * scale)
