@@ -4,7 +4,10 @@ Subcommands: ``coeffs`` projects a registry function onto the basis,
 ``diff`` runs the truncation differentiator on a coefficient file,
 ``cross`` dumps a hyperbolic-cross index set, ``experiment`` drives a
 convergence study (CSV/JSON/SVG emitters), ``radius`` runs the witness
-lower-bound study.
+lower-bound study.  Each subcommand parses its arguments, delegates the
+work to the library (the registry grid, the noisy-point step, the
+noise-support rule and both studies live in :mod:`hcderiv.harness`),
+and serialises what comes back.
 
 Exit codes: 0 success, 2 input error, 3 admissibility violation,
 4 config validation failure, 5 witness infeasibility.
@@ -34,18 +37,21 @@ from datetime import datetime, timezone
 from . import __version__
 from .cross import build_cross, dump_cross
 from .harness import (
-    _NOISE_MODE_MAP,
+    _CONFIG_METRICS,
+    _NOISE_MODES,
     REGISTRY,
-    DecayProfile,
     ExperimentConfig,
     ExperimentResult,
+    SweepRecord,
+    _noise_support,
+    _perturb_for_cross,
+    _registry_grid,
+    _selection_metric,
     run_convergence_study,
     run_radius_study,
-    synthesize_class_function,
 )
-from .lowerbound import WitnessInfeasibleError, witness_for_cross
-from .noise import RNG_ALGORITHM, NoiseSpec, lp_norm, perturb
-from .quadrature import compute_coeff_grid
+from .lowerbound import WitnessInfeasibleError
+from .noise import RNG_ALGORITHM, lp_norm
 from .spectral import (
     ClassParams,
     dump_grid,
@@ -67,7 +73,7 @@ EXIT_ADMISSIBILITY = 3
 EXIT_CONFIG = 4
 EXIT_INFEASIBLE = 5
 
-CSV_HEADER = "delta,n,gamma,cross_card,error_l2,error_c,noise_norm,wall_ms"
+CSV_HEADER = ",".join(field.name for field in dataclasses.fields(SweepRecord))
 
 
 class ConfigError(Exception):
@@ -78,6 +84,11 @@ class ConfigError(Exception):
 
 def _parse_p(text: str) -> float:
     return math.inf if text.strip().lower() == "inf" else float(text)
+
+
+def _json_safe(value):
+    """``value``, with an infinite float spelled "inf" for JSON."""
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -132,20 +143,13 @@ def _write_manifest(primary_out: str, command: str, echo: dict, outputs: list[st
 # coeffs
 
 def _cmd_coeffs(args) -> int:
-    entry = REGISTRY.get(args.function)
-    if entry is None:
+    if args.function not in REGISTRY:
         print(f"error: unknown function id {args.function!r}", file=sys.stderr)
         return EXIT_INPUT
     if args.k < 0:
         print(f"error: K must be >= 0, got {args.k}", file=sys.stderr)
         return EXIT_INPUT
-    if entry.synthetic:
-        cls = ClassParams(s=args.s, mu=args.mu)
-        grid = synthesize_class_function(
-            cls, DecayProfile(epsilon=args.epsilon, kmax=args.k), args.seed
-        )
-    else:
-        grid = compute_coeff_grid(entry.callable(), args.k, args.m)
+    grid = _registry_grid(args.function, args.k, args.seed, args.s, args.mu, args.epsilon, args.m)
     echo = {"function": args.function, "k": args.k, "m": args.m, "seed": args.seed}
     digest = _write_manifest(args.out, "coeffs", echo, [args.out])
     _atomic_write(args.out, f"# manifest sha256={digest}\n" + dump_grid(grid))
@@ -159,39 +163,31 @@ def _cmd_diff(args) -> int:
     grid, coeffs_sha256 = _load_input(args.coeffs)
     ref, ref_sha256 = _load_input(args.reference) if args.reference else (None, None)
     cls = ClassParams(s=args.s, mu=args.mu)
-    metric = "c" if args.metric == "c" else "l2"
     si = SelectionInput(
-        delta=args.delta, p=args.p, cls=cls, r1=args.r1, r2=args.r2, metric=metric
+        delta=args.delta, p=args.p, cls=cls, r1=args.r1, r2=args.r2,
+        metric=_selection_metric(args.metric),
     )
     sel = select_parameters(si, forced_gamma=args.gamma)
     cross = build_cross(sel.n, sel.gamma, args.r1, args.r2)
-    support = max(cross.k_extent(), cross.j_extent()) + 2
-    noise_meta: dict = {"mode": args.noise}
-    if args.noise == "off":
-        c_delta = grid
-    else:
-        mode = _NOISE_MODE_MAP[args.noise]
-        spec = NoiseSpec(p=args.p, delta=args.delta, mode=mode, seed=args.seed, support=support)
-        witness = None
-        if args.noise == "witness":
-            witness = witness_for_cross(cross, args.delta, args.p, cls)
-        c_delta, xi = perturb(grid, spec, witness=witness)
-        noise_meta = {
-            "mode": mode,
-            "p": "inf" if math.isinf(args.p) else args.p,
-            "delta": args.delta,
-            "seed": args.seed,
-            "support": support,
-            "norm": lp_norm(xi, args.p),
-            "algorithm": RNG_ALGORITHM,
-        }
+    support = _noise_support([cross])
+    c_delta, xi = _perturb_for_cross(
+        grid, cross, args.noise, args.p, args.delta, args.seed, support, cls
+    )
+    noise_meta = {"mode": args.noise} if xi is None else {
+        "mode": _NOISE_MODES[args.noise],
+        "p": _json_safe(args.p),
+        "delta": args.delta,
+        "seed": args.seed,
+        "support": support,
+        "norm": lp_norm(xi, args.p),
+        "algorithm": RNG_ALGORITHM,
+    }
     deriv = apply_method(c_delta, MethodParams(n=sel.n, gamma=sel.gamma, r1=args.r1, r2=args.r2))
     echo = {
         "coeffs": os.path.basename(args.coeffs),
         "coeffs_sha256": coeffs_sha256,
         "reference_sha256": ref_sha256,
-        "r1": args.r1, "r2": args.r2, "delta": args.delta,
-        "p": "inf" if math.isinf(args.p) else args.p,
+        "r1": args.r1, "r2": args.r2, "delta": args.delta, "p": _json_safe(args.p),
         "s": args.s, "mu": args.mu, "metric": args.metric,
         "noise": args.noise, "seed": args.seed, "gamma": args.gamma,
     }
@@ -301,38 +297,18 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 def _json_config(config: ExperimentConfig) -> dict:
     """The config's fields, with infinite values spelled "inf" for JSON."""
-    return {
-        key: ("inf" if isinstance(value, float) and math.isinf(value) else value)
-        for key, value in dataclasses.asdict(config).items()
-    }
+    return {key: _json_safe(value) for key, value in dataclasses.asdict(config).items()}
 
 
 def _result_to_json(result: ExperimentResult, config: dict, digest: str) -> str:
-    payload = {
-        "schema": "experiment-result v1",
-        "manifest": digest,
-        "config": config,
-        "rng_algorithm": result.rng_algorithm,
-        "case_label": result.case_label,
-        "noise_support": result.noise_support,
-        "records": [dataclasses.asdict(r) for r in result.records],
-        "fitted_exponent_l2": result.fitted_exponent_l2,
-        "fitted_exponent_c": result.fitted_exponent_c,
-        "theoretical_exponent_l2": result.theoretical_exponent_l2,
-        "theoretical_exponent_c": result.theoretical_exponent_c,
-        "fit_l2": dataclasses.asdict(result.fit_l2) if result.fit_l2 else None,
-        "fit_c": dataclasses.asdict(result.fit_c) if result.fit_c else None,
-    }
+    payload = dataclasses.asdict(result)
+    payload.update(schema="experiment-result v1", manifest=digest, config=config)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _result_to_csv(result: ExperimentResult, digest: str) -> str:
     lines = [f"# manifest sha256={digest}", CSV_HEADER]
-    for r in result.records:
-        lines.append(
-            f"{r.delta!r},{r.n!r},{r.gamma!r},{r.cross_card},"
-            f"{r.error_l2!r},{r.error_c!r},{r.noise_norm!r},{r.wall_ms!r}"
-        )
+    lines.extend(",".join(map(repr, dataclasses.astuple(r))) for r in result.records)
     return "\n".join(lines) + "\n"
 
 
@@ -341,9 +317,9 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
 
     Draws the measured errors for the metric under study as one
     polyline and the theoretical slope as a reference line through the
-    last measured point.
+    last measured point; with no positive error it draws only the frame.
     """
-    metric = "c" if config.metric == "c" else "l2"
+    metric = config.selection_metric()
     errors = [r.error_c if metric == "c" else r.error_l2 for r in result.records]
     deltas = [r.delta for r in result.records]
     theo = (
@@ -358,9 +334,9 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
         # anchor the reference slope at the smallest-delta point
         x0, y0 = xs[-1], ys[-1]
         ref_ys = [y0 + theo * (x - x0) for x in xs]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y = min(ys + (ref_ys or ys))
-    hi_y = max(ys + (ref_ys or ys))
+    lo_x, hi_x = min(xs, default=0.0), max(xs, default=0.0)
+    lo_y = min(ys + ref_ys, default=0.0)
+    hi_y = max(ys + ref_ys, default=0.0)
     span_x = hi_x - lo_x or 1.0
     span_y = hi_y - lo_y or 1.0
 
@@ -387,8 +363,9 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
         f'font-size="12">log10 delta</text>',
         f'<text x="15" y="{height / 2:.0f}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 15 {height / 2:.0f})">log10 error ({metric})</text>',
-        polyline([to_px(x, y) for x, y in zip(xs, ys)], "#1f6fb2"),
     ]
+    if pts:
+        parts.append(polyline([to_px(x, y) for x, y in zip(xs, ys)], "#1f6fb2"))
     if ref_ys:
         parts.append(polyline([to_px(x, y) for x, y in zip(xs, ref_ys)], "#b23f1f", dash="6,4"))
         parts.append(
@@ -414,14 +391,18 @@ def _cmd_experiment(args) -> int:
     result = run_convergence_study(config)
     config_json = _json_config(config)
     echo = {"config": os.path.basename(args.config), **config_json}
-    outputs = [p for p in (args.out_csv, args.out_json, args.out_svg) if p]
-    digest = _write_manifest(outputs[0], "experiment", echo, outputs)
+    digest = _manifest_hash("experiment", echo)
+    texts = []
     if args.out_csv:
-        _atomic_write(args.out_csv, _result_to_csv(result, digest))
+        texts.append((args.out_csv, _result_to_csv(result, digest)))
     if args.out_json:
-        _atomic_write(args.out_json, _result_to_json(result, config_json, digest))
+        texts.append((args.out_json, _result_to_json(result, config_json, digest)))
     if args.out_svg:
-        _atomic_write(args.out_svg, _svg_rate_plot(result, config, digest))
+        texts.append((args.out_svg, _svg_rate_plot(result, config, digest)))
+    outputs = [path for path, _ in texts]
+    _write_manifest(outputs[0], "experiment", echo, outputs)
+    for path, text in texts:
+        _atomic_write(path, text)
     return EXIT_OK
 
 
@@ -434,20 +415,12 @@ def _cmd_radius(args) -> int:
     except ValueError:
         print(f"error: cannot parse band sizes {args.n_values!r}", file=sys.stderr)
         return EXIT_INPUT
-    if len(n_values) < 4 or any(n < 4 for n in n_values):
-        print(
-            "error: need at least 4 band sizes, each >= 4; "
-            "smaller sweeps are too small for rate fitting",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
     cls = ClassParams(s=args.s, mu=args.mu)
     study = run_radius_study(n_values, cls, args.r1, args.r2, args.p,
                              sup_resolution=args.resolution)
     echo = {
         "n_values": n_values, "r1": args.r1, "r2": args.r2,
-        "s": args.s, "mu": args.mu,
-        "p": "inf" if math.isinf(args.p) else args.p,
+        "s": args.s, "mu": args.mu, "p": _json_safe(args.p),
     }
     digest = _write_manifest(args.out_json, "radius", echo, [args.out_json])
     payload = dataclasses.asdict(study)
@@ -497,9 +470,9 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--p", type=_parse_p, default=2.0, help="noise norm index, or 'inf'")
     d.add_argument("--s", type=float, default=2.0)
     d.add_argument("--mu", type=float, required=True)
-    d.add_argument("--metric", choices=["l2", "c", "both"], default="l2")
+    d.add_argument("--metric", choices=_CONFIG_METRICS, default="l2")
     d.add_argument("--gamma", type=float, default=None, help="optional gamma override")
-    d.add_argument("--noise", choices=["sphere", "single", "witness", "off"], default="off")
+    d.add_argument("--noise", choices=list(_NOISE_MODES), default="off")
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--reference", default=None, help="exact derivative grid for error reporting")
     d.add_argument("--resolution", type=int, default=257)

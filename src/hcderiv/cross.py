@@ -82,6 +82,8 @@ def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
         raise ValueError("r1 and r2 must be >= 1")
     if not n > 0:
         raise ValueError(f"n must be positive, got {n}")
+    if not math.isfinite(n):
+        raise ValueError(f"n must be finite, got {n}")
     kmax = floor_guarded(n / r2**gamma)
     inv_gamma = 1.0 / gamma
     jmax = np.full(kmax + 1, r2 - 1, dtype=np.int64)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cross import build_cross
+from .cross import HyperbolicCross, build_cross
 from .noise import RNG_ALGORITHM, NoiseSpec, lp_norm, perturb
 from .quadrature import compute_coeff_grid
 from .spectral import (
@@ -45,6 +45,7 @@ from .truncation import (
     METRIC_L2,
     AdmissibilityError,
     MethodParams,
+    ParameterSelection,
     SelectionInput,
     apply_method,
     select_parameters,
@@ -200,17 +201,67 @@ def single_term_class_function(cls: ClassParams, k: int, j: int) -> CoeffGrid:
     return CoeffGrid(grid)
 
 
+def _registry_grid(
+    function_id: str, kmax: int, seed: int, s: float, mu: float, epsilon: float,
+    m: int | None = None,
+) -> CoeffGrid:
+    """Coefficient grid of a registry function for k, j <= kmax.
+
+    Synthetic entries are drawn from the class (s, mu) with ``seed``; the
+    others are projected by quadrature of order ``m``.
+    """
+    entry = REGISTRY[function_id]
+    if entry.synthetic:
+        cls = ClassParams(s=s, mu=mu)
+        return synthesize_class_function(cls, DecayProfile(epsilon=epsilon, kmax=kmax), seed)
+    return compute_coeff_grid(entry.callable(), kmax, m)
+
+
 # ---------------------------------------------------------------------------
 # convergence study
 
 METRIC_BOTH = "both"
 _CONFIG_METRICS = (METRIC_L2, METRIC_C, METRIC_BOTH)
-_NOISE_MODES = ("sphere", "single", "witness", "off")
-_NOISE_MODE_MAP = {
+# config and CLI noise mode -> NoiseSpec mode; "off" perturbs nothing
+_NOISE_MODES = {
     "sphere": "random-sphere",
     "single": "single-coefficient",
     "witness": "adversarial-witness",
+    "off": None,
 }
+
+
+def _selection_metric(metric: str) -> str:
+    """The metric whose rule picks (n, gamma) for a config or CLI metric.
+
+    "both" reports both error columns; the method parameters come from
+    the L2 rule, which coincides with the C rule for r1 == r2.
+    """
+    return METRIC_L2 if metric == METRIC_BOTH else metric
+
+
+def _noise_support(crosses) -> int:
+    """Rectangle bound of the noise: the largest cross extent plus 2."""
+    return max(max(cross.k_extent(), cross.j_extent()) for cross in crosses) + 2
+
+
+def _perturb_for_cross(
+    c: CoeffGrid, cross: HyperbolicCross, mode: str, p: float, delta: float, seed: int,
+    support: int, cls: ClassParams,
+) -> tuple[CoeffGrid, CoeffGrid | None]:
+    """The coefficients a method on ``cross`` observes under noise ``mode``.
+
+    Returns ``(c_delta, xi)`` for an l_p budget ``delta`` on indices up to
+    ``support`` (see :func:`perturb`); the witness mode takes ``xi`` from
+    the witness pair that ``cross`` cannot see.  Mode "off" returns
+    ``(c, None)``.
+    """
+    spec_mode = _NOISE_MODES[mode]
+    if spec_mode is None:
+        return c, None
+    spec = NoiseSpec(p=p, delta=delta, mode=spec_mode, seed=seed, support=support)
+    witness = witness_for_cross(cross, delta, p, cls) if mode == "witness" else None
+    return perturb(c, spec, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -241,9 +292,7 @@ class ExperimentConfig:
         return np.geomspace(self.delta_start, self.delta_stop, self.delta_count)
 
     def selection_metric(self) -> str:
-        # "both" reports both error columns; the method parameters come
-        # from the L2 rule, which coincides with the C rule for r1 == r2
-        return METRIC_L2 if self.metric == METRIC_BOTH else self.metric
+        return _selection_metric(self.metric)
 
     def validate(self) -> list[str]:
         """Collect one message per bad field; empty means valid."""
@@ -266,7 +315,7 @@ class ExperimentConfig:
         if self.delta_count < 1:
             problems.append(f"count: must be >= 1, got {self.delta_count}")
         if self.noise_mode not in _NOISE_MODES:
-            problems.append(f"mode: must be one of {_NOISE_MODES}, got {self.noise_mode!r}")
+            problems.append(f"mode: must be one of {tuple(_NOISE_MODES)}, got {self.noise_mode!r}")
         if not 0 <= self.seed < 2**64:
             problems.append(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
         if self.num_seeds < 1:
@@ -283,40 +332,32 @@ class ExperimentConfig:
             problems.append(f"gamma: override must be >= 1, got {self.gamma_override}")
         if not problems:
             try:
-                extent = self._max_cross_extent()
+                support = self.noise_support()
             except (AdmissibilityError, ValueError) as exc:
                 problems.append(f"selection: {exc}")
             else:
-                if self.k_ref < extent + 2:
+                if self.k_ref < support:
                     problems.append(
                         f"k_ref: must cover the largest cross extent plus margin 2 "
-                        f"(need >= {extent + 2}, got {self.k_ref})"
+                        f"(need >= {support}, got {self.k_ref})"
                     )
         return problems
 
-    def _selections(self) -> list:
-        metric = self.selection_metric()
-        return [
-            select_parameters(
-                SelectionInput(
-                    delta=float(d), p=self.p, cls=self.cls(), r1=self.r1, r2=self.r2,
-                    metric=metric,
-                ),
-                forced_gamma=self.gamma_override,
+    def _sweep_plan(self) -> list[tuple[ParameterSelection, HyperbolicCross]]:
+        """The selected (n, gamma) and its cross at every delta of the sweep."""
+        plan = []
+        for delta in self.deltas():
+            si = SelectionInput(
+                delta=float(delta), p=self.p, cls=self.cls(), r1=self.r1, r2=self.r2,
+                metric=self.selection_metric(),
             )
-            for d in self.deltas()
-        ]
-
-    def _max_cross_extent(self) -> int:
-        extent = 0
-        for sel in self._selections():
-            cross = build_cross(sel.n, sel.gamma, self.r1, self.r2)
-            extent = max(extent, cross.k_extent(), cross.j_extent())
-        return extent
+            sel = select_parameters(si, forced_gamma=self.gamma_override)
+            plan.append((sel, build_cross(sel.n, sel.gamma, self.r1, self.r2)))
+        return plan
 
     def noise_support(self) -> int:
         """Rectangle bound: largest cross extent across the sweep plus 2."""
-        return self._max_cross_extent() + 2
+        return _noise_support(cross for _, cross in self._sweep_plan())
 
 
 @dataclass(frozen=True)
@@ -392,14 +433,16 @@ def _fit_with_drop(points: list[tuple[float, float]]) -> RateFit | None:
 _FUNCTION_STREAM_OFFSET = 2**63
 
 
-def _reference_grid(config: ExperimentConfig, rep: int) -> CoeffGrid:
-    entry = REGISTRY[config.function_id]
-    if entry.synthetic:
-        profile = DecayProfile(epsilon=config.epsilon, kmax=config.k_ref)
-        return synthesize_class_function(
-            config.cls(), profile, _FUNCTION_STREAM_OFFSET + config.seed + rep
-        )
-    return compute_coeff_grid(entry.callable(), config.k_ref)
+def _theoretical_exponent(config: ExperimentConfig, metric: str) -> float | None:
+    """The error exponent under ``metric``, or None where it is inadmissible."""
+    si = SelectionInput(
+        delta=config.delta_start, p=config.p, cls=config.cls(), r1=config.r1, r2=config.r2,
+        metric=metric,
+    )
+    try:
+        return theoretical_error_exponent(si)
+    except AdmissibilityError:
+        return None
 
 
 def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
@@ -416,83 +459,61 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
     if problems:
         raise ValueError("invalid experiment config: " + "; ".join(problems))
     deltas = config.deltas()
-    selections = config._selections()
-    support = config.noise_support()
+    plan = config._sweep_plan()
+    support = _noise_support(cross for _, cross in plan)
     sum_l2 = np.zeros(len(deltas))
     sum_c = np.zeros(len(deltas))
     sum_noise = np.zeros(len(deltas))
     wall = np.zeros(len(deltas))
-    cards = [0] * len(deltas)
+    cls = config.cls()
     for rep in range(config.num_seeds):
-        ref = _reference_grid(config, rep)
+        ref = _registry_grid(
+            config.function_id, config.k_ref, _FUNCTION_STREAM_OFFSET + config.seed + rep,
+            config.s, config.mu, config.epsilon,
+        )
         d_ref = mixed_derivative_coeffs(ref, config.r1, config.r2)
-        for i, delta in enumerate(deltas):
+        for i, (delta, (sel, cross)) in enumerate(zip(deltas, plan)):
             start = time.perf_counter() if config.timing else 0.0
-            sel = selections[i]
-            cross = build_cross(sel.n, sel.gamma, config.r1, config.r2)
-            cards[i] = len(cross)
-            if config.noise_mode == "off":
-                c_delta, noise_norm = ref, 0.0
-            else:
-                spec = NoiseSpec(
-                    p=config.p,
-                    delta=float(delta),
-                    mode=_NOISE_MODE_MAP[config.noise_mode],
-                    seed=(config.seed + rep * config.delta_count + i) % 2**64,
-                    support=support,
-                )
-                witness = None
-                if config.noise_mode == "witness":
-                    witness = witness_for_cross(cross, float(delta), config.p, config.cls())
-                c_delta, xi = perturb(ref, spec, witness=witness)
-                noise_norm = lp_norm(xi, config.p)
+            c_delta, xi = _perturb_for_cross(
+                ref, cross, config.noise_mode, config.p, float(delta),
+                (config.seed + rep * config.delta_count + i) % 2**64, support, cls,
+            )
             approx = apply_method(
                 c_delta, MethodParams(n=sel.n, gamma=sel.gamma, r1=config.r1, r2=config.r2)
             )
             diff = approx - d_ref
             sum_l2[i] += parseval_l2_norm(diff)
             sum_c[i] += sup_norm_on_grid(diff, config.sup_resolution)
-            sum_noise[i] += noise_norm
+            sum_noise[i] += 0.0 if xi is None else lp_norm(xi, config.p)
             if config.timing:
                 wall[i] += (time.perf_counter() - start) * 1000.0
     reps = config.num_seeds
     records = [
         SweepRecord(
             delta=float(deltas[i]),
-            n=selections[i].n,
-            gamma=selections[i].gamma,
-            cross_card=cards[i],
+            n=sel.n,
+            gamma=sel.gamma,
+            cross_card=len(cross),
             error_l2=float(sum_l2[i] / reps),
             error_c=float(sum_c[i] / reps),
             noise_norm=float(sum_noise[i] / reps),
             wall_ms=float(wall[i]),
         )
-        for i in range(len(deltas))
+        for i, (sel, cross) in enumerate(plan)
     ]
-    result = ExperimentResult(
-        records=records, case_label=selections[0].case_label, noise_support=support
-    )
     fit_l2 = _fit_with_drop([(r.delta, r.error_l2) for r in records])
     fit_c = _fit_with_drop([(r.delta, r.error_c) for r in records])
-    result.fit_l2 = fit_l2
-    result.fit_c = fit_c
-    result.fitted_exponent_l2 = fit_l2.slope if fit_l2 else None
-    result.fitted_exponent_c = fit_c.slope if fit_c else None
-    for metric, attr in ((METRIC_L2, "theoretical_exponent_l2"), (METRIC_C, "theoretical_exponent_c")):
-        try:
-            setattr(
-                result,
-                attr,
-                theoretical_error_exponent(
-                    SelectionInput(
-                        delta=float(deltas[0]), p=config.p, cls=config.cls(),
-                        r1=config.r1, r2=config.r2, metric=metric,
-                    )
-                ),
-            )
-        except AdmissibilityError:
-            setattr(result, attr, None)
-    return result
+    return ExperimentResult(
+        records=records,
+        case_label=plan[0][0].case_label,
+        noise_support=support,
+        fitted_exponent_l2=fit_l2.slope if fit_l2 else None,
+        fitted_exponent_c=fit_c.slope if fit_c else None,
+        theoretical_exponent_l2=_theoretical_exponent(config, METRIC_L2),
+        theoretical_exponent_c=_theoretical_exponent(config, METRIC_C),
+        fit_l2=fit_l2,
+        fit_c=fit_c,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +573,16 @@ def run_radius_study(
     the explicit lower bound.  Order-optimality shows as matching decay
     exponents of the two columns.
     """
-    if len(n_values) < _FIT_MIN_POINTS:
-        raise ValueError(f"need at least {_FIT_MIN_POINTS} band sizes for rate fitting")
-    if any(n < _FIT_MIN_POINTS for n in n_values):
-        raise ValueError("band sizes below 4 are too small for rate fitting")
+    if len(n_values) < _FIT_MIN_POINTS or min(n_values) < _FIT_MIN_POINTS:
+        raise ValueError(
+            f"need at least {_FIT_MIN_POINTS} band sizes, each >= {_FIT_MIN_POINTS}; "
+            "smaller sweeps are too small for rate fitting"
+        )
     records: list[RadiusRecord] = []
-    base = build_witness_pair(min(n_values), r1, r2, cls)
+    base = None
     for N in sorted(n_values):
         w = build_witness_pair(N, r1, r2, cls)
+        base = base or w
         delta = witness_lp_distance(w, p)
         skews: dict[str, tuple[BoundReport, BoundReport]] = {}
         for skew in ("even", "odd"):

@@ -64,18 +64,13 @@ def eval_phi(k: int, t: float) -> float:
     Returns
     -------
     float
-        phi_k(t) = sqrt(k + 1/2) P_k(t), computed by the three-term
-        recurrence (i+1) P_{i+1} = (2i+1) t P_i - i P_{i-1}.
+        phi_k(t) = sqrt(k + 1/2) P_k(t), the last column of
+        :func:`phi_vandermonde` at t.
     """
     _check_point(t)
     if k < 0:
         raise ValueError("index k must be >= 0")
-    if k == 0:
-        return _w(0)
-    p_prev, p = 1.0, t
-    for i in range(1, k):
-        p_prev, p = p, ((2 * i + 1) * t * p - i * p_prev) / (i + 1)
-    return _w(k) * p
+    return float(phi_vandermonde(k, t)[0, k])
 
 
 def eval_phi_derivative(k: int, r: int, t: float) -> float:

@@ -26,6 +26,8 @@ __all__ = [
 _MAX_ORDER = 4096
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
+# relative size below which a projected coefficient counts as quadrature noise
+_DROP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,6 @@ def compute_coeff_grid(
     f: Callable,
     kmax: int,
     m: int | None = None,
-    drop_tol: float = 1e-14,
 ) -> CoeffGrid:
     """Fourier-Legendre coefficients c_{k,j} = <f, phi_k phi_j> for k, j <= kmax.
 
@@ -116,9 +117,9 @@ def compute_coeff_grid(
     m : int, optional
         Tensor quadrature order; defaults to kmax + 10 and must be at
         least kmax + 2 to keep the projection alias-free.
-    drop_tol : float
-        Entries below drop_tol * max(1, max |c|) are treated as
-        quadrature noise and omitted.
+
+    Entries below ``_DROP_TOL * max(1, max |c|)`` are treated as
+    quadrature noise and omitted.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -132,7 +133,7 @@ def compute_coeff_grid(
     weighted = np.outer(rule.weights, rule.weights) * vals
     v = phi_vandermonde(kmax, rule.nodes)
     c = v.T @ weighted @ v
-    cut = drop_tol * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
+    cut = _DROP_TOL * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
     return CoeffGrid(np.where(np.abs(c) > cut, c, 0.0))
 
 

@@ -107,6 +107,15 @@ def scatter(entries: Mapping[Index, float]) -> np.ndarray:
 # one-dimensional scalar kernels
 
 
+def eval_phi(k: int, t: float) -> float:
+    if k == 0:
+        return _w(0)
+    p_prev, p = 1.0, t
+    for i in range(1, k):
+        p_prev, p = p, ((2 * i + 1) * t * p - i * p_prev) / (i + 1)
+    return _w(k) * p
+
+
 def muller_differentiate(a: dict[int, float]) -> dict[int, float]:
     if not a:
         return {}

@@ -1,17 +1,30 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 import hcderiv
 from hcderiv.cli import main
+from hcderiv.cross import build_cross
 from hcderiv.harness import REGISTRY
+from hcderiv.lowerbound import witness_for_cross
+from hcderiv.noise import NoiseSpec, lp_norm, perturb
 from hcderiv.quadrature import compute_coeff_grid
-from hcderiv.spectral import load_grid, parseval_l2_norm, save_grid, sup_norm_on_grid
+from hcderiv.spectral import (
+    ClassParams,
+    dump_grid,
+    load_grid,
+    parseval_l2_norm,
+    save_grid,
+    sup_norm_on_grid,
+)
+from hcderiv.truncation import MethodParams, SelectionInput, apply_method, select_parameters
 
 DATA = Path(__file__).parent / "data"
 DEFAULT_CONFIG = Path(__file__).parents[1] / "src" / "hcderiv" / "configs" / "default.ini"
@@ -130,6 +143,36 @@ def test_diff_gamma_override(tmp_path, poly_grid):
     assert sidecar["case_label"].endswith("-forced")
 
 
+@pytest.mark.parametrize("noise,p", [
+    ("off", 2.0), ("sphere", 2.0), ("single", 2.0), ("witness", 2.0), ("witness", math.inf),
+])
+def test_diff_matches_the_library_pipeline(tmp_path, poly_grid, noise, p):
+    out = tmp_path / "d.grid"
+    assert run(
+        "diff", poly_grid, "--r1", 1, "--r2", 1, "--delta", "1e-3", "--mu", 5, "--p", p,
+        "--noise", noise, "--seed", 4, "--out", out,
+    ) == 0
+    cls = ClassParams(s=2.0, mu=5.0)
+    sel = select_parameters(SelectionInput(delta=1e-3, p=p, cls=cls, r1=1, r2=1, metric="l2"))
+    cross = build_cross(sel.n, sel.gamma, 1, 1)
+    support = max(cross.k_extent(), cross.j_extent()) + 2
+    c = load_grid(poly_grid)
+    expected_noise = {"mode": "off"}
+    if noise != "off":
+        mode = {"sphere": "random-sphere", "single": "single-coefficient",
+                "witness": "adversarial-witness"}[noise]
+        spec = NoiseSpec(p=p, delta=1e-3, mode=mode, seed=4, support=support)
+        witness = witness_for_cross(cross, 1e-3, p, cls) if noise == "witness" else None
+        c, xi = perturb(c, spec, witness=witness)
+        expected_noise = {
+            "mode": mode, "p": "inf" if p == math.inf else p, "delta": 1e-3, "seed": 4,
+            "support": support, "norm": lp_norm(xi, p), "algorithm": "numpy-philox4x64",
+        }
+    deriv = apply_method(c, MethodParams(n=sel.n, gamma=sel.gamma, r1=1, r2=1))
+    assert out.read_text().split("\n", 1)[1] == dump_grid(deriv)
+    assert json.loads((tmp_path / "d.grid.json").read_text())["noise"] == expected_noise
+
+
 def _diff_manifest_hash(workdir, coeffs, reference=None):
     out = workdir / "d.grid"
     extra = ["--reference", reference] if reference else []
@@ -159,6 +202,13 @@ def test_diff_manifest_hashes_input_contents(tmp_path):
 def test_cross_invalid_gamma(tmp_path, capsys):
     assert run("cross", "--n", 4, "--gamma", 0.5, "--out", tmp_path / "c.txt") == 2
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["inf", "nan", "0", "-1"])
+def test_cross_invalid_n(tmp_path, capsys, n):
+    assert run("cross", "--n", n, "--out", tmp_path / "c.txt") == 2
+    assert capsys.readouterr().err.startswith("error: n must be")
+    assert not (tmp_path / "c.txt").exists()
 
 
 def test_cross_dump(tmp_path, capsys):
@@ -337,6 +387,23 @@ def test_experiment_svg_only(tmp_path):
     assert svg.read_text().count("<polyline") == 2
 
 
+def test_experiment_svg_without_positive_errors(tmp_path):
+    # the derivative of a constant is 0 and mode off adds no noise: every error is 0.0
+    config = tmp_path / "zero.ini"
+    text = DEFAULT_CONFIG.read_text().replace("id = boundary-decay", "id = one")
+    config.write_text(text.replace("mode = sphere", "mode = off"))
+    csv, svg, csv_only = tmp_path / "z.csv", tmp_path / "z.svg", tmp_path / "only.csv"
+    assert run("experiment", "--config", config, "--out-csv", csv, "--out-svg", svg) == 0
+    assert run("experiment", "--config", config, "--out-csv", csv_only) == 0
+    assert csv.read_bytes() == csv_only.read_bytes()
+    rows = [row.split(",") for row in csv.read_text().splitlines()[2:]]
+    assert rows and all(float(row[4]) == float(row[5]) == 0.0 for row in rows)
+    root = ElementTree.fromstring(svg.read_bytes())
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert svg.read_text().count("<polyline") == 0
+    assert svg.read_text().count("<line") == 2
+
+
 def test_cli_runs_as_subprocess(tmp_path):
     import subprocess
     import sys
@@ -367,9 +434,14 @@ def test_radius_study_cli(tmp_path):
 
 
 def test_radius_rejects_small_sweeps(tmp_path, capsys):
+    line = (
+        "error: need at least 4 band sizes, each >= 4; "
+        "smaller sweeps are too small for rate fitting\n"
+    )
     assert run("radius", "--n-values", "2", "--out-json", tmp_path / "r.json") == 2
-    assert "rate fitting" in capsys.readouterr().err
+    assert capsys.readouterr().err == line
     assert run("radius", "--n-values", "8,16", "--out-json", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == line
 
 
 def test_version_flag(capsys):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dict_oracle as oracle
 from hcderiv.cross import build_cross, dump_cross
 from hcderiv.harness import DecayProfile, synthesize_class_function
-from hcderiv.legendre import clenshaw_eval, muller_differentiate_iterated
+from hcderiv.legendre import clenshaw_eval, eval_phi, muller_differentiate_iterated
 from hcderiv.lowerbound import build_witness_pair
 from hcderiv.noise import NoiseSpec, _sphere_noise
 from hcderiv.spectral import (
@@ -152,6 +152,14 @@ def test_synth_eval_matches(e, t, tau):
 def test_one_dimensional_kernels_match(a, r, t):
     assert muller_differentiate_iterated(a, r) == oracle.muller_differentiate_iterated(a, r)
     assert clenshaw_eval(a, t) == oracle.clenshaw_eval(a, t)
+
+
+def test_eval_phi_matches_the_scalar_recurrence():
+    points = [-1.0, 1.0, 0.0, -0.5, 0.3, 1 / 3, -0.999, 0.7071067811865476]
+    points += np.linspace(-1.0, 1.0, 41).tolist()
+    for k in [0, 1, 2, 3, 7, 64, 255, 1000]:
+        for t in points:
+            assert eval_phi(k, t) == oracle.eval_phi(k, t), (k, t)
 
 
 @settings(max_examples=25, deadline=None)
