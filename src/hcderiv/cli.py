@@ -61,9 +61,8 @@ from .spectral import (
 )
 from .truncation import (
     AdmissibilityError,
-    MethodParams,
     SelectionInput,
-    apply_method,
+    _differentiate_on_cross,
     select_parameters,
 )
 
@@ -182,7 +181,7 @@ def _cmd_diff(args) -> int:
         "norm": lp_norm(xi, args.p),
         "algorithm": RNG_ALGORITHM,
     }
-    deriv = apply_method(c_delta, MethodParams(n=sel.n, gamma=sel.gamma, r1=args.r1, r2=args.r2))
+    deriv = _differentiate_on_cross(c_delta, cross)
     echo = {
         "coeffs": os.path.basename(args.coeffs),
         "coeffs_sha256": coeffs_sha256,
@@ -191,8 +190,7 @@ def _cmd_diff(args) -> int:
         "s": args.s, "mu": args.mu, "metric": args.metric,
         "noise": args.noise, "seed": args.seed, "gamma": args.gamma,
     }
-    digest = _write_manifest(args.out, "diff", echo, [args.out, args.out + ".json"])
-    _atomic_write(args.out, f"# manifest sha256={digest}\n" + dump_grid(deriv))
+    digest = _manifest_hash("diff", echo)
     sidecar = {
         "manifest": digest,
         "n": sel.n,
@@ -205,7 +203,14 @@ def _cmd_diff(args) -> int:
         diff = deriv - ref
         sidecar["error_l2"] = parseval_l2_norm(diff)
         sidecar["error_c"] = sup_norm_on_grid(diff, args.resolution)
-    _atomic_write(args.out + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    # every text exists before any file is written, so a failure writes nothing
+    texts = [
+        (args.out, f"# manifest sha256={digest}\n" + dump_grid(deriv)),
+        (args.out + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n"),
+    ]
+    _write_manifest(args.out, "diff", echo, [path for path, _ in texts])
+    for path, text in texts:
+        _atomic_write(path, text)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,10 +45,9 @@ from .truncation import (
     METRIC_C,
     METRIC_L2,
     AdmissibilityError,
-    MethodParams,
     ParameterSelection,
     SelectionInput,
-    apply_method,
+    _differentiate_on_cross,
     select_parameters,
     theoretical_error_exponent,
 )
@@ -191,14 +191,14 @@ def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int
     weights = np.outer(kk, kk) ** (cls.s * cls.mu)
     norm = float(np.sum(weights * np.abs(mags) ** cls.s) ** (1.0 / cls.s))
     mags /= norm
-    return CoeffGrid(mags)
+    return CoeffGrid._adopt(mags)
 
 
 def single_term_class_function(cls: ClassParams, k: int, j: int) -> CoeffGrid:
     """Unit-norm class function supported on a single index."""
     grid = np.zeros((k + 1, j + 1))
     grid[k, j] = (max(1, k) * max(1, j)) ** (-cls.mu)
-    return CoeffGrid(grid)
+    return CoeffGrid._adopt(grid)
 
 
 def _registry_grid(
@@ -343,8 +343,13 @@ class ExperimentConfig:
                     )
         return problems
 
-    def _sweep_plan(self) -> list[tuple[ParameterSelection, HyperbolicCross]]:
-        """The selected (n, gamma) and its cross at every delta of the sweep."""
+    @cached_property
+    def _sweep_plan(self) -> tuple[tuple[ParameterSelection, HyperbolicCross], ...]:
+        """The selected (n, gamma) and its cross at every delta of the sweep.
+
+        The plan depends only on the frozen fields, so it is built once per
+        config: ``validate`` and the study share it.
+        """
         plan = []
         for delta in self.deltas():
             si = SelectionInput(
@@ -353,11 +358,11 @@ class ExperimentConfig:
             )
             sel = select_parameters(si, forced_gamma=self.gamma_override)
             plan.append((sel, build_cross(sel.n, sel.gamma, self.r1, self.r2)))
-        return plan
+        return tuple(plan)
 
     def noise_support(self) -> int:
         """Rectangle bound: largest cross extent across the sweep plus 2."""
-        return _noise_support(cross for _, cross in self._sweep_plan())
+        return _noise_support(cross for _, cross in self._sweep_plan)
 
 
 @dataclass(frozen=True)
@@ -459,7 +464,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
     if problems:
         raise ValueError("invalid experiment config: " + "; ".join(problems))
     deltas = config.deltas()
-    plan = config._sweep_plan()
+    plan = config._sweep_plan
     support = _noise_support(cross for _, cross in plan)
     sum_l2 = np.zeros(len(deltas))
     sum_c = np.zeros(len(deltas))
@@ -478,10 +483,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
                 ref, cross, config.noise_mode, config.p, float(delta),
                 (config.seed + rep * config.delta_count + i) % 2**64, support, cls,
             )
-            approx = apply_method(
-                c_delta, MethodParams(n=sel.n, gamma=sel.gamma, r1=config.r1, r2=config.r2)
-            )
-            diff = approx - d_ref
+            diff = _differentiate_on_cross(c_delta, cross) - d_ref
             sum_l2[i] += parseval_l2_norm(diff)
             sum_c[i] += sup_norm_on_grid(diff, config.sup_resolution)
             sum_noise[i] += 0.0 if xi is None else lp_norm(xi, config.p)
@@ -593,8 +595,8 @@ def run_radius_study(
         )
         d_true = mixed_derivative_coeffs(w.f1, r1, r2)
         # the adversary hands the method data indistinguishable from f2
-        approx = apply_method(w.f2, MethodParams(n=sel.n, gamma=sel.gamma, r1=r1, r2=r2))
-        diff = approx - d_true
+        cross = build_cross(sel.n, sel.gamma, r1, r2)
+        diff = _differentiate_on_cross(w.f2, cross) - d_true
         err_l2 = parseval_l2_norm(diff)
         err_c = sup_norm_on_grid(diff, sup_resolution)
         rep_c = verify_lower_bound_C(w)

@@ -80,7 +80,7 @@ def _sphere_noise(spec: NoiseSpec) -> CoeffGrid:
     else:
         norm = float(np.sum(np.abs(g) ** spec.p) ** (1.0 / spec.p))
     unit = g / norm
-    return CoeffGrid((spec.delta * unit).reshape(side, side))
+    return CoeffGrid._adopt((spec.delta * unit).reshape(side, side))
 
 
 def _single_noise(spec: NoiseSpec) -> CoeffGrid:
@@ -90,7 +90,7 @@ def _single_noise(spec: NoiseSpec) -> CoeffGrid:
     sign = 1.0 if int(rng.integers(0, 2)) else -1.0
     xi = np.zeros((k + 1, j + 1))
     xi[k, j] = sign * spec.delta
-    return CoeffGrid(xi)
+    return CoeffGrid._adopt(xi)
 
 
 def perturb(c: CoeffGrid, spec: NoiseSpec, witness=None) -> tuple[CoeffGrid, CoeffGrid]:

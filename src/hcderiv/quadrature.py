@@ -134,7 +134,7 @@ def compute_coeff_grid(
     v = phi_vandermonde(kmax, rule.nodes)
     c = v.T @ weighted @ v
     cut = _DROP_TOL * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    return CoeffGrid(np.where(np.abs(c) > cut, c, 0.0))
+    return CoeffGrid._adopt(np.where(np.abs(c) > cut, c, 0.0))
 
 
 def l2_norm_quadrature(g: Callable, m: int) -> float:

@@ -18,6 +18,7 @@ was kept.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -68,17 +69,18 @@ class CoeffGrid:
         dense = np.zeros((0, 0)) if array is None else np.asarray(array, dtype=float)
         if dense.ndim != 2:
             raise ValueError(f"coefficient array must be 2-D, got shape {dense.shape}")
-        if not np.all(np.isfinite(dense)):
-            raise ValueError("coefficient array holds non-finite values")
-        nonzero = dense != 0.0
-        rows = np.flatnonzero(nonzero.any(axis=1))
-        cols = np.flatnonzero(nonzero.any(axis=0))
-        if rows.size:
-            dense = np.array(dense[: rows[-1] + 1, : cols[-1] + 1])
-        else:
-            dense = np.zeros((0, 0))
-        dense.flags.writeable = False
-        self.array = dense
+        self.array = _trimmed(dense, copy=True)
+
+    @classmethod
+    def _adopt(cls, dense: np.ndarray) -> "CoeffGrid":
+        """A grid over ``dense``, a 2-D float64 array built for it and held by no one else.
+
+        The array is checked and trimmed like a constructor argument, but
+        it is made read-only in place rather than copied.
+        """
+        grid = cls.__new__(cls)
+        grid.array = _trimmed(dense, copy=False)
+        return grid
 
     def values(self) -> np.ndarray:
         """Coefficient values in (k, j) order."""
@@ -91,7 +93,7 @@ class CoeffGrid:
         return (self.array.shape[0] - 1, self.array.shape[1] - 1)
 
     def scale(self, factor: float) -> "CoeffGrid":
-        return CoeffGrid(factor * self.array)
+        return CoeffGrid._adopt(factor * self.array)
 
     def _combine(self, other: "CoeffGrid", op) -> "CoeffGrid":
         a, b = self.array, other.array
@@ -99,7 +101,7 @@ class CoeffGrid:
         out[: a.shape[0], : a.shape[1]] = a
         region = out[: b.shape[0], : b.shape[1]]
         op(region, b, out=region)
-        return CoeffGrid(out)
+        return CoeffGrid._adopt(out)
 
     def __add__(self, other: "CoeffGrid") -> "CoeffGrid":
         return self._combine(other, np.add)
@@ -117,6 +119,29 @@ class CoeffGrid:
 
     def __repr__(self) -> str:
         return f"CoeffGrid({len(self)} entries)"
+
+
+def _trimmed(dense: np.ndarray, copy: bool) -> np.ndarray:
+    """``dense`` checked finite, trimmed to its last nonzero row and column, and read-only.
+
+    Without ``copy``, an array that needs no trimming is returned itself.
+    """
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("coefficient array holds non-finite values")
+    nonzero = dense != 0.0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if not rows.size:
+        return _EMPTY
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    shape = (rows[-1] + 1, cols[-1] + 1)
+    if copy or shape != dense.shape:
+        dense = np.array(dense[: shape[0], : shape[1]])
+    dense.flags.writeable = False
+    return dense
+
+
+_EMPTY = np.zeros((0, 0))
+_EMPTY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -179,7 +204,7 @@ def mixed_derivative_coeffs(c: CoeffGrid, r1: int, r2: int) -> CoeffGrid:
     if r1 < 1 or r2 < 1:
         raise ValueError("derivative orders r1, r2 must be >= 1")
     along_k = differentiate_coeffs(c.array.T, r1).T
-    return CoeffGrid(differentiate_coeffs(along_k, r2))
+    return CoeffGrid._adopt(differentiate_coeffs(along_k, r2))
 
 
 # float64 unit roundoff, and the smallest subnormal (twice the largest
@@ -294,21 +319,83 @@ def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:
     limits = cross.jmax[: c.array.shape[0], None]
     j = np.arange(c.array.shape[1])
     keep = (j >= cross.r2) & (j <= limits)
-    return CoeffGrid(np.where(keep, c.array[: len(limits)], 0.0))
+    return CoeffGrid._adopt(np.where(keep, c.array[: len(limits)], 0.0))
+
+
+# entries formatted per block, so the per-entry Python objects of one block exist at a time
+_DUMP_BLOCK = 1 << 12
 
 
 def dump_grid(c: CoeffGrid) -> str:
-    """Serialize to the one-entry-per-line text format, sorted by (k, j)."""
+    """Serialize to the one-entry-per-line text format, sorted by (k, j).
+
+    The text is the header line and then one ``k<TAB>j<TAB>repr(value)``
+    line per nonzero entry.  Each block of entries is formatted by one
+    ``%`` format over a flat tuple of its indices and values.
+    """
     ks, js = np.nonzero(c.array)
-    lines = [GRID_HEADER]
-    lines.extend(
-        f"{k}\t{j}\t{v!r}"
-        for k, j, v in zip(ks.tolist(), js.tolist(), c.array[ks, js].tolist())
-    )
-    return "\n".join(lines) + "\n"
+    vals = c.array[ks, js]
+    blocks = [GRID_HEADER + "\n"]
+    for lo in range(0, len(vals), _DUMP_BLOCK):
+        hi = min(lo + _DUMP_BLOCK, len(vals))
+        flat = [None] * (3 * (hi - lo))
+        flat[0::3] = ks[lo:hi].tolist()
+        flat[1::3] = js[lo:hi].tolist()
+        flat[2::3] = vals[lo:hi].tolist()
+        blocks.append("%d\t%d\t%r\n" * (hi - lo) % tuple(flat))
+    return "".join(blocks)
 
 
 _ENTRY = np.dtype([("k", np.int64), ("j", np.int64), ("v", np.float64)])
+
+# dump_grid's entry lines: indices of at most 18 digits (so below 2**63) and a
+# value made of the characters of a finite float's repr.  The body is matched a
+# block of lines at a time: a repeated group keeps state for every line it
+# matches until the match ends.
+_CANONICAL_LINES = re.compile(r"(?:[0-9]{1,18}\t[0-9]{1,18}\t[-+.0-9eE]+\n)*")
+_READ_BLOCK = 1 << 14  # characters per block, rounded up to a whole line
+
+
+def _blocks(text: str, start: int):
+    """(start, end) of consecutive blocks of whole lines covering text[start:]."""
+    while start < len(text):
+        end = text.find("\n", start + _READ_BLOCK) + 1 or len(text)
+        yield start, end
+        start = end
+
+
+def _loadtxt_table(text: str) -> np.ndarray | None:
+    """The entries of text in dump_grid's form, read by one np.loadtxt call.
+
+    The form is optional ``#`` comment lines, the header line, and lines
+    that match ``_CANONICAL_LINES``; such a line splits at its two tabs
+    into decimal indices that int() and np.loadtxt read alike, and a
+    value that both hand to the same float parser.  Any other text, or a
+    value np.loadtxt refuses, gives None.
+    """
+    head = GRID_HEADER + "\n"
+    if text.startswith(head):
+        start = len(head)
+    else:
+        at = text.find("\n" + head)
+        if at < 0:
+            return None
+        prefix = text[: at + 1]
+        comments = prefix.split("\n")[:-1]
+        if prefix.splitlines() != comments or any(
+            not line.startswith("#") or line.strip() == GRID_HEADER for line in comments
+        ):
+            return None
+        start = at + 1 + len(head)
+    if start == len(text):
+        return np.zeros(0, _ENTRY)
+    if not all(_CANONICAL_LINES.fullmatch(text, lo, hi) for lo, hi in _blocks(text, start)):
+        return None
+    lines = (line for lo, hi in _blocks(text, start) for line in text[lo:hi].splitlines())
+    try:
+        return np.loadtxt(lines, dtype=_ENTRY, delimiter="\t", comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def _grid_entry(line: str) -> tuple[int, int, float]:
@@ -318,14 +405,8 @@ def _grid_entry(line: str) -> tuple[int, int, float]:
     return int(parts[0]), int(parts[1]), float(parts[2])
 
 
-def parse_grid(text: str) -> CoeffGrid:
-    """Read the text format into a grid.
-
-    Below the header every non-blank line is ``k<TAB>j<TAB>value``; the
-    indices must be unique non-negative integers that fit in 64 bits and
-    the values finite.  The entries go straight into index and value
-    arrays, and zero values are dropped before the grid array is sized.
-    """
+def _line_table(text: str) -> np.ndarray:
+    """The entries of any text in the format, read line by line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     # tolerate decoration comments (e.g. a manifest reference) above the header
     while lines and lines[0].startswith("#") and lines[0].strip() != GRID_HEADER:
@@ -333,9 +414,13 @@ def parse_grid(text: str) -> CoeffGrid:
     if not lines or lines[0].strip() != GRID_HEADER:
         raise ValueError(f"missing grid header {GRID_HEADER!r}")
     try:
-        table = np.fromiter(map(_grid_entry, islice(lines, 1, None)), _ENTRY, len(lines) - 1)
+        return np.fromiter(map(_grid_entry, islice(lines, 1, None)), _ENTRY, len(lines) - 1)
     except OverflowError:
         raise ValueError("grid indices must fit in 64 bits") from None
+
+
+def _table_grid(table: np.ndarray) -> CoeffGrid:
+    """The grid of an entry table, after checking its indices and values."""
     ks, js, vals = table["k"], table["j"], table["v"]
     bad = np.flatnonzero((ks < 0) | (js < 0))
     if bad.size:
@@ -355,7 +440,22 @@ def parse_grid(text: str) -> CoeffGrid:
     ks, js = ks[keep], js[keep]
     dense = np.zeros((int(ks.max()) + 1, int(js.max()) + 1))
     dense[ks, js] = vals[keep]
-    return CoeffGrid(dense)
+    return CoeffGrid._adopt(dense)
+
+
+def parse_grid(text: str) -> CoeffGrid:
+    """Read the text format into a grid.
+
+    Below the header every non-blank line is ``k<TAB>j<TAB>value``; the
+    indices must be unique non-negative integers that fit in 64 bits and
+    the values finite.  Text in dump_grid's form (see ``_loadtxt_table``)
+    is read by one np.loadtxt call; any other text is read line by line.
+    Both readers give the same entries, or the same error, for the same
+    text.  The entries go straight into index and value arrays, and zero
+    values are dropped before the grid array is sized.
+    """
+    table = _loadtxt_table(text)
+    return _table_grid(_line_table(text) if table is None else table)
 
 
 def save_grid(c: CoeffGrid, path) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cross import build_cross
+from .cross import HyperbolicCross, build_cross
 from .spectral import ClassParams, CoeffGrid, mixed_derivative_coeffs, restrict_to_cross
 
 __all__ = [
@@ -269,4 +269,9 @@ def apply_method(c_delta: CoeffGrid, params: MethodParams) -> CoeffGrid:
     coefficient-space derivative of order (r1, r2).
     """
     cross = build_cross(params.n, params.gamma, params.r1, params.r2)
-    return mixed_derivative_coeffs(restrict_to_cross(c_delta, cross), params.r1, params.r2)
+    return _differentiate_on_cross(c_delta, cross)
+
+
+def _differentiate_on_cross(c_delta: CoeffGrid, cross: HyperbolicCross) -> CoeffGrid:
+    """``apply_method`` on a cross the caller has built, with its orders (r1, r2)."""
+    return mixed_derivative_coeffs(restrict_to_cross(c_delta, cross), cross.r1, cross.r2)

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hcderiv import cli, harness, truncation
+from hcderiv.cross import build_cross
 from hcderiv.harness import (
     REGISTRY,
     DecayProfile,
@@ -202,6 +206,27 @@ def test_noise_support_rule():
     cfg = ExperimentConfig(delta_start=1e-2, delta_stop=1e-6, delta_count=9, k_ref=64)
     # largest cross at delta = 1e-6: n = 1e6 ** (1/4) ~ 31.6
     assert cfg.noise_support() == 33
+
+
+def test_one_cross_per_sweep_point(monkeypatch, tmp_path):
+    calls = []
+
+    def counting_build_cross(*args):
+        calls.append(args)
+        return build_cross(*args)
+
+    for module in (cli, harness, truncation):
+        monkeypatch.setattr(module, "build_cross", counting_build_cross)
+    # the default config sweeps 9 deltas, each with its own cross
+    result = run_convergence_study(ExperimentConfig())
+    assert len(calls) == len(set(calls)) == len(result.records) == 9
+    calls.clear()
+    config = Path(__file__).parents[1] / "src" / "hcderiv" / "configs" / "default.ini"
+    assert cli.main(["experiment", "--config", str(config), "--out-csv", str(tmp_path / "r.csv")]) == 0
+    assert len(calls) == 9
+    calls.clear()
+    run_radius_study([8, 16, 32, 64], ClassParams(2, 3), 1, 1, 2.0, sup_resolution=33)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

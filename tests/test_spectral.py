@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcderiv.cross import build_cross
@@ -360,3 +361,160 @@ def test_parse_rejects_garbage():
         parse_grid("# coeffgrid v1\n0 0 1.0\n")
     with pytest.raises(ValueError):
         parse_grid("# coeffgrid v1\n0\t0\t1.0\t2.0\n")
+
+
+# ---------------------------------------------------------------------------
+# the two text readers
+
+def _outcome(read):
+    """A grid's array shape and bytes, or the type and message of the error reading it."""
+    try:
+        grid = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return grid.array.shape, grid.array.tobytes()
+
+
+# the fields, separators and decoration of the texts a grid file may hold;
+# the first of each list is dump_grid's own form
+_INDEX_TEXTS = [
+    "0", "7", "007", "-0", "-1", "+5", " 5", "5 ", "1_0", "1.5", "1e3", "", "x", "\u0663",
+    str(10**18 - 1), str(10**18), str(2**63 - 1), str(2**63), str(2**64), str(-(2**63) - 1),
+]
+_VALUE_TEXTS = [
+    "1.0", "0.0", "-0.0", "5e-324", "1.7976931348623157e+308", "nan", "-nan", "NaN", "inf",
+    "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1_0.5", " 1.0", "1.0 ", "1.", ".5",
+    "+.5e-3", "1E5", "1e", "e5", "--1", "+-1", "1.0.0", "0x10", "", "-", ".",
+]
+_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x85", "\u2028"]
+_COMMENTS = [
+    "# manifest sha256=0123456789abcdef", "#", "# coeffgrid v1 ", " # indented", "",
+    "# x\ry", "#\t",
+]
+_HEADERS = [spectral.GRID_HEADER, " " + spectral.GRID_HEADER, spectral.GRID_HEADER + "\t", "# coeffgrid v2"]
+
+
+def _is_finite_float_repr(text):
+    try:
+        return math.isfinite(float(text)) and repr(float(text)) == text
+    except ValueError:
+        return False
+
+
+@st.composite
+def _grid_text(draw):
+    """A text near the grid format, and whether it is in dump_grid's form.
+
+    Each part of the text is in dump_grid's form except, with chance
+    1/odds for an odds drawn per text, an unusual one.
+    """
+    odds = draw(st.sampled_from([None, 12, 3]))
+
+    def pick(usual, unusual):
+        if odds is not None and draw(st.integers(0, odds - 1)) == 0:
+            return draw(unusual)
+        return draw(usual)
+
+    index = st.integers(0, 12).map(str)
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    comments = [
+        pick(st.just(_COMMENTS[0]), st.sampled_from(_COMMENTS))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    header = pick(st.just(spectral.GRID_HEADER), st.sampled_from(_HEADERS))
+    entries = []
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [
+            pick(index, st.sampled_from(_INDEX_TEXTS)),
+            pick(index, st.sampled_from(_INDEX_TEXTS)),
+            pick(finite, st.floats(width=64).map(repr) | st.sampled_from(_VALUE_TEXTS)),
+        ]
+        fields = pick(st.just(fields), st.sampled_from(
+            [fields[:2], fields + ["1.0"], fields + [""], [" ".join(fields)]]
+        ))
+        entries.append(fields)
+    lines = comments + [header] + ["\t".join(fields) for fields in entries]
+    blanks = pick(st.just([]), st.lists(st.sampled_from(["", " ", "\t"]), min_size=1, max_size=2))
+    for blank in blanks:
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    breaks = pick(st.just(["\n"]), st.just(_BREAKS))
+    text = "".join(line + draw(st.sampled_from(breaks)) for line in lines)
+    text = pick(st.just(text), st.just(text[:-1]))
+    canonical = (
+        all(c.startswith("#") and c.strip() != spectral.GRID_HEADER and c.isprintable() for c in comments)
+        and header == spectral.GRID_HEADER
+        and not blanks
+        and all(
+            len(f) == 3
+            and all(x.isascii() and x.isdigit() and len(x) <= 18 for x in f[:2])
+            and _is_finite_float_repr(f[2])
+            for f in entries
+        )
+        and "\n".join(lines) + "\n" == text
+    )
+    return text, canonical
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_grid_text())
+@example(("# coeffgrid v1\n0\t0\t1.0\n0\t0\t2.0\n", True))
+@example(("# coeffgrid v1\n3\t-1\t1.0\n", False))
+@example((f"# coeffgrid v1\n{2**63}\t0\t1.0\n", False))
+@example((f"# coeffgrid v1\n{10**18 - 1}\t0\t0.0\n", True))
+@example(("# coeffgrid v1\n1\t2\t1e400\n", False))
+@example(("# coeffgrid v1\n1\t2\t1.0\t\n", False))
+@example(("# coeffgrid v1\r\n1\t2\t1.0\r\n", False))
+@example(("# a\x85b\n# coeffgrid v1\n1\t2\t1.0\n", False))
+@example(("# coeffgrid v1 \n# coeffgrid v1\n1\t2\t1.0\n", False))
+@example(("# coeffgrid v1\n", True))
+def test_loadtxt_and_line_readers_agree(case):
+    text, canonical = case
+    line = _outcome(lambda: spectral._table_grid(spectral._line_table(text)))
+    table = spectral._loadtxt_table(text)
+    if canonical:
+        assert table is not None
+    if table is not None:
+        assert _outcome(lambda: spectral._table_grid(table)) == line
+    assert _outcome(lambda: parse_grid(text)) == line
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        st.floats(allow_nan=False, allow_infinity=False),
+        max_size=40,
+    )
+)
+def test_dump_grid_text_round_trips_below_a_manifest_line(entries):
+    g = CoeffGrid(scatter(entries))
+    text = "# manifest sha256=0123456789abcdef\n" + dump_grid(g)
+    assert spectral._loadtxt_table(text) is not None
+    assert parse_grid(text) == g
+    assert dump_grid(parse_grid(text)) == dump_grid(g)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_io_peaks_stay_below_four_times_the_text():
+    rng = np.random.Generator(np.random.Philox(key=11))
+    dense = rng.standard_normal((400, 400)) * 10.0 ** rng.integers(-8, 8, size=(400, 400))
+    dense[rng.random((400, 400)) < 0.6] = 0.0  # a sparse grid with a dense array
+    g = CoeffGrid(dense)
+    text = dump_grid(g)
+    assert text.count("\n") > 60_000
+    assert _peak_bytes(lambda: parse_grid(text)) < 4 * len(text)
+    assert _peak_bytes(lambda: dump_grid(g)) < 4 * len(text)
+
+
+def test_grid_sum_peak_stays_below_one_and_a_half_results():
+    rng = np.random.Generator(np.random.Philox(key=12))
+    a, b = (CoeffGrid(rng.standard_normal((512, 512))) for _ in range(2))
+    assert _peak_bytes(lambda: a + b) < 1.5 * 512 * 512 * 8
