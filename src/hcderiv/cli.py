@@ -16,9 +16,12 @@ Every emitted file references a manifest hash computed over the tool
 version, command, argument echo (for ``diff`` including the sha256 of
 each input file's contents), and RNG algorithm id, so results can
 be traced back to the invocation that produced them; the hash excludes
-timestamps, keeping repeated runs byte-identical.  File writes go
-through a temp-file rename, so interrupted runs never leave half
-files.
+timestamps, keeping repeated runs byte-identical.  Every subcommand
+hands its outputs to one step, ``_emit``, which renders all the texts
+before it writes any file, so a run whose work or rendering fails
+writes nothing; the manifest goes beside the first output.  File
+writes go through a temp-file rename, so interrupted runs never leave
+half files.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from typing import Callable
 
 from . import __version__
 from .cross import build_cross, dump_cross
@@ -42,6 +46,7 @@ from .harness import (
     REGISTRY,
     ExperimentConfig,
     ExperimentResult,
+    RadiusStudy,
     SweepRecord,
     _noise_support,
     _perturb_for_cross,
@@ -110,32 +115,32 @@ def _load_input(path: str):
     return parse_grid(data.decode("ascii")), hashlib.sha256(data).hexdigest()
 
 
-def _manifest_hash(command: str, echo: dict) -> str:
-    payload = json.dumps(
-        {
-            "version": __version__,
-            "command": command,
-            "args": echo,
-            "rng_algorithm": RNG_ALGORITHM,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+def _emit(command: str, echo: dict, outputs: list[tuple[str, Callable[[str], str]]]) -> None:
+    """Write ``outputs``, (path, render) pairs, and a manifest beside the first path.
 
-
-def _write_manifest(primary_out: str, command: str, echo: dict, outputs: list[str]) -> str:
-    digest = _manifest_hash(command, echo)
+    Each render maps the manifest hash to the text of its file.  Every
+    text is rendered before any file is written, so a failed render
+    writes nothing.
+    """
     manifest = {
-        "version": __version__,
-        "command": command,
-        "args": echo,
-        "rng_algorithm": RNG_ALGORITHM,
-        "hash": digest,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
+        "version": __version__, "command": command, "args": echo, "rng_algorithm": RNG_ALGORITHM,
     }
-    _atomic_write(primary_out + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return digest
+    digest = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode("ascii")).hexdigest()[:16]
+    texts = [(path, render(digest)) for path, render in outputs]
+    paths = [path for path, _ in texts]
+    manifest.update(hash=digest, timestamp=datetime.now(timezone.utc).isoformat(), outputs=paths)
+    _atomic_write(paths[0] + ".manifest.json", _json_text(manifest))
+    for path, text in texts:
+        _atomic_write(path, text)
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _stamped(text: str) -> Callable[[str], str]:
+    """A render giving ``text`` below a manifest comment line."""
+    return lambda digest: f"# manifest sha256={digest}\n" + text
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +155,7 @@ def _cmd_coeffs(args) -> int:
         return EXIT_INPUT
     grid = _registry_grid(args.function, args.k, args.seed, args.s, args.mu, args.epsilon, args.m)
     echo = {"function": args.function, "k": args.k, "m": args.m, "seed": args.seed}
-    digest = _write_manifest(args.out, "coeffs", echo, [args.out])
-    _atomic_write(args.out, f"# manifest sha256={digest}\n" + dump_grid(grid))
+    _emit("coeffs", echo, [(args.out, _stamped(dump_grid(grid)))])
     return EXIT_OK
 
 
@@ -190,9 +194,7 @@ def _cmd_diff(args) -> int:
         "s": args.s, "mu": args.mu, "metric": args.metric,
         "noise": args.noise, "seed": args.seed, "gamma": args.gamma,
     }
-    digest = _manifest_hash("diff", echo)
     sidecar = {
-        "manifest": digest,
         "n": sel.n,
         "gamma": sel.gamma,
         "case_label": sel.case_label,
@@ -203,14 +205,10 @@ def _cmd_diff(args) -> int:
         diff = deriv - ref
         sidecar["error_l2"] = parseval_l2_norm(diff)
         sidecar["error_c"] = sup_norm_on_grid(diff, args.resolution)
-    # every text exists before any file is written, so a failure writes nothing
-    texts = [
-        (args.out, f"# manifest sha256={digest}\n" + dump_grid(deriv)),
-        (args.out + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n"),
-    ]
-    _write_manifest(args.out, "diff", echo, [path for path, _ in texts])
-    for path, text in texts:
-        _atomic_write(path, text)
+    _emit("diff", echo, [
+        (args.out, _stamped(dump_grid(deriv))),
+        (args.out + ".json", lambda digest: _json_text({**sidecar, "manifest": digest})),
+    ])
     return EXIT_OK
 
 
@@ -220,8 +218,7 @@ def _cmd_diff(args) -> int:
 def _cmd_cross(args) -> int:
     cross = build_cross(args.n, args.gamma, args.r1, args.r2)
     echo = {"n": args.n, "gamma": args.gamma, "r1": args.r1, "r2": args.r2}
-    digest = _write_manifest(args.out, "cross", echo, [args.out])
-    _atomic_write(args.out, f"# manifest sha256={digest}\n" + dump_cross(cross))
+    _emit("cross", echo, [(args.out, _stamped(dump_cross(cross)))])
     print(f"cross cardinality: {len(cross)}")
     return EXIT_OK
 
@@ -308,7 +305,7 @@ def _json_config(config: ExperimentConfig) -> dict:
 def _result_to_json(result: ExperimentResult, config: dict, digest: str) -> str:
     payload = dataclasses.asdict(result)
     payload.update(schema="experiment-result v1", manifest=digest, config=config)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload)
 
 
 def _result_to_csv(result: ExperimentResult, digest: str) -> str:
@@ -325,11 +322,13 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
     last measured point; with no positive error it draws only the frame.
     """
     metric = config.selection_metric()
-    errors = [r.error_c if metric == "c" else r.error_l2 for r in result.records]
+    if metric == "c":
+        errors = [r.error_c for r in result.records]
+        theo, fitted = result.theoretical_exponent_c, result.fitted_exponent_c
+    else:
+        errors = [r.error_l2 for r in result.records]
+        theo, fitted = result.theoretical_exponent_l2, result.fitted_exponent_l2
     deltas = [r.delta for r in result.records]
-    theo = (
-        result.theoretical_exponent_c if metric == "c" else result.theoretical_exponent_l2
-    )
     width, height, margin = 600.0, 400.0, 50.0
     pts = [(d, e) for d, e in zip(deltas, errors) if e > 0]
     xs = [math.log10(d) for d, _ in pts]
@@ -376,15 +375,7 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
         parts.append(
             f'<text x="{width - margin:.0f}" y="{margin - 10:.0f}" text-anchor="end" '
             f'font-size="12">reference slope {theo:.4f}'
-            + (
-                f", fitted {result.fitted_exponent_c:.4f}"
-                if metric == "c" and result.fitted_exponent_c is not None
-                else (
-                    f", fitted {result.fitted_exponent_l2:.4f}"
-                    if metric != "c" and result.fitted_exponent_l2 is not None
-                    else ""
-                )
-            )
+            + ("" if fitted is None else f", fitted {fitted:.4f}")
             + "</text>"
         )
     parts.append("</svg>")
@@ -396,23 +387,33 @@ def _cmd_experiment(args) -> int:
     result = run_convergence_study(config)
     config_json = _json_config(config)
     echo = {"config": os.path.basename(args.config), **config_json}
-    digest = _manifest_hash("experiment", echo)
-    texts = []
-    if args.out_csv:
-        texts.append((args.out_csv, _result_to_csv(result, digest)))
-    if args.out_json:
-        texts.append((args.out_json, _result_to_json(result, config_json, digest)))
-    if args.out_svg:
-        texts.append((args.out_svg, _svg_rate_plot(result, config, digest)))
-    outputs = [path for path, _ in texts]
-    _write_manifest(outputs[0], "experiment", echo, outputs)
-    for path, text in texts:
-        _atomic_write(path, text)
+    renders = [
+        (args.out_csv, lambda digest: _result_to_csv(result, digest)),
+        (args.out_json, lambda digest: _result_to_json(result, config_json, digest)),
+        (args.out_svg, lambda digest: _svg_rate_plot(result, config, digest)),
+    ]
+    _emit("experiment", echo, [(path, render) for path, render in renders if path])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # radius
+
+def _radius_to_json(study: RadiusStudy, params: dict, digest: str) -> str:
+    payload = dataclasses.asdict(study)
+    for record in payload["records"]:
+        record["skew"] = {
+            skew: dict(zip(("c", "l2"), pair)) for skew, pair in record.pop("skew_reports").items()
+        }
+    payload.update(
+        schema="radius-study v1",
+        manifest=digest,
+        params=params,
+        exponent_gap_l2=study.exponent_gap_l2(),
+        exponent_gap_c=study.exponent_gap_c(),
+    )
+    return _json_text(payload)
+
 
 def _cmd_radius(args) -> int:
     try:
@@ -427,20 +428,7 @@ def _cmd_radius(args) -> int:
         "n_values": n_values, "r1": args.r1, "r2": args.r2,
         "s": args.s, "mu": args.mu, "p": _json_safe(args.p),
     }
-    digest = _write_manifest(args.out_json, "radius", echo, [args.out_json])
-    payload = dataclasses.asdict(study)
-    for record in payload["records"]:
-        record["skew"] = {
-            skew: dict(zip(("c", "l2"), pair)) for skew, pair in record.pop("skew_reports").items()
-        }
-    payload.update(
-        schema="radius-study v1",
-        manifest=digest,
-        params=echo,
-        exponent_gap_l2=study.exponent_gap_l2(),
-        exponent_gap_c=study.exponent_gap_c(),
-    )
-    _atomic_write(args.out_json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit("radius", echo, [(args.out_json, lambda digest: _radius_to_json(study, echo, digest))])
     return EXIT_OK
 
 

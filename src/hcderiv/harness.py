@@ -152,23 +152,16 @@ REGISTRY: dict[str, TestFunction] = {
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Coefficient magnitudes (max(1,k) max(1,j))^(-mu - 1/s - epsilon).
-
-    signs: "random" flips each coefficient by a fair coin; "positive"
-    keeps them all positive (useful for monotonicity checks).
-    """
+    """Coefficient magnitudes (max(1,k) max(1,j))^(-mu - 1/s - epsilon), each sign a fair coin."""
 
     epsilon: float
     kmax: int
-    signs: str = "random"
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.kmax < 0:
             raise ValueError("kmax must be >= 0")
-        if self.signs not in ("random", "positive"):
-            raise ValueError(f"signs must be random/positive, got {self.signs!r}")
 
 
 def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int) -> CoeffGrid:
@@ -185,9 +178,7 @@ def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int
         kk ** (-(cls.mu + 1.0 / cls.s + profile.epsilon)),
         kk ** (-(cls.mu + 1.0 / cls.s + profile.epsilon)),
     )
-    if profile.signs == "random":
-        signs = rng.integers(0, 2, size=mags.shape) * 2 - 1
-        mags = mags * signs
+    mags = mags * (rng.integers(0, 2, size=mags.shape) * 2 - 1)
     weights = np.outer(kk, kk) ** (cls.s * cls.mu)
     norm = float(np.sum(weights * np.abs(mags) ** cls.s) ** (1.0 / cls.s))
     mags /= norm

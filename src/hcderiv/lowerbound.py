@@ -161,33 +161,31 @@ def witness_lp_distance(w: WitnessPair, p: float) -> float:
     return lp_norm(w.f1 - w.f2, p)
 
 
-def verify_lower_bound_C(w: WitnessPair) -> BoundReport:
-    """Check |f1^(r1,r2)(1,1)| >= c_bar * N^(-mu + 2 r1 - 1/s + 3/2)."""
-    deriv = mixed_derivative_coeffs(w.f1, w.r1, w.r2)
-    measured = abs(synth_eval(deriv, 1.0, 1.0))
-    bound = w.c_bar * w.N ** (-w.cls.mu + 2 * w.r1 - 1.0 / w.cls.s + 1.5)
+def _report(
+    w: WitnessPair, metric: str, measured: float, constant: float, extra: float
+) -> BoundReport:
+    """Compare ``measured`` with constant * N^(-mu + 2 r1 - 1/s + extra)."""
+    bound = constant * w.N ** (-w.cls.mu + 2 * w.r1 - 1.0 / w.cls.s + extra)
     return BoundReport(
-        metric="c",
+        metric=metric,
         N=w.N,
         measured=float(measured),
         bound=float(bound),
         passed=bool(measured >= bound),
         ratio=float(measured / bound),
     )
+
+
+def verify_lower_bound_C(w: WitnessPair) -> BoundReport:
+    """Check |f1^(r1,r2)(1,1)| >= c_bar * N^(-mu + 2 r1 - 1/s + 3/2)."""
+    measured = abs(synth_eval(mixed_derivative_coeffs(w.f1, w.r1, w.r2), 1.0, 1.0))
+    return _report(w, "c", measured, w.c_bar, 1.5)
 
 
 def verify_lower_bound_L2(w: WitnessPair) -> BoundReport:
     """Check ||f1^(r1,r2)||_L2 >= c_dbar * N^(-mu + 2 r1 - 1/s + 1/2)."""
     measured = parseval_l2_norm(mixed_derivative_coeffs(w.f1, w.r1, w.r2))
-    bound = w.c_dbar * w.N ** (-w.cls.mu + 2 * w.r1 - 1.0 / w.cls.s + 0.5)
-    return BoundReport(
-        metric="l2",
-        N=w.N,
-        measured=float(measured),
-        bound=float(bound),
-        passed=bool(measured >= bound),
-        ratio=float(measured / bound),
-    )
+    return _report(w, "l2", measured, w.c_dbar, 0.5)
 
 
 def min_N_for_delta(delta: float, p: float, cls: ClassParams, r2: int) -> float:

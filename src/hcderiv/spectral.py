@@ -419,6 +419,12 @@ def _line_table(text: str) -> np.ndarray:
         raise ValueError("grid indices must fit in 64 bits") from None
 
 
+# the most cells the array of a grid read from text may hold, 4x the
+# (4097, 4097) array of a K = 4096 projection: one line of text must not
+# be able to ask for any amount of memory
+_MAX_GRID_CELLS = 2**26
+
+
 def _table_grid(table: np.ndarray) -> CoeffGrid:
     """The grid of an entry table, after checking its indices and values."""
     ks, js, vals = table["k"], table["j"], table["v"]
@@ -438,7 +444,10 @@ def _table_grid(table: np.ndarray) -> CoeffGrid:
     if not keep.any():
         return CoeffGrid()
     ks, js = ks[keep], js[keep]
-    dense = np.zeros((int(ks.max()) + 1, int(js.max()) + 1))
+    shape = (int(ks.max()) + 1, int(js.max()) + 1)
+    if shape[0] * shape[1] > _MAX_GRID_CELLS:
+        raise ValueError(f"grid shape {shape} exceeds the limit of {_MAX_GRID_CELLS} cells")
+    dense = np.zeros(shape)
     dense[ks, js] = vals[keep]
     return CoeffGrid._adopt(dense)
 
@@ -448,7 +457,8 @@ def parse_grid(text: str) -> CoeffGrid:
 
     Below the header every non-blank line is ``k<TAB>j<TAB>value``; the
     indices must be unique non-negative integers that fit in 64 bits and
-    the values finite.  Text in dump_grid's form (see ``_loadtxt_table``)
+    the values finite, and the nonzero entries must fit in an array of
+    at most 2**26 cells.  Text in dump_grid's form (see ``_loadtxt_table``)
     is read by one np.loadtxt call; any other text is read line by line.
     Both readers give the same entries, or the same error, for the same
     text.  The entries go straight into index and value arrays, and zero

@@ -11,10 +11,12 @@ clamped below by 1.
 The admissible gamma range splits into open intervals where the error
 carries a clean power of n and isolated exceptional points where an
 extra logarithm appears; ``gamma_intervals`` lists both, tagged with
-the extra log exponent.  The default selection takes the midpoint of
-the leftmost clean interval and therefore never lands on an exceptional
-point; when the caller forces an exceptional gamma explicitly, n picks
-up the matching logarithmic correction.
+the extra log exponent, from one list of (breakpoint, log exponent)
+pairs.  ``select_parameters`` takes one path for every case: it picks
+gamma and the power of ln(1/delta) in n, then sizes n by the one
+formula.  The default gamma is the midpoint of the leftmost clean
+interval and therefore never an exceptional point; a forced gamma on
+an exceptional point gives n that point's logarithmic correction.
 """
 
 from __future__ import annotations
@@ -135,12 +137,19 @@ class ParameterSelection:
     case_label: str
 
 
-def _point(g: float, log_exponent: float) -> GammaRegion:
-    return GammaRegion(g, g, False, False, log_exponent)
+def _regions(points: list[tuple[float, float]]) -> list[GammaRegion]:
+    """The exceptional points (gamma, log exponent), increasing, with a clean interval below each.
 
-
-def _interval(lo: float, hi: float, lo_open: bool, log_exponent: float = 0.0) -> GammaRegion:
-    return GammaRegion(lo, hi, lo_open, True, log_exponent)
+    The first interval is closed at 1; a point at gamma = 1 has no interval below it.
+    """
+    regions: list[GammaRegion] = []
+    lo, lo_open = 1.0, False
+    for g, log_exponent in points:
+        if g != 1.0:
+            regions.append(GammaRegion(lo, g, lo_open, True, 0.0))
+        regions.append(GammaRegion(g, g, False, False, log_exponent))
+        lo, lo_open = g, True
+    return regions
 
 
 def gamma_intervals(si: SelectionInput) -> list[GammaRegion]:
@@ -152,101 +161,67 @@ def gamma_intervals(si: SelectionInput) -> list[GammaRegion]:
     """
     si.check_admissible()
     s = si.cls.s
-    mu = si.cls.mu
-    a = mu - 2 * si.r1 + 1.0 / s
-    b = mu - 2 * si.r2 + 1.0 / s
-    if si.metric == METRIC_L2:
-        if si.r1 == si.r2:
-            return [_point(1.0, 1.5 - 1.0 / s)]
-        g1 = (b - 0.5) / (a + 0.5)
-        g2 = (b + 0.5) / (a + 0.5)
-        g3 = (b - 0.5) / (a - 0.5)
-        return [
-            _interval(1.0, g1, lo_open=False),
-            _point(g1, 0.5),
-            _interval(g1, g2, lo_open=True),
-            _point(g2, 1.0 - 1.0 / s),
-            _interval(g2, g3, lo_open=True),
-            _point(g3, 0.5),
-        ]
+    a = si.cls.mu - 2 * si.r1 + 1.0 / s
+    b = si.cls.mu - 2 * si.r2 + 1.0 / s
     if si.r1 == si.r2:
-        return [_point(1.0, 2.0 - 1.0 / s)]
-    if si.r1 == si.r2 + 1:
-        e1 = (a + 2.5) / (a + 0.5)
-        e2 = (a + 0.5) / (a - 1.5)
-        return [
-            _point(1.0, 1.0),
-            _interval(1.0, e1, lo_open=True),
-            _point(e1, 1.0 - 1.0 / s),
-            _interval(e1, e2, lo_open=True),
-            _point(e2, 1.0),
+        points = [(1.0, (1.5 if si.metric == METRIC_L2 else 2.0) - 1.0 / s)]
+    elif si.metric == METRIC_L2:
+        points = [
+            ((b - 0.5) / (a + 0.5), 0.5),
+            ((b + 0.5) / (a + 0.5), 1.0 - 1.0 / s),
+            ((b - 0.5) / (a - 0.5), 0.5),
         ]
-    h1 = (b - 1.5) / (a + 0.5)
-    h2 = (b + 0.5) / (a + 0.5)
-    h3 = (b - 1.5) / (a - 1.5)
-    return [
-        _interval(1.0, h1, lo_open=False),
-        _point(h1, 1.0),
-        _interval(h1, h2, lo_open=True),
-        _point(h2, 1.0 - 1.0 / s),
-        _interval(h2, h3, lo_open=True),
-        _point(h3, 1.0),
-    ]
+    elif si.r1 == si.r2 + 1:
+        points = [
+            (1.0, 1.0),
+            ((a + 2.5) / (a + 0.5), 1.0 - 1.0 / s),
+            ((a + 0.5) / (a - 1.5), 1.0),
+        ]
+    else:
+        points = [
+            ((b - 1.5) / (a + 0.5), 1.0),
+            ((b + 0.5) / (a + 0.5), 1.0 - 1.0 / s),
+            ((b - 1.5) / (a - 1.5), 1.0),
+        ]
+    return _regions(points)
 
 
-def _clamped_log(delta: float) -> float:
-    return max(math.log(1.0 / delta), 1.0)
-
-
-def _n_from_delta(delta: float, q: float, log_exponent: float) -> float:
-    return (delta / _clamped_log(delta) ** log_exponent) ** (-1.0 / q)
+def _case_label(si: SelectionInput) -> str:
+    if si.r1 == si.r2:
+        return "equal-orders"
+    if si.metric == METRIC_L2:
+        return "l2-unequal-orders"
+    return "c-adjacent-orders" if si.r1 == si.r2 + 1 else "c-separated-orders"
 
 
 def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> ParameterSelection:
     """Choose (n, gamma) from the noise level.
 
-    Without a forced gamma: equal orders use gamma = 1 with the
-    log-corrected n; distinct orders use n = delta^(-1/(mu - 1/p + 1/s))
-    and the midpoint of the leftmost clean gamma interval.  A forced
-    gamma keeps the caller's value and, when it sits on an exceptional
-    point, applies that point's logarithmic n correction.
+    n = (delta / ln(1/delta)^e)^(-1/q) with q = mu - 1/p + 1/s.  Equal
+    orders take gamma = 1 and e = 1/p - 1/s; distinct orders take the
+    midpoint of the leftmost clean interval and e = 0.  A forced gamma
+    is kept as given, with e from the exceptional point it sits on, if
+    any.
     """
     si.check_admissible()
-    q = si.cls.mu - _inv(si.p) + 1.0 / si.cls.s
-    equal = si.r1 == si.r2
-    if equal:
-        base_label = "equal-orders"
-    elif si.metric == METRIC_L2:
-        base_label = "l2-unequal-orders"
-    elif si.r1 == si.r2 + 1:
-        base_label = "c-adjacent-orders"
-    else:
-        base_label = "c-separated-orders"
-
-    if forced_gamma is None:
-        if equal:
-            n = _n_from_delta(si.delta, q, _inv(si.p) - 1.0 / si.cls.s)
-            return ParameterSelection(n=n, gamma=1.0, case_label=base_label)
-        regions = gamma_intervals(si)
-        clean = next(r for r in regions if not r.is_point and r.log_exponent == 0.0)
-        gamma = 0.5 * (clean.lo + clean.hi)
-        n = _n_from_delta(si.delta, q, 0.0)
-        return ParameterSelection(n=n, gamma=gamma, case_label=base_label)
-
-    if forced_gamma < 1:
+    if forced_gamma is not None and forced_gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {forced_gamma}")
-    if equal:
-        n = _n_from_delta(si.delta, q, _inv(si.p) - 1.0 / si.cls.s)
-        return ParameterSelection(n=n, gamma=float(forced_gamma), case_label=base_label + "-forced")
-    regions = gamma_intervals(si)
-    hit = next((r for r in regions if r.contains(forced_gamma)), None)
-    if hit is not None and hit.is_point and hit.log_exponent != 0.0:
-        n = _n_from_delta(si.delta, q, hit.log_exponent)
-        return ParameterSelection(
-            n=n, gamma=float(forced_gamma), case_label=base_label + "-exceptional"
-        )
-    n = _n_from_delta(si.delta, q, 0.0)
-    return ParameterSelection(n=n, gamma=float(forced_gamma), case_label=base_label + "-forced")
+    q = si.cls.mu - _inv(si.p) + 1.0 / si.cls.s
+    gamma = None if forced_gamma is None else float(forced_gamma)
+    log_exponent = 0.0
+    suffix = "" if gamma is None else "-forced"
+    if si.r1 == si.r2:
+        gamma = 1.0 if gamma is None else gamma
+        log_exponent = _inv(si.p) - 1.0 / si.cls.s
+    elif gamma is None:
+        clean = next(r for r in gamma_intervals(si) if not r.is_point and r.log_exponent == 0.0)
+        gamma = 0.5 * (clean.lo + clean.hi)
+    else:
+        hit = next((r for r in gamma_intervals(si) if r.contains(gamma)), None)
+        if hit is not None and hit.is_point and hit.log_exponent != 0.0:
+            log_exponent, suffix = hit.log_exponent, "-exceptional"
+    n = (si.delta / max(math.log(1.0 / si.delta), 1.0) ** log_exponent) ** (-1.0 / q)
+    return ParameterSelection(n=n, gamma=gamma, case_label=_case_label(si) + suffix)
 
 
 def _inv(p: float) -> float:

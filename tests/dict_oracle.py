@@ -7,6 +7,12 @@ synthetic functions are filled entry by entry.  The property tests in
 reproduces these results exactly, bit for bit.  ``scatter`` turns
 entries into the 2-D array that ``hcderiv.spectral.CoeffGrid`` is built
 from, for the tests that write grids down entry by entry.
+
+``select_parameters`` and ``gamma_intervals`` at the end are the
+parameter rule as it was written before it took one path: one branch
+per case and a hand-written region list per order pattern.
+``test_truncation.py`` asserts that the library gives the same
+selections and regions, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 
 from hcderiv.cross import CROSS_HEADER_PREFIX, floor_guarded
 from hcderiv.spectral import GRID_HEADER
+from hcderiv.truncation import METRIC_L2, GammaRegion, ParameterSelection, SelectionInput
 
 Index = tuple[int, int]
 
@@ -253,3 +260,125 @@ def synthesize_class_function(s: float, mu: float, epsilon: float, kmax: int, si
     mags /= norm
     side = kmax + 1
     return CoeffGrid({(k, j): mags[k, j] for k in range(side) for j in range(side)})
+
+
+def _point(g: float, log_exponent: float) -> GammaRegion:
+    return GammaRegion(g, g, False, False, log_exponent)
+
+
+def _interval(lo: float, hi: float, lo_open: bool, log_exponent: float = 0.0) -> GammaRegion:
+    return GammaRegion(lo, hi, lo_open, True, log_exponent)
+
+
+def gamma_intervals(si: SelectionInput) -> list[GammaRegion]:
+    """Admissible gamma regions for (metric, r1, r2), ordered from 1 upward.
+
+    For equal orders only gamma = 1 is covered and the rate carries the
+    main log factor.  For distinct orders the regions tile [1, top] with
+    clean open intervals separated by exceptional points.
+    """
+    si.check_admissible()
+    s = si.cls.s
+    mu = si.cls.mu
+    a = mu - 2 * si.r1 + 1.0 / s
+    b = mu - 2 * si.r2 + 1.0 / s
+    if si.metric == METRIC_L2:
+        if si.r1 == si.r2:
+            return [_point(1.0, 1.5 - 1.0 / s)]
+        g1 = (b - 0.5) / (a + 0.5)
+        g2 = (b + 0.5) / (a + 0.5)
+        g3 = (b - 0.5) / (a - 0.5)
+        return [
+            _interval(1.0, g1, lo_open=False),
+            _point(g1, 0.5),
+            _interval(g1, g2, lo_open=True),
+            _point(g2, 1.0 - 1.0 / s),
+            _interval(g2, g3, lo_open=True),
+            _point(g3, 0.5),
+        ]
+    if si.r1 == si.r2:
+        return [_point(1.0, 2.0 - 1.0 / s)]
+    if si.r1 == si.r2 + 1:
+        e1 = (a + 2.5) / (a + 0.5)
+        e2 = (a + 0.5) / (a - 1.5)
+        return [
+            _point(1.0, 1.0),
+            _interval(1.0, e1, lo_open=True),
+            _point(e1, 1.0 - 1.0 / s),
+            _interval(e1, e2, lo_open=True),
+            _point(e2, 1.0),
+        ]
+    h1 = (b - 1.5) / (a + 0.5)
+    h2 = (b + 0.5) / (a + 0.5)
+    h3 = (b - 1.5) / (a - 1.5)
+    return [
+        _interval(1.0, h1, lo_open=False),
+        _point(h1, 1.0),
+        _interval(h1, h2, lo_open=True),
+        _point(h2, 1.0 - 1.0 / s),
+        _interval(h2, h3, lo_open=True),
+        _point(h3, 1.0),
+    ]
+
+
+def _clamped_log(delta: float) -> float:
+    return max(math.log(1.0 / delta), 1.0)
+
+
+def _n_from_delta(delta: float, q: float, log_exponent: float) -> float:
+    return (delta / _clamped_log(delta) ** log_exponent) ** (-1.0 / q)
+
+
+def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> ParameterSelection:
+    """Choose (n, gamma) from the noise level.
+
+    Without a forced gamma: equal orders use gamma = 1 with the
+    log-corrected n; distinct orders use n = delta^(-1/(mu - 1/p + 1/s))
+    and the midpoint of the leftmost clean gamma interval.  A forced
+    gamma keeps the caller's value and, when it sits on an exceptional
+    point, applies that point's logarithmic n correction.
+    """
+    si.check_admissible()
+    q = si.cls.mu - _inv(si.p) + 1.0 / si.cls.s
+    equal = si.r1 == si.r2
+    if equal:
+        base_label = "equal-orders"
+    elif si.metric == METRIC_L2:
+        base_label = "l2-unequal-orders"
+    elif si.r1 == si.r2 + 1:
+        base_label = "c-adjacent-orders"
+    else:
+        base_label = "c-separated-orders"
+
+    if forced_gamma is None:
+        if equal:
+            n = _n_from_delta(si.delta, q, _inv(si.p) - 1.0 / si.cls.s)
+            return ParameterSelection(n=n, gamma=1.0, case_label=base_label)
+        regions = gamma_intervals(si)
+        clean = next(r for r in regions if not r.is_point and r.log_exponent == 0.0)
+        gamma = 0.5 * (clean.lo + clean.hi)
+        n = _n_from_delta(si.delta, q, 0.0)
+        return ParameterSelection(n=n, gamma=gamma, case_label=base_label)
+
+    if forced_gamma < 1:
+        raise ValueError(f"gamma must be >= 1, got {forced_gamma}")
+    if equal:
+        n = _n_from_delta(si.delta, q, _inv(si.p) - 1.0 / si.cls.s)
+        return ParameterSelection(n=n, gamma=float(forced_gamma), case_label=base_label + "-forced")
+    regions = gamma_intervals(si)
+    hit = next((r for r in regions if r.contains(forced_gamma)), None)
+    if hit is not None and hit.is_point and hit.log_exponent != 0.0:
+        n = _n_from_delta(si.delta, q, hit.log_exponent)
+        return ParameterSelection(
+            n=n, gamma=float(forced_gamma), case_label=base_label + "-exceptional"
+        )
+    n = _n_from_delta(si.delta, q, 0.0)
+    return ParameterSelection(n=n, gamma=float(forced_gamma), case_label=base_label + "-forced")
+
+
+def _inv(p: float) -> float:
+    return 0.0 if math.isinf(p) else 1.0 / p
+
+
+def _inv(p: float) -> float:
+    return 0.0 if math.isinf(p) else 1.0 / p

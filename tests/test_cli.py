@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ from xml.etree import ElementTree
 import pytest
 
 import hcderiv
+from hcderiv import cli
 from hcderiv.cli import main
 from hcderiv.cross import build_cross
 from hcderiv.harness import REGISTRY
@@ -205,6 +207,44 @@ def test_diff_writes_nothing_when_the_reference_errors_fail(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: resolution must be >= 2\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_diff_rejects_a_grid_too_large_to_hold(tmp_path, capsys):
+    huge = tmp_path / "huge.grid"
+    huge.write_text("# coeffgrid v1\n999999999999999999\t0\t1.0\n")
+    code = run("diff", huge, "--r1", 1, "--r2", 1, "--delta", "1e-4", "--mu", 5,
+               "--out", tmp_path / "d.grid")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: grid shape (1000000000000000000, 1) exceeds the limit of 67108864 cells\n"
+    )
+    assert os.listdir(tmp_path) == ["huge.grid"]
+
+
+# ---------------------------------------------------------------------------
+# every subcommand renders its texts before it writes a file
+
+# each subcommand's arguments, and a call that renders its text
+RENDERS = {
+    "coeffs": (["coeffs", "poly", "--k", 8, "--out", "o.grid"], cli, "dump_grid"),
+    "cross": (["cross", "--n", 6, "--out", "c.txt"], cli, "dump_cross"),
+    "radius": (
+        ["radius", "--n-values", "8,16,32,64", "--out-json", "r.json"], dataclasses, "asdict"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(RENDERS))
+def test_a_failed_render_writes_nothing(command, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("render failed")
+
+    argv, module, name = RENDERS[command]
+    monkeypatch.setattr(module, name, fail)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: render failed\n"
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +482,16 @@ def test_radius_study_cli(tmp_path):
     for rec in payload["records"]:
         assert rec["verify_c"]["passed"] and rec["verify_l2"]["passed"]
         assert set(rec["skew"]) == {"even", "odd"}
+
+
+@pytest.mark.parametrize("golden,options", [
+    ("golden_radius.json", ["--mu", 3]),
+    ("golden_radius_r2_inf.json", ["--r1", 2, "--r2", 1, "--mu", 7, "--p", "inf"]),
+])
+def test_radius_matches_golden_files(golden, options, tmp_path):
+    out = tmp_path / "r.json"
+    assert run("radius", "--n-values", "8,16,32,64", *options, "--out-json", out) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_radius_rejects_small_sweeps(tmp_path, capsys):

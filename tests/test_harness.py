@@ -18,6 +18,7 @@ from hcderiv.harness import (
 from hcderiv.quadrature import compute_coeff_grid
 from hcderiv.spectral import (
     ClassParams,
+    CoeffGrid,
     class_norm,
     mixed_derivative_coeffs,
     parseval_l2_norm,
@@ -86,7 +87,7 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         DecayProfile(epsilon=0.0, kmax=10)
     with pytest.raises(ValueError):
-        DecayProfile(epsilon=0.1, kmax=10, signs="alternating")
+        DecayProfile(epsilon=0.1, kmax=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +135,13 @@ def test_config_kref_guard():
 
 
 def test_zero_noise_errors_monotone():
-    # positive-sign coefficients make the omitted-tail error monotone
-    # under nested crosses in both metrics
+    # positive coefficients make the omitted-tail error monotone under
+    # nested crosses in both metrics
     base = ExperimentConfig(noise_mode="off", num_seeds=1, k_ref=40,
                             delta_start=1e-2, delta_stop=1e-5, delta_count=7,
                             sup_resolution=65)
-    grid = synthesize_class_function(
-        base.cls(), DecayProfile(epsilon=0.01, kmax=40, signs="positive"), seed=1
-    )
+    grid = synthesize_class_function(base.cls(), DecayProfile(epsilon=0.01, kmax=40), seed=1)
+    grid = CoeffGrid(np.abs(grid.array))
     from hcderiv.cross import build_cross
     from hcderiv.spectral import restrict_to_cross
     from hcderiv.truncation import MethodParams, SelectionInput, apply_method, select_parameters

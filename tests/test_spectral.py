@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -361,6 +362,17 @@ def test_parse_rejects_garbage():
         parse_grid("# coeffgrid v1\n0 0 1.0\n")
     with pytest.raises(ValueError):
         parse_grid("# coeffgrid v1\n0\t0\t1.0\t2.0\n")
+
+
+@pytest.mark.parametrize("k,j", [(10**18 - 1, 0), (8192, 8192)])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])  # read by np.loadtxt, and line by line
+def test_parse_rejects_grids_too_large_to_hold(k, j, eol):
+    # (k + 1)(j + 1) cells exceed 2**26, so the error comes before any array is allocated
+    text = f"# coeffgrid v1{eol}0\t0\t1.0{eol}{k}\t{j}\t-2.5{eol}"
+    message = f"grid shape {(k + 1, j + 1)} exceeds the limit of {2**26} cells"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_grid(text)
+    assert parse_grid(text.replace("-2.5", "0.0")) == CoeffGrid(np.ones((1, 1)))
 
 
 # ---------------------------------------------------------------------------

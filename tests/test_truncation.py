@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import dict_oracle as oracle
 from dict_oracle import scatter
 from hcderiv.quadrature import compute_coeff_grid
 from hcderiv.spectral import ClassParams, CoeffGrid, mixed_derivative_coeffs
@@ -186,6 +188,43 @@ def test_forced_gamma_clean_keeps_power_law_n():
 def test_forced_gamma_below_one_rejected():
     with pytest.raises(ValueError):
         select_parameters(_si(), forced_gamma=0.5)
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("metric", ["l2", "c"])
+@pytest.mark.parametrize("r1,r2", [(1, 1), (2, 1), (3, 1), (4, 2)])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_rule_matches_the_branch_per_case_reference(metric, r1, r2, p):
+    labels = set()
+    for s, mu, delta in itertools.product(
+        (2.0, 1.5, 1.0), (2 * r1 + 1.6, 2 * r1 + 3.0, 2 * r1 + 5.5), (0.5, 1e-3, 1e-9)
+    ):
+        si = _si(delta=delta, p=p, s=s, mu=mu, r1=r1, r2=r2, metric=metric)
+        regions = oracle.gamma_intervals(si)
+        assert gamma_intervals(si) == regions
+        # the default, gamma = 1, every point and midpoint, one past the top, and one below 1
+        forced = [None, 1.0, *(r.lo if r.is_point else 0.5 * (r.lo + r.hi) for r in regions)]
+        for gamma in forced + [1.5 * regions[-1].hi, 0.5]:
+            sel = _outcome(lambda: select_parameters(si, forced_gamma=gamma))
+            assert sel == _outcome(lambda: oracle.select_parameters(si, forced_gamma=gamma))
+            labels.add(getattr(sel, "case_label", None))
+    if r1 > r2:
+        assert {label.rsplit("-", 1)[-1] for label in labels if label} == {
+            "orders", "forced", "exceptional"
+        }
+    # an inadmissible class fails the same way in both
+    si = _si(mu=2 * r1 - 0.5, r1=r1, r2=r2, metric=metric)
+    assert _outcome(lambda: gamma_intervals(si)) == _outcome(lambda: oracle.gamma_intervals(si))
+    assert _outcome(lambda: select_parameters(si, 0.5)) == _outcome(
+        lambda: oracle.select_parameters(si, 0.5)
+    )
 
 
 # ---------------------------------------------------------------------------
