@@ -36,7 +36,6 @@ from .cross import HyperbolicCross, build_cross
 from .noise import NoiseSpec, RNG_ALGORITHM, lp_norm, perturb
 from .truncation import (
     AdmissibilityError,
-    MethodParams,
     SelectionInput,
     apply_method,
     gamma_intervals,
@@ -89,7 +88,6 @@ __all__ = [
     "lp_norm",
     "perturb",
     "AdmissibilityError",
-    "MethodParams",
     "SelectionInput",
     "apply_method",
     "gamma_intervals",

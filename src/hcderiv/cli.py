@@ -5,9 +5,9 @@ Subcommands: ``coeffs`` projects a registry function onto the basis,
 ``cross`` dumps a hyperbolic-cross index set, ``experiment`` drives a
 convergence study (CSV/JSON/SVG emitters), ``radius`` runs the witness
 lower-bound study.  Each subcommand parses its arguments, delegates the
-work to the library (the registry grid, the noisy-point step, the
-noise-support rule and both studies live in :mod:`hcderiv.harness`),
-and serialises what comes back.
+work to the library (the registry grid, the sweep-point planning,
+noisy-point and error steps, the noise-support rule and both studies
+live in :mod:`hcderiv.harness`), and serialises what comes back.
 
 Exit codes: 0 success, 2 input error, 3 admissibility violation,
 4 config validation failure, 5 witness infeasibility.
@@ -48,28 +48,18 @@ from .harness import (
     ExperimentResult,
     RadiusStudy,
     SweepRecord,
+    _errors,
     _noise_support,
     _perturb_for_cross,
+    _plan_point,
     _registry_grid,
-    _selection_metric,
     run_convergence_study,
     run_radius_study,
 )
 from .lowerbound import WitnessInfeasibleError
 from .noise import RNG_ALGORITHM, lp_norm
-from .spectral import (
-    ClassParams,
-    dump_grid,
-    parse_grid,
-    parseval_l2_norm,
-    sup_norm_on_grid,
-)
-from .truncation import (
-    AdmissibilityError,
-    SelectionInput,
-    _differentiate_on_cross,
-    select_parameters,
-)
+from .spectral import ClassParams, dump_grid, parse_grid
+from .truncation import AdmissibilityError, apply_method
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -166,12 +156,7 @@ def _cmd_diff(args) -> int:
     grid, coeffs_sha256 = _load_input(args.coeffs)
     ref, ref_sha256 = _load_input(args.reference) if args.reference else (None, None)
     cls = ClassParams(s=args.s, mu=args.mu)
-    si = SelectionInput(
-        delta=args.delta, p=args.p, cls=cls, r1=args.r1, r2=args.r2,
-        metric=_selection_metric(args.metric),
-    )
-    sel = select_parameters(si, forced_gamma=args.gamma)
-    cross = build_cross(sel.n, sel.gamma, args.r1, args.r2)
+    sel, cross = _plan_point(args.delta, args.p, cls, args.r1, args.r2, args.metric, args.gamma)
     support = _noise_support([cross])
     c_delta, xi = _perturb_for_cross(
         grid, cross, args.noise, args.p, args.delta, args.seed, support, cls
@@ -185,7 +170,7 @@ def _cmd_diff(args) -> int:
         "norm": lp_norm(xi, args.p),
         "algorithm": RNG_ALGORITHM,
     }
-    deriv = _differentiate_on_cross(c_delta, cross)
+    deriv = apply_method(c_delta, cross)
     echo = {
         "coeffs": os.path.basename(args.coeffs),
         "coeffs_sha256": coeffs_sha256,
@@ -202,9 +187,7 @@ def _cmd_diff(args) -> int:
         "noise": noise_meta,
     }
     if ref is not None:
-        diff = deriv - ref
-        sidecar["error_l2"] = parseval_l2_norm(diff)
-        sidecar["error_c"] = sup_norm_on_grid(diff, args.resolution)
+        sidecar["error_l2"], sidecar["error_c"] = _errors(deriv, ref, args.resolution)
     _emit("diff", echo, [
         (args.out, _stamped(dump_grid(deriv))),
         (args.out + ".json", lambda digest: _json_text({**sidecar, "manifest": digest})),

@@ -52,8 +52,8 @@ class HyperbolicCross:
         )
 
     def k_extent(self) -> int:
-        """Largest admissible k, i.e. floor-guarded n / r2**gamma."""
-        return floor_guarded(self.n / self.r2**self.gamma)
+        """Largest admissible k, i.e. floor-guarded n / r2**gamma: the last row of ``jmax``."""
+        return len(self.jmax) - 1
 
     def j_extent(self) -> int:
         """Largest admissible j, i.e. floor-guarded (n / r1)**(1/gamma)."""
@@ -76,7 +76,7 @@ def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
     r2 to floor((n / k)**(1/gamma)); both floors use the relative guard.
     The result is empty when n < r1 * r2**gamma.
     """
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     if r1 < 1 or r2 < 1:
         raise ValueError("r1 and r2 must be >= 1")

@@ -47,7 +47,7 @@ from .truncation import (
     AdmissibilityError,
     ParameterSelection,
     SelectionInput,
-    _differentiate_on_cross,
+    apply_method,
     select_parameters,
     theoretical_error_exponent,
 )
@@ -231,6 +231,26 @@ def _selection_metric(metric: str) -> str:
     return METRIC_L2 if metric == METRIC_BOTH else metric
 
 
+def _plan_point(
+    delta: float, p: float, cls: ClassParams, r1: int, r2: int, metric: str,
+    gamma: float | None = None,
+) -> tuple[ParameterSelection, HyperbolicCross]:
+    """The selected (n, gamma) at noise level ``delta`` and the cross the method runs on.
+
+    ``metric`` is a config or CLI metric ("both" selects by the L2 rule);
+    a non-None ``gamma`` is forced.
+    """
+    si = SelectionInput(delta=delta, p=p, cls=cls, r1=r1, r2=r2, metric=_selection_metric(metric))
+    sel = select_parameters(si, forced_gamma=gamma)
+    return sel, build_cross(sel.n, sel.gamma, r1, r2)
+
+
+def _errors(approx: CoeffGrid, exact: CoeffGrid, resolution: int) -> tuple[float, float]:
+    """L2 (Parseval) and sup (Chebyshev-grid) norms of ``approx - exact``."""
+    diff = approx - exact
+    return parseval_l2_norm(diff), sup_norm_on_grid(diff, resolution)
+
+
 def _noise_support(crosses) -> int:
     """Rectangle bound of the noise: the largest cross extent plus 2."""
     return max(max(cross.k_extent(), cross.j_extent()) for cross in crosses) + 2
@@ -319,7 +339,7 @@ class ExperimentConfig:
             problems.append(f"epsilon: must be > 0, got {self.epsilon}")
         if self.sup_resolution < 2:
             problems.append(f"sup_resolution: must be >= 2, got {self.sup_resolution}")
-        if self.gamma_override is not None and self.gamma_override < 1:
+        if self.gamma_override is not None and not self.gamma_override >= 1:
             problems.append(f"gamma: override must be >= 1, got {self.gamma_override}")
         if not problems:
             try:
@@ -341,15 +361,12 @@ class ExperimentConfig:
         The plan depends only on the frozen fields, so it is built once per
         config: ``validate`` and the study share it.
         """
-        plan = []
-        for delta in self.deltas():
-            si = SelectionInput(
-                delta=float(delta), p=self.p, cls=self.cls(), r1=self.r1, r2=self.r2,
-                metric=self.selection_metric(),
+        return tuple(
+            _plan_point(
+                float(delta), self.p, self.cls(), self.r1, self.r2, self.metric, self.gamma_override
             )
-            sel = select_parameters(si, forced_gamma=self.gamma_override)
-            plan.append((sel, build_cross(sel.n, sel.gamma, self.r1, self.r2)))
-        return tuple(plan)
+            for delta in self.deltas()
+        )
 
     def noise_support(self) -> int:
         """Rectangle bound: largest cross extent across the sweep plus 2."""
@@ -474,9 +491,9 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
                 ref, cross, config.noise_mode, config.p, float(delta),
                 (config.seed + rep * config.delta_count + i) % 2**64, support, cls,
             )
-            diff = _differentiate_on_cross(c_delta, cross) - d_ref
-            sum_l2[i] += parseval_l2_norm(diff)
-            sum_c[i] += sup_norm_on_grid(diff, config.sup_resolution)
+            err_l2, err_c = _errors(apply_method(c_delta, cross), d_ref, config.sup_resolution)
+            sum_l2[i] += err_l2
+            sum_c[i] += err_c
             sum_noise[i] += 0.0 if xi is None else lp_norm(xi, config.p)
             if config.timing:
                 wall[i] += (time.perf_counter() - start) * 1000.0
@@ -581,15 +598,9 @@ def run_radius_study(
         for skew in ("even", "odd"):
             w_skew = build_witness_pair(N, r1, r2, cls, parity=skew)
             skews[skew] = (verify_lower_bound_C(w_skew), verify_lower_bound_L2(w_skew))
-        sel = select_parameters(
-            SelectionInput(delta=delta, p=p, cls=cls, r1=r1, r2=r2, metric=METRIC_L2)
-        )
-        d_true = mixed_derivative_coeffs(w.f1, r1, r2)
+        sel, cross = _plan_point(delta, p, cls, r1, r2, METRIC_L2)
         # the adversary hands the method data indistinguishable from f2
-        cross = build_cross(sel.n, sel.gamma, r1, r2)
-        diff = _differentiate_on_cross(w.f2, cross) - d_true
-        err_l2 = parseval_l2_norm(diff)
-        err_c = sup_norm_on_grid(diff, sup_resolution)
+        err_l2, err_c = _errors(apply_method(w.f2, cross), w.f1_derivative, sup_resolution)
         rep_c = verify_lower_bound_C(w)
         rep_l2 = verify_lower_bound_L2(w)
         records.append(

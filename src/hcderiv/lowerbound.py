@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Container
 
 import numpy as np
@@ -66,6 +67,11 @@ class WitnessPair:
     c_tilde: float
     c_bar: float
     c_dbar: float
+
+    @cached_property
+    def f1_derivative(self) -> CoeffGrid:
+        """Coefficients of f1^(r1,r2), computed once per pair."""
+        return mixed_derivative_coeffs(self.f1, self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -178,13 +184,13 @@ def _report(
 
 def verify_lower_bound_C(w: WitnessPair) -> BoundReport:
     """Check |f1^(r1,r2)(1,1)| >= c_bar * N^(-mu + 2 r1 - 1/s + 3/2)."""
-    measured = abs(synth_eval(mixed_derivative_coeffs(w.f1, w.r1, w.r2), 1.0, 1.0))
+    measured = abs(synth_eval(w.f1_derivative, 1.0, 1.0))
     return _report(w, "c", measured, w.c_bar, 1.5)
 
 
 def verify_lower_bound_L2(w: WitnessPair) -> BoundReport:
     """Check ||f1^(r1,r2)||_L2 >= c_dbar * N^(-mu + 2 r1 - 1/s + 1/2)."""
-    measured = parseval_l2_norm(mixed_derivative_coeffs(w.f1, w.r1, w.r2))
+    measured = parseval_l2_norm(w.f1_derivative)
     return _report(w, "l2", measured, w.c_dbar, 0.5)
 
 

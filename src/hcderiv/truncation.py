@@ -1,12 +1,13 @@
 """The hyperbolic-cross truncation differentiator and its parameter rules.
 
 ``apply_method`` keeps the perturbed coefficients inside a hyperbolic
-cross and differentiates the finite sum in coefficient space; the cross
-size n is the regularization parameter.  ``select_parameters`` maps a
-noise level delta to (n, gamma) so that the truncation and
-noise-propagation error components balance.  All order relations fix
-only powers, so every constant factor is set to 1 and ln(1/delta) is
-clamped below by 1.
+cross and differentiates the finite sum in coefficient space; the cross,
+built by ``build_cross(n, gamma, r1, r2)``, is the method's only
+parameter, and its size n is the regularization parameter.
+``select_parameters`` maps a noise level delta to (n, gamma) so that the
+truncation and noise-propagation error components balance.  All order
+relations fix only powers, so every constant factor is set to 1 and
+ln(1/delta) is clamped below by 1.
 
 The admissible gamma range splits into open intervals where the error
 carries a clean power of n and isolated exceptional points where an
@@ -24,14 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cross import HyperbolicCross, build_cross
+from .cross import HyperbolicCross
 from .spectral import ClassParams, CoeffGrid, mixed_derivative_coeffs, restrict_to_cross
 
 __all__ = [
     "METRIC_L2",
     "METRIC_C",
     "AdmissibilityError",
-    "MethodParams",
     "SelectionInput",
     "GammaRegion",
     "ParameterSelection",
@@ -46,26 +46,12 @@ METRIC_C = "c"
 _METRICS = (METRIC_L2, METRIC_C)
 
 
+# relative tolerance at which a forced gamma sits on an exceptional point
+_POINT_REL_TOL = 1e-9
+
+
 class AdmissibilityError(ValueError):
     """The smoothness mu is too small for the requested orders and metric."""
-
-
-@dataclass(frozen=True)
-class MethodParams:
-    """Cross parameters of one differentiator run."""
-
-    n: float
-    gamma: float
-    r1: int
-    r2: int
-
-    def __post_init__(self):
-        if not self.r1 >= self.r2 >= 1:
-            raise ValueError(f"orders must satisfy r1 >= r2 >= 1, got ({self.r1}, {self.r2})")
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if not self.n > 0:
-            raise ValueError(f"n must be positive, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +108,9 @@ class GammaRegion:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, gamma: float, rel_tol: float = 1e-9) -> bool:
+    def contains(self, gamma: float) -> bool:
         if self.is_point:
-            return math.isclose(gamma, self.lo, rel_tol=rel_tol)
+            return math.isclose(gamma, self.lo, rel_tol=_POINT_REL_TOL)
         above = gamma > self.lo if self.lo_open else gamma >= self.lo
         below = gamma < self.hi if self.hi_open else gamma <= self.hi
         return above and below
@@ -204,7 +190,7 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
     any.
     """
     si.check_admissible()
-    if forced_gamma is not None and forced_gamma < 1:
+    if forced_gamma is not None and not forced_gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {forced_gamma}")
     q = si.cls.mu - _inv(si.p) + 1.0 / si.cls.s
     gamma = None if forced_gamma is None else float(forced_gamma)
@@ -236,17 +222,13 @@ def theoretical_error_exponent(si: SelectionInput) -> float:
     return (si.cls.mu - 2 * si.r1 + 1.0 / si.cls.s - extra) / q
 
 
-def apply_method(c_delta: CoeffGrid, params: MethodParams) -> CoeffGrid:
+def apply_method(c_delta: CoeffGrid, cross: HyperbolicCross) -> CoeffGrid:
     """Differentiate the cross-restricted coefficients.
 
     Returns the coefficient grid of the regularized mixed derivative:
-    restrict c_delta to the cross for (n, gamma, r1, r2), then apply the
-    coefficient-space derivative of order (r1, r2).
+    restrict c_delta to ``cross``, then apply the coefficient-space
+    derivative of the cross's orders (r1, r2), which need r1 >= r2.
     """
-    cross = build_cross(params.n, params.gamma, params.r1, params.r2)
-    return _differentiate_on_cross(c_delta, cross)
-
-
-def _differentiate_on_cross(c_delta: CoeffGrid, cross: HyperbolicCross) -> CoeffGrid:
-    """``apply_method`` on a cross the caller has built, with its orders (r1, r2)."""
+    if not cross.r1 >= cross.r2:
+        raise ValueError(f"orders must satisfy r1 >= r2 >= 1, got ({cross.r1}, {cross.r2})")
     return mixed_derivative_coeffs(restrict_to_cross(c_delta, cross), cross.r1, cross.r2)

@@ -50,7 +50,7 @@ from hcderiv.spectral import (
     parseval_l2_norm,
     sup_norm_on_grid,
 )
-from hcderiv.truncation import MethodParams, apply_method
+from hcderiv.truncation import apply_method
 
 DEFAULT_CONFIG = Path(__file__).parents[1] / "src" / "hcderiv" / "configs" / "default.ini"
 
@@ -95,7 +95,7 @@ def test_criterion_3_method_exactness_on_polynomial():
     grid = compute_coeff_grid(entry.callable(), 12)
     reference = compute_coeff_grid(entry.derivative_callable(1, 1), 12)
     # covering cross: every source index with k, j >= 1 satisfies k*j <= 20
-    out = apply_method(grid, MethodParams(n=20.0, gamma=1.0, r1=1, r2=1))
+    out = apply_method(grid, build_cross(20.0, 1.0, 1, 1))
     diff = out - reference
     err_l2 = parseval_l2_norm(diff)
     err_c = sup_norm_on_grid(diff, 257) if len(diff) else 0.0

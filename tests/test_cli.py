@@ -26,7 +26,7 @@ from hcderiv.spectral import (
     save_grid,
     sup_norm_on_grid,
 )
-from hcderiv.truncation import MethodParams, SelectionInput, apply_method, select_parameters
+from hcderiv.truncation import SelectionInput, apply_method, select_parameters
 
 DATA = Path(__file__).parent / "data"
 DEFAULT_CONFIG = Path(__file__).parents[1] / "src" / "hcderiv" / "configs" / "default.ini"
@@ -145,6 +145,18 @@ def test_diff_gamma_override(tmp_path, poly_grid):
     assert sidecar["case_label"].endswith("-forced")
 
 
+@pytest.mark.parametrize("gamma", ["0.5", "nan"])
+def test_diff_rejects_a_forced_gamma_below_one(tmp_path, poly_grid, capsys, gamma):
+    out = tmp_path / "g.grid"
+    code = run(
+        "diff", poly_grid, "--r1", 2, "--r2", 1, "--delta", "1e-4", "--mu", 6,
+        "--gamma", gamma, "--out", out,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: gamma must be >= 1, got {float(gamma)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("noise,p", [
     ("off", 2.0), ("sphere", 2.0), ("single", 2.0), ("witness", 2.0), ("witness", math.inf),
 ])
@@ -170,7 +182,7 @@ def test_diff_matches_the_library_pipeline(tmp_path, poly_grid, noise, p):
             "mode": mode, "p": "inf" if p == math.inf else p, "delta": 1e-3, "seed": 4,
             "support": support, "norm": lp_norm(xi, p), "algorithm": "numpy-philox4x64",
         }
-    deriv = apply_method(c, MethodParams(n=sel.n, gamma=sel.gamma, r1=1, r2=1))
+    deriv = apply_method(c, cross)
     assert out.read_text().split("\n", 1)[1] == dump_grid(deriv)
     assert json.loads((tmp_path / "d.grid.json").read_text())["noise"] == expected_noise
 
@@ -253,6 +265,9 @@ def test_a_failed_render_writes_nothing(command, tmp_path, monkeypatch, capsys):
 def test_cross_invalid_gamma(tmp_path, capsys):
     assert run("cross", "--n", 4, "--gamma", 0.5, "--out", tmp_path / "c.txt") == 2
     assert "gamma" in capsys.readouterr().err
+    assert run("cross", "--n", 10, "--gamma", "nan", "--out", tmp_path / "c.txt") == 2
+    assert capsys.readouterr().err == "error: gamma must be >= 1, got nan\n"
+    assert not (tmp_path / "c.txt").exists()
 
 
 @pytest.mark.parametrize("n", ["inf", "nan", "0", "-1"])
@@ -421,6 +436,18 @@ def test_experiment_invalid_field_values(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "s:" in err and "mu:" in err
+
+
+@pytest.mark.parametrize("gamma", ["0.5", "nan"])
+def test_experiment_rejects_a_gamma_override_below_one(tmp_path, capsys, gamma):
+    bad = tmp_path / "gamma.ini"
+    bad.write_text(f"[method]\ngamma = {gamma}\n")
+    code = run("experiment", "--config", bad, "--out-csv", tmp_path / "x.csv")
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: invalid config:\n  - gamma: override must be >= 1, got {float(gamma)}\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_experiment_missing_config(tmp_path):

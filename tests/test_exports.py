@@ -1,0 +1,20 @@
+"""Every name a module exports through ``__all__`` exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import hcderiv
+
+MODULES = ["hcderiv"] + [
+    f"hcderiv.{info.name}" for info in pkgutil.iter_modules(hcderiv.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(exported) == len(set(exported))
+    assert [n for n in exported if not hasattr(module, n)] == []

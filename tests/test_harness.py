@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcderiv import cli, harness, truncation
+from hcderiv import cli, harness, lowerbound, truncation
 from hcderiv.cross import build_cross
 from hcderiv.harness import (
     REGISTRY,
@@ -142,9 +142,7 @@ def test_zero_noise_errors_monotone():
                             sup_resolution=65)
     grid = synthesize_class_function(base.cls(), DecayProfile(epsilon=0.01, kmax=40), seed=1)
     grid = CoeffGrid(np.abs(grid.array))
-    from hcderiv.cross import build_cross
-    from hcderiv.spectral import restrict_to_cross
-    from hcderiv.truncation import MethodParams, SelectionInput, apply_method, select_parameters
+    from hcderiv.truncation import SelectionInput, apply_method, select_parameters
 
     d_ref = mixed_derivative_coeffs(grid, 1, 1)
     errors_l2, errors_c = [], []
@@ -152,7 +150,7 @@ def test_zero_noise_errors_monotone():
         sel = select_parameters(
             SelectionInput(delta=float(d), p=2.0, cls=base.cls(), r1=1, r2=1, metric="l2")
         )
-        approx = apply_method(grid, MethodParams(n=sel.n, gamma=sel.gamma, r1=1, r2=1))
+        approx = apply_method(grid, build_cross(sel.n, sel.gamma, 1, 1))
         diff = approx - d_ref
         errors_l2.append(parseval_l2_norm(diff))
         errors_c.append(sup_norm_on_grid(diff, 65))
@@ -166,10 +164,10 @@ def test_reference_consistency_with_covering_cross():
                            sup_resolution=33, epsilon=0.5)
     # n = delta^(-1/4) >= 210^2 would need delta <= 5e-10 ... use direct check
     grid = synthesize_class_function(cfg.cls(), DecayProfile(epsilon=0.5, kmax=12), seed=3)
-    from hcderiv.truncation import MethodParams, apply_method
+    from hcderiv.truncation import apply_method
 
     d_ref = mixed_derivative_coeffs(grid, 1, 1)
-    approx = apply_method(grid, MethodParams(n=200.0, gamma=1.0, r1=1, r2=1))
+    approx = apply_method(grid, build_cross(200.0, 1.0, 1, 1))
     diff = approx - d_ref
     assert parseval_l2_norm(diff) <= 1e-12
 
@@ -215,7 +213,7 @@ def test_one_cross_per_sweep_point(monkeypatch, tmp_path):
         calls.append(args)
         return build_cross(*args)
 
-    for module in (cli, harness, truncation):
+    for module in (cli, harness):
         monkeypatch.setattr(module, "build_cross", counting_build_cross)
     # the default config sweeps 9 deltas, each with its own cross
     result = run_convergence_study(ExperimentConfig())
@@ -227,6 +225,21 @@ def test_one_cross_per_sweep_point(monkeypatch, tmp_path):
     calls.clear()
     run_radius_study([8, 16, 32, 64], ClassParams(2, 3), 1, 1, 2.0, sup_resolution=33)
     assert len(calls) == 4
+
+
+def test_one_derivative_per_witness_and_method_run(monkeypatch):
+    calls = []
+
+    def counting_derivative(c, r1, r2):
+        calls.append((r1, r2))
+        return mixed_derivative_coeffs(c, r1, r2)
+
+    for module in (harness, lowerbound, truncation):
+        monkeypatch.setattr(module, "mixed_derivative_coeffs", counting_derivative)
+    run_radius_study([8, 16, 32, 64], ClassParams(2, 6), 2, 1, 2.0, sup_resolution=33)
+    # per band size: the witness and its two skewed copies, one derivative each, and the method
+    assert len(calls) == 4 * 4
+    assert set(calls) == {(2, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 
 import dict_oracle as oracle
 from dict_oracle import scatter
+from hcderiv.cross import build_cross
 from hcderiv.quadrature import compute_coeff_grid
 from hcderiv.spectral import ClassParams, CoeffGrid, mixed_derivative_coeffs
 from hcderiv.truncation import (
     AdmissibilityError,
-    MethodParams,
     SelectionInput,
     apply_method,
     gamma_intervals,
@@ -231,31 +231,29 @@ def test_rule_matches_the_branch_per_case_reference(metric, r1, r2, p):
 # the method
 
 def test_method_params_validation():
+    with pytest.raises(ValueError, match=r"orders must satisfy r1 >= r2 >= 1, got \(1, 2\)"):
+        apply_method(CoeffGrid(), build_cross(4, 1, 1, 2))
     with pytest.raises(ValueError):
-        MethodParams(n=4.0, gamma=1.0, r1=1, r2=2)
+        build_cross(4.0, 0.5, 1, 1)
     with pytest.raises(ValueError):
-        MethodParams(n=4.0, gamma=0.5, r1=1, r2=1)
-    with pytest.raises(ValueError):
-        MethodParams(n=0.0, gamma=1.0, r1=1, r2=1)
+        build_cross(0.0, 1.0, 1, 1)
 
 
 def test_apply_method_exact_on_covered_polynomial():
     grid = compute_coeff_grid(lambda t, u: t**3 * u**2 + t * u, 6, m=16)
-    params = MethodParams(n=50.0, gamma=1.0, r1=1, r2=1)
-    out = apply_method(grid, params)
+    out = apply_method(grid, build_cross(50.0, 1.0, 1, 1))
     assert out == mixed_derivative_coeffs(grid, 1, 1)
 
 
 def test_apply_method_single_mode():
-    params = MethodParams(n=1.0, gamma=1.0, r1=1, r2=1)
-    out = apply_method(CoeffGrid(scatter({(1, 1): 1.0})), params)
+    out = apply_method(CoeffGrid(scatter({(1, 1): 1.0})), build_cross(1.0, 1.0, 1, 1))
     assert out.array.shape == (1, 1)
     assert out.array[0, 0] == pytest.approx(3.0)
 
 
 def test_apply_method_outside_cross_is_empty():
     c = CoeffGrid(scatter({(8, 8): 1.0, (12, 3): -2.0}))
-    out = apply_method(c, MethodParams(n=5.0, gamma=1.0, r1=1, r2=1))
+    out = apply_method(c, build_cross(5.0, 1.0, 1, 1))
     assert len(out) == 0
 
 
@@ -274,10 +272,10 @@ def test_error_decomposition_recombines():
                             rng.standard_normal(20))}
     ))
     c_delta = c - xi
-    params = MethodParams(n=8.0, gamma=1.0, r1=1, r2=1)
+    cross = build_cross(8.0, 1.0, 1, 1)
     exact = mixed_derivative_coeffs(c, 1, 1)
-    a = apply_method(c, params)
-    b = apply_method(c_delta, params)
+    a = apply_method(c, cross)
+    b = apply_method(c_delta, cross)
     truncation_part = exact - a
     noise_part = a - b
     total = exact - b
