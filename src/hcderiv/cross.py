@@ -1,18 +1,20 @@
 """Hyperbolic-cross index sets.
 
 The cross for parameters (n, gamma, r1, r2) is the set of pairs (k, j)
-with k >= r1, j >= r2 and k * j**gamma <= n.  Range endpoints are
-floored after a 1e-12 relative guard so that boundaries that are exact
-integers up to rounding stay inside the set on every platform.
+with k >= r1, j >= r2 and k * j**gamma <= n, stored as per-row limits,
+never as a list of pairs.  Endpoints are floored after a 1e-12 relative
+guard so that boundaries that are exact integers up to rounding stay
+inside the set on every platform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
+
+from .spectral import _MAX_GRID_CELLS, _dump_table
 
 __all__ = ["HyperbolicCross", "build_cross", "dump_cross"]
 
@@ -32,8 +34,8 @@ class HyperbolicCross:
 
     Row k holds the pairs (k, j) with r2 <= j <= jmax[k]; ``jmax`` has one
     entry per k in [0, k_extent()], and rows below r1 hold r2 - 1, so they
-    are empty.  Storage is O(k_extent); the enumerated ``indices`` are
-    derived on first use, and membership is tested on ``jmax``.
+    are empty.  Storage is O(k_extent), and size, membership and the
+    text dump all read ``jmax``.
     """
 
     n: float
@@ -41,15 +43,6 @@ class HyperbolicCross:
     r1: int
     r2: int
     jmax: np.ndarray = field(compare=False, repr=False)
-
-    @cached_property
-    def indices(self) -> tuple[tuple[int, int], ...]:
-        """Member pairs sorted by (k, j)."""
-        return tuple(
-            (k, j)
-            for k, top in enumerate(self.jmax.tolist())
-            for j in range(self.r2, top + 1)
-        )
 
     def k_extent(self) -> int:
         """Largest admissible k, i.e. floor-guarded n / r2**gamma: the last row of ``jmax``."""
@@ -74,7 +67,8 @@ def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
 
     k runs from r1 to floor(n / r2**gamma) and, for each k, j runs from
     r2 to floor((n / k)**(1/gamma)); both floors use the relative guard.
-    The result is empty when n < r1 * r2**gamma.
+    The result is empty when n < r1 * r2**gamma, and more than 2**26
+    rows are refused.
     """
     if not gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
@@ -85,6 +79,10 @@ def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
     if not math.isfinite(n):
         raise ValueError(f"n must be finite, got {n}")
     kmax = floor_guarded(n / r2**gamma)
+    if kmax + 1 > _MAX_GRID_CELLS:
+        raise ValueError(
+            f"cross for n={n} needs {kmax + 1} rows, over the limit of {_MAX_GRID_CELLS}"
+        )
     inv_gamma = 1.0 / gamma
     jmax = np.full(kmax + 1, r2 - 1, dtype=np.int64)
     jmax[r1:] = [floor_guarded((n / k) ** inv_gamma) for k in range(r1, kmax + 1)]
@@ -98,11 +96,12 @@ def cardinality(cross: HyperbolicCross) -> int:
 
 
 def dump_cross(cross: HyperbolicCross) -> str:
-    lines = [
-        f"{CROSS_HEADER_PREFIX} n={cross.n!r} gamma={cross.gamma!r} r1={cross.r1} r2={cross.r2}"
-    ]
-    lines.extend(f"{k}\t{j}" for k, j in cross.indices)
-    return "\n".join(lines) + "\n"
+    """The header line, then one ``k<TAB>j`` line per pair, read off ``jmax`` in (k, j) order."""
+    counts = np.maximum(cross.jmax - (cross.r2 - 1), 0)
+    ks = np.repeat(np.arange(len(counts)), counts)
+    js = np.arange(len(ks)) - np.repeat(np.cumsum(counts) - counts - cross.r2, counts)
+    params = f"n={cross.n!r} gamma={cross.gamma!r} r1={cross.r1} r2={cross.r2}"
+    return _dump_table(f"{CROSS_HEADER_PREFIX} {params}", (ks, js), "%d\t%d\n")
 
 
 def save_cross(cross: HyperbolicCross, path) -> None:

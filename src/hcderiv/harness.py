@@ -29,6 +29,7 @@ from .quadrature import compute_coeff_grid
 from .spectral import (
     ClassParams,
     CoeffGrid,
+    _check_cells,
     mixed_derivative_coeffs,
     parseval_l2_norm,
     sup_norm_on_grid,
@@ -152,7 +153,10 @@ REGISTRY: dict[str, TestFunction] = {
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Coefficient magnitudes (max(1,k) max(1,j))^(-mu - 1/s - epsilon), each sign a fair coin."""
+    """Coefficient magnitudes (max(1,k) max(1,j))^(-mu - 1/s - epsilon), each sign a fair coin.
+
+    The grid has (kmax + 1)**2 cells, at most 2**26.
+    """
 
     epsilon: float
     kmax: int
@@ -162,6 +166,7 @@ class DecayProfile:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.kmax < 0:
             raise ValueError("kmax must be >= 0")
+        _check_cells((self.kmax + 1, self.kmax + 1))
 
 
 def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int) -> CoeffGrid:
@@ -337,6 +342,10 @@ class ExperimentConfig:
             )
         if not self.epsilon > 0:
             problems.append(f"epsilon: must be > 0, got {self.epsilon}")
+        try:
+            _check_cells((self.k_ref + 1, self.k_ref + 1))
+        except ValueError as exc:
+            problems.append(f"k_ref: {exc}")
         if self.sup_resolution < 2:
             problems.append(f"sup_resolution: must be >= 2, got {self.sup_resolution}")
         if self.gamma_override is not None and not self.gamma_override >= 1:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .cross import HyperbolicCross
 from .spectral import (
     ClassParams,
     CoeffGrid,
+    _check_cells,
     mixed_derivative_coeffs,
     parseval_l2_norm,
     synth_eval,
@@ -63,10 +63,14 @@ class WitnessPair:
     r1: int
     r2: int
     cls: ClassParams
-    selected_k: tuple[int, ...]
     c_tilde: float
     c_bar: float
     c_dbar: float
+
+    @property
+    def selected_k(self) -> tuple[int, ...]:
+        """The band's k in increasing order: the rows of f1's entries in column r2."""
+        return tuple(np.flatnonzero(self.f1.array[:, self.r2 : self.r2 + 1]).tolist())
 
     @cached_property
     def f1_derivative(self) -> CoeffGrid:
@@ -93,15 +97,16 @@ def build_witness_pair(
     r1: int,
     r2: int,
     cls: ClassParams,
-    excluded: Container[tuple[int, int]] = frozenset(),
+    cross: HyperbolicCross | None = None,
     parity: str = "any",
 ) -> WitnessPair:
     """Construct the witness pair for band size N.
 
-    Selects the N smallest admissible k in [N + r1, 3N + r1] whose
-    (k, r2) pair is not excluded.  ``parity`` may prefer "even" or
+    Selects the N smallest k in [N + r1, 3N + r1] whose (k, r2) is not
+    in ``cross``, if one is given.  ``parity`` may prefer "even" or
     "odd" band indices first (topping up with the other parity when
-    short); the default "any" takes the smallest indices outright.
+    short); the default "any" takes the smallest indices outright.  An
+    f1 array, (3N + r1 + 1) x (r2 + 1), over 2**26 cells is refused first.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -109,27 +114,26 @@ def build_witness_pair(
         raise ValueError("orders r1, r2 must be >= 1")
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be any/even/odd, got {parity!r}")
-    band = range(N + r1, 3 * N + r1 + 1)
-    admissible = [k for k in band if (k, r2) not in excluded]
-    if len(admissible) < N:
+    _check_cells((3 * N + r1 + 1, r2 + 1))
+    admissible = np.arange(N + r1, 3 * N + r1 + 1)
+    if cross is not None:  # keep the k whose (k, r2) is not in the cross
+        top = cross.jmax[np.minimum(admissible, cross.k_extent())]
+        admissible = admissible[(admissible > cross.k_extent()) | (r2 < cross.r2) | (r2 > top)]
+    if admissible.size < N:
         raise WitnessInfeasibleError(
-            f"only {len(admissible)} admissible band indices for N={N} "
-            f"(band [{N + r1}, {3 * N + r1}], {len(band) - len(admissible)} excluded)"
+            f"only {admissible.size} admissible band indices for N={N} "
+            f"(band [{N + r1}, {3 * N + r1}], {2 * N + 1 - admissible.size} excluded)"
         )
-    if parity == "any":
-        selected = admissible[:N]
-    else:
-        want = 0 if parity == "even" else 1
-        preferred = [k for k in admissible if k % 2 == want]
-        rest = [k for k in admissible if k % 2 != want]
-        selected = sorted((preferred + rest)[:N])
+    # rank 0 for the preferred parity; a stable sort on the rank keeps each rank in k order
+    rank = {"any": np.zeros_like(admissible), "even": admissible % 2, "odd": 1 - admissible % 2}
+    selected = np.sort(admissible[np.argsort(rank[parity], kind="stable")[:N]])
     c_tilde = _c_tilde(cls)
     value = c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu
-    f2 = CoeffGrid(np.array([[c_tilde]]))
+    f2 = CoeffGrid._adopt(np.full((1, 1), c_tilde))
     band_rows = np.zeros((selected[-1] + 1, r2 + 1))
     band_rows[0, 0] = c_tilde
     band_rows[selected, r2] = value
-    f1 = CoeffGrid(band_rows)
+    f1 = CoeffGrid._adopt(band_rows)
     c_bar = (
         c_tilde
         * math.sqrt(r2 + 0.5)
@@ -151,7 +155,6 @@ def build_witness_pair(
         r1=r1,
         r2=r2,
         cls=cls,
-        selected_k=tuple(selected),
         c_tilde=c_tilde,
         c_bar=c_bar,
         c_dbar=c_dbar,
@@ -212,13 +215,13 @@ def witness_for_cross(
 ) -> WitnessPair:
     """Witness pair that is invisible to a method observing the cross.
 
-    The band must avoid every (k, r2) the cross contains, so N grows
-    beyond the delta threshold until the top N band slots clear the
-    cross's k extent; enlarging N only shrinks the coefficient distance,
-    so the delta budget keeps holding.
+    The band must avoid every (k, r2) the cross contains (the ``cross``
+    of ``build_witness_pair``), so N grows beyond the delta threshold
+    until the top N band slots clear the cross's k extent; enlarging N
+    only shrinks the coefficient distance, so the budget keeps holding.
     """
     r1, r2 = cross.r1, cross.r2
     threshold = min_N_for_delta(delta, p, cls, r2)
     escape = (cross.k_extent() - r1) / 2.0 + 1.0
     N = max(math.ceil(threshold), math.ceil(escape), 1)
-    return build_witness_pair(N, r1, r2, cls, excluded=cross)
+    return build_witness_pair(N, r1, r2, cls, cross=cross)

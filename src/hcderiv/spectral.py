@@ -322,28 +322,31 @@ def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:
     return CoeffGrid._adopt(np.where(keep, c.array[: len(limits)], 0.0))
 
 
-# entries formatted per block, so the per-entry Python objects of one block exist at a time
+# rows formatted per block, so the per-field Python objects of one block exist at a time
 _DUMP_BLOCK = 1 << 12
+
+
+def _dump_table(header: str, columns: tuple[np.ndarray, ...], line: str) -> str:
+    """The header line, then ``line % row`` for each row of ``columns``, one ``%`` per block."""
+    width, rows = len(columns), len(columns[0])
+    blocks = [header + "\n"]
+    for lo in range(0, rows, _DUMP_BLOCK):
+        hi = min(lo + _DUMP_BLOCK, rows)
+        flat = [None] * (width * (hi - lo))
+        for at, column in enumerate(columns):
+            flat[at::width] = column[lo:hi].tolist()
+        blocks.append(line * (hi - lo) % tuple(flat))
+    return "".join(blocks)
 
 
 def dump_grid(c: CoeffGrid) -> str:
     """Serialize to the one-entry-per-line text format, sorted by (k, j).
 
     The text is the header line and then one ``k<TAB>j<TAB>repr(value)``
-    line per nonzero entry.  Each block of entries is formatted by one
-    ``%`` format over a flat tuple of its indices and values.
+    line per nonzero entry.
     """
     ks, js = np.nonzero(c.array)
-    vals = c.array[ks, js]
-    blocks = [GRID_HEADER + "\n"]
-    for lo in range(0, len(vals), _DUMP_BLOCK):
-        hi = min(lo + _DUMP_BLOCK, len(vals))
-        flat = [None] * (3 * (hi - lo))
-        flat[0::3] = ks[lo:hi].tolist()
-        flat[1::3] = js[lo:hi].tolist()
-        flat[2::3] = vals[lo:hi].tolist()
-        blocks.append("%d\t%d\t%r\n" * (hi - lo) % tuple(flat))
-    return "".join(blocks)
+    return _dump_table(GRID_HEADER, (ks, js, c.array[ks, js]), "%d\t%d\t%r\n")
 
 
 _ENTRY = np.dtype([("k", np.int64), ("j", np.int64), ("v", np.float64)])
@@ -419,10 +422,17 @@ def _line_table(text: str) -> np.ndarray:
         raise ValueError("grid indices must fit in 64 bits") from None
 
 
-# the most cells the array of a grid read from text may hold, 4x the
-# (4097, 4097) array of a K = 4096 projection: one line of text must not
-# be able to ask for any amount of memory
+# the most cells an array sized from input may hold (the array of a grid read
+# from text, a synthesized grid, a witness band, the rows of a cross), 4x the
+# (4097, 4097) array of a K = 4096 projection: one number or line of input must
+# not be able to ask for any amount of memory
 _MAX_GRID_CELLS = 2**26
+
+
+def _check_cells(shape: tuple[int, int]) -> None:
+    """Refuse a grid of ``shape`` that would hold more than ``_MAX_GRID_CELLS`` cells."""
+    if shape[0] * shape[1] > _MAX_GRID_CELLS:
+        raise ValueError(f"grid shape {shape} exceeds the limit of {_MAX_GRID_CELLS} cells")
 
 
 def _table_grid(table: np.ndarray) -> CoeffGrid:
@@ -445,8 +455,7 @@ def _table_grid(table: np.ndarray) -> CoeffGrid:
         return CoeffGrid()
     ks, js = ks[keep], js[keep]
     shape = (int(ks.max()) + 1, int(js.max()) + 1)
-    if shape[0] * shape[1] > _MAX_GRID_CELLS:
-        raise ValueError(f"grid shape {shape} exceeds the limit of {_MAX_GRID_CELLS} cells")
+    _check_cells(shape)
     dense = np.zeros(shape)
     dense[ks, js] = vals[keep]
     return CoeffGrid._adopt(dense)

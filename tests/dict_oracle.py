@@ -2,7 +2,9 @@
 
 Grids here are tuple-keyed dicts, the derivative is a scalar loop per
 column and row, crosses enumerate their index tuples, and noise and
-synthetic functions are filled entry by entry.  The property tests in
+synthetic functions are filled entry by entry; ``cross_pairs`` lists the
+pairs of an array cross from its row limits, and ``witness_band`` picks
+a witness band slot by slot from a list.  The property tests in
 ``test_dense_oracle.py`` assert that the array code in ``hcderiv``
 reproduces these results exactly, bit for bit.  ``scatter`` turns
 entries into the 2-D array that ``hcderiv.spectral.CoeffGrid`` is built
@@ -18,11 +20,12 @@ selections and regions, bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 import numpy as np
 
 from hcderiv.cross import CROSS_HEADER_PREFIX, floor_guarded
+from hcderiv.lowerbound import WitnessInfeasibleError
 from hcderiv.spectral import GRID_HEADER
 from hcderiv.truncation import METRIC_L2, GammaRegion, ParameterSelection, SelectionInput
 
@@ -221,6 +224,31 @@ def dump_cross(n: float, gamma: float, r1: int, r2: int) -> str:
     lines = [f"{CROSS_HEADER_PREFIX} n={float(n)!r} gamma={float(gamma)!r} r1={r1} r2={r2}"]
     lines.extend(f"{k}\t{j}" for k, j in build_cross(n, gamma, r1, r2))
     return "\n".join(lines) + "\n"
+
+
+def cross_pairs(cross) -> tuple[Index, ...]:
+    """The pairs of a ``hcderiv.cross.HyperbolicCross``, sorted by (k, j)."""
+    return tuple(
+        (k, j) for k, top in enumerate(cross.jmax.tolist()) for j in range(cross.r2, top + 1)
+    )
+
+
+def witness_band(N: int, r1: int, r2: int, excluded: Container[Index] = frozenset(),
+                 parity: str = "any") -> tuple[int, ...]:
+    """The k of a witness band: N slots of [N + r1, 3N + r1] whose (k, r2) is not excluded."""
+    band = range(N + r1, 3 * N + r1 + 1)
+    admissible = [k for k in band if (k, r2) not in excluded]
+    if len(admissible) < N:
+        raise WitnessInfeasibleError(
+            f"only {len(admissible)} admissible band indices for N={N} "
+            f"(band [{N + r1}, {3 * N + r1}], {len(band) - len(admissible)} excluded)"
+        )
+    if parity == "any":
+        return tuple(admissible[:N])
+    want = 0 if parity == "even" else 1
+    preferred = [k for k in admissible if k % 2 == want]
+    rest = [k for k in admissible if k % 2 != want]
+    return tuple(sorted((preferred + rest)[:N]))
 
 
 def restrict_to_cross(c: CoeffGrid, members: frozenset[Index]) -> CoeffGrid:

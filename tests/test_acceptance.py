@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dict_oracle as oracle
 from hcderiv.cli import main as cli_main
 from hcderiv.cross import build_cross
 from hcderiv.harness import REGISTRY, ExperimentConfig, run_convergence_study
@@ -184,7 +185,7 @@ def test_criterion_8_cross_cardinality():
     mismatches = 0
     for gamma in (1.0, 1.5, 2.0):
         for n in range(1, 201):
-            enumerated = set(build_cross(float(n), gamma, 1, 1).indices)
+            enumerated = set(oracle.cross_pairs(build_cross(float(n), gamma, 1, 1)))
             brute = {
                 (k, j)
                 for k in range(1, n + 2)

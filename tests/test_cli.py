@@ -56,6 +56,14 @@ def test_coeffs_unknown_id(tmp_path, capsys):
     assert "not-a-function" in capsys.readouterr().err
 
 
+def test_coeffs_rejects_a_grid_over_the_cell_limit(tmp_path, capsys):
+    assert run("coeffs", "boundary-decay", "--k", 1000000, "--out", tmp_path / "b.grid") == 2
+    assert capsys.readouterr().err == (
+        "error: grid shape (1000001, 1000001) exceeds the limit of 67108864 cells\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
 def test_coeffs_round_trip(tmp_path):
     out = tmp_path / "poly.grid"
     assert run("coeffs", "poly", "--k", 8, "--out", out) == 0
@@ -233,6 +241,22 @@ def test_diff_rejects_a_grid_too_large_to_hold(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["huge.grid"]
 
 
+def test_diff_rejects_a_cross_with_too_many_rows(tmp_path, capsys):
+    # delta = 1e-300 selects n near 1e60, a cross of about 1e60 rows
+    grid = tmp_path / "e.grid"
+    assert run("coeffs", "exp-sum", "--k", 8, "--out", grid) == 0
+    before = sorted(os.listdir(tmp_path))
+    code = run("diff", grid, "--r1", 1, "--r2", 1, "--delta", "1e-300", "--mu", 5,
+               "--out", tmp_path / "d.grid")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: cross for n=1.0000000000000076e+60 needs "
+        "1000000000001007764664147292995031149143822535766588340043777 rows, "
+        "over the limit of 67108864\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 # ---------------------------------------------------------------------------
 # every subcommand renders its texts before it writes a file
 
@@ -275,6 +299,14 @@ def test_cross_invalid_n(tmp_path, capsys, n):
     assert run("cross", "--n", n, "--out", tmp_path / "c.txt") == 2
     assert capsys.readouterr().err.startswith("error: n must be")
     assert not (tmp_path / "c.txt").exists()
+
+
+def test_cross_rejects_more_rows_than_the_limit(tmp_path, capsys):
+    assert run("cross", "--n", "1e12", "--out", tmp_path / "x.txt") == 2
+    assert capsys.readouterr().err == (
+        "error: cross for n=1000000000000.0 needs 1000000000002 rows, over the limit of 67108864\n"
+    )
+    assert os.listdir(tmp_path) == []
 
 
 def test_cross_dump(tmp_path, capsys):
@@ -450,6 +482,19 @@ def test_experiment_rejects_a_gamma_override_below_one(tmp_path, capsys, gamma):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("function", ["boundary-decay", "poly"])
+def test_experiment_rejects_a_k_ref_over_the_cell_limit(tmp_path, capsys, function):
+    bad = tmp_path / "big.ini"
+    bad.write_text(f"[function]\nid = {function}\nk_ref = 1000000\n")
+    code = run("experiment", "--config", bad, "--out-csv", tmp_path / "x.csv")
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: invalid config:\n"
+        "  - k_ref: grid shape (1000001, 1000001) exceeds the limit of 67108864 cells\n"
+    )
+    assert os.listdir(tmp_path) == ["big.ini"]
+
+
 def test_experiment_missing_config(tmp_path):
     assert run("experiment", "--config", tmp_path / "nope.ini",
                "--out-csv", tmp_path / "x.csv") == 4
@@ -530,6 +575,16 @@ def test_radius_rejects_small_sweeps(tmp_path, capsys):
     assert capsys.readouterr().err == line
     assert run("radius", "--n-values", "8,16", "--out-json", tmp_path / "r.json") == 2
     assert capsys.readouterr().err == line
+
+
+def test_radius_rejects_a_band_over_the_cell_limit(tmp_path, capsys):
+    # N = 2**40 needs a (3N + 2) x 2 witness array
+    code = run("radius", "--n-values", "4,8,16,1099511627776", "--out-json", tmp_path / "r.json")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: grid shape (3298534883330, 2) exceeds the limit of 67108864 cells\n"
+    )
+    assert os.listdir(tmp_path) == []
 
 
 def test_version_flag(capsys):

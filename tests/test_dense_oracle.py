@@ -5,6 +5,7 @@ the array kernels add the same terms in the same order as the dict
 loops they replaced, so nothing may move even in the last bit.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ import dict_oracle as oracle
 from hcderiv.cross import build_cross, dump_cross
 from hcderiv.harness import DecayProfile, synthesize_class_function
 from hcderiv.legendre import clenshaw_eval, eval_phi, muller_differentiate_iterated
-from hcderiv.lowerbound import build_witness_pair
+from hcderiv.lowerbound import WitnessInfeasibleError, build_witness_pair
 from hcderiv.noise import NoiseSpec, _sphere_noise
 from hcderiv.spectral import (
     ClassParams,
@@ -192,6 +193,9 @@ def _boundary_cases():
     cases += [(float(n), 1.0, r1, r2) for n in (12, 36, 60) for r1, r2 in ((1, 1), (2, 1), (2, 2))]
     cases += [(float(n), 2.0, 1, 1) for n in (4, 18, 50, 72)]
     cases += [(float(n), 1.5, r1, r2) for n in (8, 27, 64) for r1, r2 in ((1, 1), (3, 2))]
+    # empty crosses (n < r1 * r2**gamma, among them n < r1), and gamma > 1 with offsets
+    cases += [(3.0, 1.0, 2, 2), (1.5, 1.0, 2, 1), (0.9, 2.0, 1, 1), (40.5, 3.0, 4, 3)]
+    cases += [(100.0, 1.5, 2, 1), (150.0, 3.0, 2, 2)]
     return cases
 
 
@@ -199,12 +203,60 @@ def _boundary_cases():
 def test_cross_on_floor_guarded_boundaries_matches(n, gamma, r1, r2):
     cross = build_cross(n, gamma, r1, r2)
     ref = oracle.build_cross(n, gamma, r1, r2)
-    assert cross.indices == ref
+    assert oracle.cross_pairs(cross) == ref
     assert len(cross) == len(ref)
     assert dump_cross(cross) == oracle.dump_cross(n, gamma, r1, r2)
     members = frozenset(ref)
     top = int(math.ceil(n)) + 2
     assert all(((k, j) in cross) == ((k, j) in members) for k in range(top) for j in range(top))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.01, max_value=400.0),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(min_value=1.0, max_value=4.0),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+@example(3.0, 1.0, 2, 2)
+@example(1.5, 2.0, 2, 1)
+@example(12345.6, 3.0, 4, 3)
+def test_dump_cross_matches(n, gamma, r1, r2):
+    cross = build_cross(n, gamma, r1, r2)
+    assert oracle.cross_pairs(cross) == oracle.build_cross(n, gamma, r1, r2)
+    assert dump_cross(cross) == oracle.dump_cross(n, gamma, r1, r2)
+
+
+def test_witness_band_matches():
+    # N, r1, r2 and parity over no cross and six crosses: some block part of
+    # a band, some all of it, and some have a different r2 from the band's
+    cls = ClassParams(2, 3)
+    crosses = [None] + [
+        build_cross(*case)
+        for case in ((5, 1, 1, 1), (13, 1, 1, 1), (40, 1, 1, 1), (100, 1.5, 2, 1), (30, 1, 1, 2),
+                     (60, 2, 3, 1))
+    ]
+    outcomes = []
+    for cross, N, r1, r2, parity in itertools.product(
+        crosses, (1, 2, 3, 4, 5, 8, 16, 33), (1, 2, 3), (1, 2), ("any", "even", "odd")
+    ):
+        members = frozenset() if cross is None else frozenset(
+            oracle.build_cross(cross.n, cross.gamma, cross.r1, cross.r2))
+        try:
+            ref = oracle.witness_band(N, r1, r2, members, parity)
+        except WitnessInfeasibleError as exc:
+            with pytest.raises(WitnessInfeasibleError) as got:
+                build_witness_pair(N, r1, r2, cls, cross=cross, parity=parity)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            outcomes.append(False)
+            continue
+        w = build_witness_pair(N, r1, r2, cls, cross=cross, parity=parity)
+        value = w.c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu
+        entries = {(0, 0): w.c_tilde, **{(k, r2): value for k in ref}}
+        assert w.selected_k == ref
+        assert np.array_equal(w.f1.array, oracle.scatter(entries))
+        outcomes.append(True)
+    assert len(outcomes) == 1008 and 0 < outcomes.count(False) < 1008
 
 
 @settings(max_examples=60, deadline=None)

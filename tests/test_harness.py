@@ -88,6 +88,10 @@ def test_profile_validation():
         DecayProfile(epsilon=0.0, kmax=10)
     with pytest.raises(ValueError):
         DecayProfile(epsilon=0.1, kmax=-1)
+    # an (8193, 8193) grid is just over 2**26 cells; 8192 x 8192 is at the limit
+    with pytest.raises(ValueError, match="exceeds the limit of 67108864 cells"):
+        DecayProfile(epsilon=0.1, kmax=8192)
+    DecayProfile(epsilon=0.1, kmax=8191)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dict_oracle as oracle
 from hcderiv.cross import build_cross
 from hcderiv.lowerbound import (
     WitnessInfeasibleError,
@@ -37,14 +38,15 @@ def test_construction_example():
 
 
 def test_exclusion_shifts_selection():
-    w = build_witness_pair(4, 1, 1, CLS, excluded={(5, 1)})
+    # the cross holds (5, 1) but no other slot of the band [5, 13]
+    w = build_witness_pair(4, 1, 1, CLS, cross=build_cross(5, 1, 1, 1))
     assert w.selected_k == (6, 7, 8, 9)
 
 
 def test_infeasible_when_band_blocked():
-    excluded = {(k, 1) for k in range(5, 14)}
+    # the cross holds (k, 1) for every k of the band [5, 13]
     with pytest.raises(WitnessInfeasibleError):
-        build_witness_pair(4, 1, 1, CLS, excluded=excluded)
+        build_witness_pair(4, 1, 1, CLS, cross=build_cross(13, 1, 1, 1))
 
 
 @pytest.mark.parametrize("N", [4, 8, 16, 64])
@@ -111,14 +113,16 @@ def test_l2_measure_scales_linearly():
 
 
 def test_indistinguishable_off_band():
-    excluded = {(7, 1), (9, 1)}
-    w = build_witness_pair(6, 1, 1, CLS, excluded=excluded)
+    # the cross holds (7, 1), (8, 1) and (9, 1) of the band [7, 19]
+    cross = build_cross(9, 1, 1, 1)
+    members = set(oracle.cross_pairs(cross))
+    w = build_witness_pair(6, 1, 1, CLS, cross=cross)
     band = {(k, 1) for k in w.selected_k}
-    assert band.isdisjoint(excluded)
-    rows, cols = max(w.f1.array.shape[0], 10), max(w.f1.array.shape[1], 4)
+    assert band.isdisjoint(members)
+    rows, cols = max(w.f1.array.shape[0], 10), max(w.f1.array.shape[1], 10)
     f1, f2 = (np.pad(g.array, [(0, rows - g.array.shape[0]), (0, cols - g.array.shape[1])])
               for g in (w.f1, w.f2))
-    for idx in excluded | {(0, 0), (3, 3)}:
+    for idx in members | {(0, 0)}:
         assert f1[idx] == f2[idx]
 
 
@@ -170,3 +174,6 @@ def test_witness_validation():
         build_witness_pair(4, 0, 1, CLS)
     with pytest.raises(ValueError):
         build_witness_pair(4, 1, 1, CLS, parity="sideways")
+    # f1 would need a (3 * 2**40 + 2) x 2 array
+    with pytest.raises(ValueError, match="exceeds the limit of 67108864 cells"):
+        build_witness_pair(2**40, 1, 1, CLS)
