@@ -4,7 +4,10 @@ The cross for parameters (n, gamma, r1, r2) is the set of pairs (k, j)
 with k >= r1, j >= r2 and k * j**gamma <= n, stored as per-row limits,
 never as a list of pairs.  Endpoints are floored after a 1e-12 relative
 guard so that boundaries that are exact integers up to rounding stay
-inside the set on every platform.
+inside the set on every platform.  The row limits are computed in numpy
+blocks; numpy's ``power`` may differ from Python's ``**`` in the last
+bits, so rows whose guarded endpoint lies near an integer are redone
+with the scalar expression, and every row equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +22,12 @@ from .spectral import _MAX_GRID_CELLS, _dump_table
 __all__ = ["HyperbolicCross", "build_cross", "dump_cross"]
 
 _GUARD = 1.0 + 1e-12
+# rows per numpy block, so the float temporaries stay small beside jmax
+_ROW_BLOCK = 1 << 16
+# a few ulp between numpy's power and Python's ** can move a floor only where an
+# integer lies that close; rows within this relative distance are redone in Python
+_NEAR_INTEGER = 1e-13
+_MAX_ROW = np.iinfo(np.int64).max
 
 CROSS_HEADER_PREFIX = "# cross v1"
 
@@ -67,8 +76,12 @@ def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
 
     k runs from r1 to floor(n / r2**gamma) and, for each k, j runs from
     r2 to floor((n / k)**(1/gamma)); both floors use the relative guard.
-    The result is empty when n < r1 * r2**gamma, and more than 2**26
-    rows are refused.
+    The rows are evaluated with numpy in blocks of ``2**16``, and each row
+    whose guarded endpoint lies within 1e-13 (relative) of an integer is
+    recomputed with the scalar ``floor_guarded((n / k)**(1/gamma))``, so
+    every row is the scalar value bit for bit.  The result is empty when
+    n < r1 * r2**gamma (also when r2**gamma overflows), and more than
+    2**26 rows, or a row past the int64 range, are refused.
     """
     if not gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
@@ -78,14 +91,25 @@ def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
         raise ValueError(f"n must be positive, got {n}")
     if not math.isfinite(n):
         raise ValueError(f"n must be finite, got {n}")
-    kmax = floor_guarded(n / r2**gamma)
+    try:
+        kmax = floor_guarded(n / r2**gamma)
+    except OverflowError:  # r2**gamma is past the float range, so n < r1 * r2**gamma
+        kmax = 0
     if kmax + 1 > _MAX_GRID_CELLS:
         raise ValueError(
             f"cross for n={n} needs {kmax + 1} rows, over the limit of {_MAX_GRID_CELLS}"
         )
     inv_gamma = 1.0 / gamma
+    if kmax >= r1 and floor_guarded((n / r1) ** inv_gamma) > _MAX_ROW:
+        raise ValueError(f"cross for n={n} has rows past j={_MAX_ROW}, the int64 range")
     jmax = np.full(kmax + 1, r2 - 1, dtype=np.int64)
-    jmax[r1:] = [floor_guarded((n / k) ** inv_gamma) for k in range(r1, kmax + 1)]
+    for lo in range(r1, kmax + 1, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, kmax + 1)
+        guarded = (n / np.arange(lo, hi, dtype=float)) ** inv_gamma * _GUARD
+        jmax[lo:hi] = np.floor(guarded)
+        near = np.abs(guarded - np.rint(guarded)) <= _NEAR_INTEGER * guarded
+        for k in (lo + np.flatnonzero(near)).tolist():
+            jmax[k] = floor_guarded((n / k) ** inv_gamma)
     jmax.flags.writeable = False
     return HyperbolicCross(n=float(n), gamma=float(gamma), r1=r1, r2=r2, jmax=jmax)
 

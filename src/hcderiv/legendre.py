@@ -175,18 +175,34 @@ def muller_differentiate_iterated(a: Coeffs1D, r: int) -> Coeffs1D:
     return _from_dense(differentiate_coeffs(_to_dense(a), r))
 
 
-def _recurrence(n: int) -> tuple[list[float], list[float]]:
-    """Clenshaw factors alpha_k and c_k for 0 <= k < n, as Python floats.
+# one slot: the Clenshaw factors for the largest size asked so far; see _recurrence
+_KEPT_FACTORS: list[tuple[np.ndarray, list[float]]] = [(np.empty(0), [])]
+
+
+def _recurrence(n: int) -> tuple[np.ndarray, list[float]]:
+    """Clenshaw factors alpha_k and c_k for 0 <= k < n, or for more k.
 
     alpha_k = (2k+1)/(k+1) w_{k+1}/w_k and c_k = k/(k+1) w_{k+1}/w_{k-1}
-    with w_k = sqrt(k + 1/2); c_0 is unused and set to 0.
+    with w_k = sqrt(k + 1/2); c_0 is unused and set to 0.  alpha is a
+    read-only array (callers scale it by t) and c a list of Python floats.
+
+    The factors are kept between calls, built for the largest n asked.
+    Each is elementwise in k, so the first n entries of longer factors
+    equal the factors for n bit for bit, and no result depends on whether
+    they were kept.  The kept factors are dropped before larger ones are
+    built, so two sets are never held at once.
     """
-    k = np.arange(n)
-    w = _weights(n + 1)
-    alpha = (2 * k + 1) / (k + 1) * w[1:] / w[:-1]
-    c = np.zeros(n)
-    c[1:] = k[1:] / (k[1:] + 1) * w[2:] / w[:-2]
-    return alpha.tolist(), c.tolist()
+    kept = _KEPT_FACTORS[0]
+    if len(kept[1]) < n:
+        kept = _KEPT_FACTORS[0] = (np.empty(0), [])  # drop the old factors first
+        k = np.arange(n)
+        w = _weights(n + 1)
+        alpha = (2 * k + 1) / (k + 1) * w[1:] / w[:-1]
+        alpha.flags.writeable = False
+        c = np.zeros(n)
+        c[1:] = k[1:] / (k[1:] + 1) * w[2:] / w[:-2]
+        kept = _KEPT_FACTORS[0] = (alpha, c.tolist())
+    return kept
 
 
 def clenshaw_rows(a: np.ndarray, t: float):
@@ -200,11 +216,13 @@ def clenshaw_rows(a: np.ndarray, t: float):
     n = a.shape[-1] - 1
     alpha, c = _recurrence(n + 2)
     w0, w1 = _w(0), _w(1)
+    # alpha_k * t is the product Python forms first in alpha_k * t * b1
+    alpha_t = (alpha[n:0:-1] * t).tolist()
     cols = a.tolist() if a.ndim == 1 else np.ascontiguousarray(a.T)
     b1 = 0.0
     b2 = 0.0
-    for k in range(n, 0, -1):
-        b1, b2 = cols[k] + alpha[k] * t * b1 - c[k + 1] * b2, b1
+    for col, at, ck in zip(cols[n:0:-1], alpha_t, c[n + 1 : 1 : -1]):
+        b1, b2 = col + at * b1 - ck * b2, b1
     return (cols[0] - c[1] * b2) * w0 + b1 * w1 * t
 
 

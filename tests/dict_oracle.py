@@ -1,7 +1,8 @@
 """The dict-based reference implementation that the dense array core replaced.
 
 Grids here are tuple-keyed dicts, the derivative is a scalar loop per
-column and row, crosses enumerate their index tuples, and noise and
+column and row, crosses enumerate their index tuples from one scalar
+row limit per k (``cross_rows``), and noise and
 synthetic functions are filled entry by entry; ``cross_pairs`` lists the
 pairs of an array cross from its row limits, and ``witness_band`` picks
 a witness band slot by slot from a list.  The property tests in
@@ -209,15 +210,17 @@ def synth_eval(c: CoeffGrid, t: float, tau: float) -> float:
     return clenshaw_eval(outer, t)
 
 
-def build_cross(n: float, gamma: float, r1: int, r2: int) -> tuple[Index, ...]:
-    """The cross's index pairs, enumerated row by row."""
-    indices: list[Index] = []
+def cross_rows(n: float, gamma: float, r1: int, r2: int) -> list[int]:
+    """The cross's row limits jmax[k] for k from r1 to kmax, one scalar expression per row."""
     kmax = floor_guarded(n / r2**gamma)
     inv_gamma = 1.0 / gamma
-    for k in range(r1, kmax + 1):
-        jmax = floor_guarded((n / k) ** inv_gamma)
-        indices.extend((k, j) for j in range(r2, jmax + 1))
-    return tuple(indices)
+    return [floor_guarded((n / k) ** inv_gamma) for k in range(r1, kmax + 1)]
+
+
+def build_cross(n: float, gamma: float, r1: int, r2: int) -> tuple[Index, ...]:
+    """The cross's index pairs, enumerated row by row."""
+    rows = cross_rows(n, gamma, r1, r2)
+    return tuple((k, j) for k, top in enumerate(rows, r1) for j in range(r2, top + 1))
 
 
 def dump_cross(n: float, gamma: float, r1: int, r2: int) -> str:

@@ -153,6 +153,17 @@ def test_diff_gamma_override(tmp_path, poly_grid):
     assert sidecar["case_label"].endswith("-forced")
 
 
+def test_diff_with_r2_to_the_gamma_past_the_float_range(tmp_path, poly_grid):
+    out = tmp_path / "d.grid"
+    code = run(
+        "diff", poly_grid, "--r1", 2, "--r2", 2, "--delta", "1e-3", "--mu", 9,
+        "--gamma", 2000, "--out", out,
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "d.grid.json").read_text())["cross_cardinality"] == 0
+    assert len(load_grid(out)) == 0
+
+
 @pytest.mark.parametrize("gamma", ["0.5", "nan"])
 def test_diff_rejects_a_forced_gamma_below_one(tmp_path, poly_grid, capsys, gamma):
     out = tmp_path / "g.grid"
@@ -305,6 +316,23 @@ def test_cross_rejects_more_rows_than_the_limit(tmp_path, capsys):
     assert run("cross", "--n", "1e12", "--out", tmp_path / "x.txt") == 2
     assert capsys.readouterr().err == (
         "error: cross for n=1000000000000.0 needs 1000000000002 rows, over the limit of 67108864\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
+def test_cross_with_r2_to_the_gamma_past_the_float_range_is_empty(tmp_path, capsys):
+    # 2**2000 overflows a float: n < r1 * r2**gamma, so the cross is empty
+    out = tmp_path / "g.txt"
+    assert run("cross", "--n", 10, "--gamma", 2000, "--r2", 2, "--out", out) == 0
+    assert capsys.readouterr().out == "cross cardinality: 0\n"
+    assert out.read_text().splitlines()[1:] == ["# cross v1 n=10.0 gamma=2000.0 r1=1 r2=2"]
+
+
+def test_cross_rejects_a_row_past_the_int64_range(tmp_path, capsys):
+    # 1e5 rows, the first of them up to j = 1e20
+    assert run("cross", "--n", "1e20", "--r2", 10**15, "--out", tmp_path / "x.txt") == 2
+    assert capsys.readouterr().err == (
+        "error: cross for n=1e+20 has rows past j=9223372036854775807, the int64 range\n"
     )
     assert os.listdir(tmp_path) == []
 

@@ -147,3 +147,17 @@ def test_dump_cross_stays_near_the_size_of_its_text():
         tracemalloc.stop()
     assert text.count("\n") == 1 + len(cross)
     assert peak < 6 * len(text)
+
+
+def test_build_cross_peak_stays_near_its_row_limits():
+    # the rows are computed a block of 2**16 at a time, so beside jmax (32 MiB
+    # here) only one block of float temporaries exists: about 1.05x jmax; a
+    # Python list of one int per row took 2.05x
+    tracemalloc.start()
+    try:
+        cross = build_cross(2**22, 1, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cross.jmax) == 2**22 + 1
+    assert peak <= 1.25 * cross.jmax.nbytes

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dict_oracle as oracle
+from hcderiv import legendre
 from hcderiv.cross import build_cross, dump_cross
 from hcderiv.harness import DecayProfile, synthesize_class_function
 from hcderiv.legendre import clenshaw_eval, eval_phi, muller_differentiate_iterated
@@ -225,6 +226,113 @@ def test_dump_cross_matches(n, gamma, r1, r2):
     cross = build_cross(n, gamma, r1, r2)
     assert oracle.cross_pairs(cross) == oracle.build_cross(n, gamma, r1, r2)
     assert dump_cross(cross) == oracle.dump_cross(n, gamma, r1, r2)
+
+
+def _rows_match(n, gamma, r1, r2):
+    # jmax[r1:] against the scalar row list; rows below r1 hold r2 - 1
+    cross = build_cross(n, gamma, r1, r2)
+    assert cross.jmax[r1:].tolist() == oracle.cross_rows(n, gamma, r1, r2), (n, gamma, r1, r2)
+    assert cross.jmax[:r1].tolist() == [r2 - 1] * min(r1, len(cross.jmax))
+    return cross
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.25, 1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("r1,r2", [(1, 1), (3, 2)])
+def test_cross_rows_match_the_scalar_rows(gamma, r1, r2):
+    for n in (0.7, 5.0, 99.99, 1234.5, 54321.0, 2e5 / 3):
+        _rows_match(n, gamma, r1, r2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.01, max_value=1e5),
+    st.sampled_from([1.0, 1.25, 1.5, 2.0, 2.5, 3.0]) | st.floats(min_value=1.0, max_value=4.0),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+def test_cross_rows_match_the_scalar_rows_drawn(n, gamma, r1, r2):
+    _rows_match(n, gamma, r1, r2)
+
+
+# n = k * j**gamma holds exactly for many (k, j): j**gamma is an integer
+# whenever j (gamma 1, 2, 3) or sqrt(j) (gamma 1.5, 2.5) is one
+@pytest.mark.parametrize("n,gamma", [(151200.0, 1.0), (216000.0, 1.5), (129600.0, 2.0),
+                                     (248832.0, 2.5), (216000.0, 3.0)])
+def test_cross_rows_on_exact_boundaries_match(n, gamma):
+    cross = _rows_match(n, gamma, 1, 1)
+    exact = [k for k in range(1, len(cross.jmax))
+             if n % k == 0 and float(cross.jmax[k]) ** gamma == n / k]
+    assert len(exact) >= 6
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+@pytest.mark.parametrize("kmax", [2**16 - 1, 2**16, 2**16 + 1])
+def test_cross_rows_across_a_block_edge_match(kmax, gamma):
+    # rows run from k = 1 in blocks of 2**16: one short block, one full block,
+    # and one full block plus a one-row block
+    cross = _rows_match((kmax + 0.5) * 2**gamma, gamma, 1, 2)
+    assert cross.k_extent() == kmax
+
+
+def test_cross_rows_where_numpy_power_and_python_pow_disagree_match():
+    # numpy's power may round differently from Python's ** (on AVX-512 hosts
+    # about 5% of inputs differ in the last bit); that moves a floor only
+    # when the guarded endpoint lies within a few ulp of an integer.  n =
+    # k * (m / guard)**gamma puts row k there; keep the crosses where the
+    # unchecked numpy floor of some row differs from the scalar one
+    guard = 1.0 + 1e-12
+    rng = np.random.default_rng(20240617)
+    flipped = 0
+    for _ in range(300):
+        gamma = float(rng.choice([1.25, 1.5, 2.5, 3.0]))
+        k, m = int(rng.integers(1, 300)), int(rng.integers(2, 6))
+        n = k * (m / guard) ** gamma
+        scalar = oracle.cross_rows(n, gamma, 1, 1)
+        unchecked = np.floor((n / np.arange(1, len(scalar) + 1, dtype=float)) ** (1 / gamma) * guard)
+        if unchecked.tolist() != scalar:
+            flipped += int(np.count_nonzero(unchecked != scalar))
+            _rows_match(n, gamma, 1, 1)
+    # a host whose numpy power is the C library's pow, as Python's ** is, flips no row
+    x = rng.uniform(1.0, 1e4, 1000)
+    power_differs = np.power(x, 1 / 1.5).tolist() != [v ** (1 / 1.5) for v in x.tolist()]
+    assert flipped > 0 or not power_differs
+
+
+CLENSHAW_SIZES = (1, 2, 3, 64, 8193)
+CLENSHAW_POINTS = (-1.0, 1.0, 0.37)
+
+
+def _clenshaw_inputs(size):
+    rng = np.random.default_rng(size)
+    return rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, (3, size))
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_clenshaw_matches_whether_factors_are_kept_or_built(descending, monkeypatch):
+    # from no kept factors, each size asks for factors one longer than the
+    # size: ascending sizes build longer factors at every size, descending
+    # ones build them once and then read prefixes of them
+    monkeypatch.setattr(legendre, "_KEPT_FACTORS", [(np.empty(0), [])])
+    kept = []
+    for size in sorted(CLENSHAW_SIZES, reverse=descending):
+        a, rows = _clenshaw_inputs(size)
+        for t in CLENSHAW_POINTS:
+            assert legendre.clenshaw_rows(a, t) == oracle.clenshaw_eval(dict(enumerate(a)), t)
+            got = legendre.clenshaw_rows(rows, t)
+            assert got.tolist() == [oracle.clenshaw_eval(dict(enumerate(r)), t) for r in rows]
+        kept.append(legendre._KEPT_FACTORS[0])
+    assert len({id(factors) for factors in kept}) == (1 if descending else len(CLENSHAW_SIZES))
+
+
+@pytest.mark.parametrize("size", CLENSHAW_SIZES)
+def test_synth_eval_matches_at_clenshaw_sizes(size):
+    # tall and wide grids: the long Clenshaw sum runs over k, then over j
+    _, rows = _clenshaw_inputs(size)
+    for grid in (rows, rows.T):
+        ref = oracle.CoeffGrid({idx: v for idx, v in np.ndenumerate(grid)})
+        for t in CLENSHAW_POINTS:
+            assert synth_eval(CoeffGrid(grid), t, 0.37) == oracle.synth_eval(ref, t, 0.37)
+            assert synth_eval(CoeffGrid(grid), 0.37, t) == oracle.synth_eval(ref, 0.37, t)
 
 
 def test_witness_band_matches():
