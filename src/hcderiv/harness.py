@@ -8,17 +8,18 @@ comparison with the theoretical exponent.  A radius study sweeps the
 witness band size N, feeds the method adversarial witness data, and
 compares the decay of the method error with the lower bound.
 
-Reference functions come from a small registry: exact bivariate
-polynomials (monomial-backed, with closed-form mixed derivatives), a
-fast-decay analytic function, and the synthetic boundary-decay family
-that sits on the unit sphere of the smoothness class.
+Reference functions come from a small registry, a table from each id
+to its array function f(t, u): two exact bivariate polynomials and a
+fast-decay analytic function, which are projected by quadrature, and
+the synthetic boundary-decay family, mapped to None, whose coefficients
+are drawn directly on the unit sphere of the smoothness class.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,8 @@ from .quadrature import compute_coeff_grid
 from .spectral import (
     ClassParams,
     CoeffGrid,
+    _MAX_GRID_CELLS,
+    _MAX_RESOLUTION,
     _check_cells,
     mixed_derivative_coeffs,
     parseval_l2_norm,
@@ -55,7 +58,6 @@ from .truncation import (
 
 __all__ = [
     "DecayProfile",
-    "TestFunction",
     "REGISTRY",
     "synthesize_class_function",
     "single_term_class_function",
@@ -84,70 +86,17 @@ def _monomial_eval(monomials: dict[tuple[int, int], float], t, u):
     return total
 
 
-def _falling(a: int, r: int) -> float:
-    out = 1.0
-    for i in range(r):
-        out *= a - i
-    return out
-
-
-def _monomial_derivative(
-    monomials: dict[tuple[int, int], float], r1: int, r2: int
-) -> dict[tuple[int, int], float]:
-    out: dict[tuple[int, int], float] = {}
-    for (a, b), coef in monomials.items():
-        if a >= r1 and b >= r2:
-            out[(a - r1, b - r2)] = coef * _falling(a, r1) * _falling(b, r2)
-    return out
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Registry entry: either an exact polynomial or a smooth callable.
-
-    ``synthetic`` entries have no pointwise form; their coefficient grid
-    is generated directly by :func:`synthesize_class_function`.
-    """
-
-    name: str
-    monomials: dict[tuple[int, int], float] | None = None
-    fn: Callable | None = None
-    deriv_factory: Callable[[int, int], Callable] | None = None
-    synthetic: bool = False
-
-    def callable(self) -> Callable:
-        if self.monomials is not None:
-            monos = self.monomials
-            return lambda t, u: _monomial_eval(monos, t, u)
-        if self.fn is not None:
-            return self.fn
-        raise ValueError(f"function {self.name!r} has no pointwise form")
-
-    def derivative_callable(self, r1: int, r2: int) -> Callable:
-        if self.monomials is not None:
-            dm = _monomial_derivative(self.monomials, r1, r2)
-            return lambda t, u: _monomial_eval(dm, t, u)
-        if self.deriv_factory is not None:
-            return self.deriv_factory(r1, r2)
-        raise ValueError(f"function {self.name!r} has no derivative form")
-
-
 def _exp_sum(t, u):
     return np.exp(t + u) / 4.0
 
 
-REGISTRY: dict[str, TestFunction] = {
-    "one": TestFunction(name="one", monomials={(0, 0): 1.0}),
-    "poly": TestFunction(
-        name="poly",
-        monomials={(4, 3): 1.0, (2, 1): 2.0, (1, 2): 1.0},
-    ),
-    "exp-sum": TestFunction(
-        name="exp-sum",
-        fn=_exp_sum,
-        deriv_factory=lambda r1, r2: _exp_sum,
-    ),
-    "boundary-decay": TestFunction(name="boundary-decay", synthetic=True),
+# id -> array function f(t, u); None marks the synthetic family that
+# synthesize_class_function draws in coefficient space
+REGISTRY: dict[str, Callable | None] = {
+    "one": partial(_monomial_eval, {(0, 0): 1.0}),
+    "poly": partial(_monomial_eval, {(4, 3): 1.0, (2, 1): 2.0, (1, 2): 1.0}),
+    "exp-sum": _exp_sum,
+    "boundary-decay": None,
 }
 
 
@@ -206,11 +155,11 @@ def _registry_grid(
     Synthetic entries are drawn from the class (s, mu) with ``seed``; the
     others are projected by quadrature of order ``m``.
     """
-    entry = REGISTRY[function_id]
-    if entry.synthetic:
+    fn = REGISTRY[function_id]
+    if fn is None:
         cls = ClassParams(s=s, mu=mu)
         return synthesize_class_function(cls, DecayProfile(epsilon=epsilon, kmax=kmax), seed)
-    return compute_coeff_grid(entry.callable(), kmax, m)
+    return compute_coeff_grid(fn, kmax, m)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +279,8 @@ class ExperimentConfig:
             )
         if self.delta_count < 1:
             problems.append(f"count: must be >= 1, got {self.delta_count}")
+        elif self.delta_count > _MAX_GRID_CELLS:
+            problems.append(f"count: must be <= {_MAX_GRID_CELLS}, got {self.delta_count}")
         if self.noise_mode not in _NOISE_MODES:
             problems.append(f"mode: must be one of {tuple(_NOISE_MODES)}, got {self.noise_mode!r}")
         if not 0 <= self.seed < 2**64:
@@ -348,6 +299,10 @@ class ExperimentConfig:
             problems.append(f"k_ref: {exc}")
         if self.sup_resolution < 2:
             problems.append(f"sup_resolution: must be >= 2, got {self.sup_resolution}")
+        elif self.sup_resolution > _MAX_RESOLUTION:
+            problems.append(
+                f"sup_resolution: must be <= {_MAX_RESOLUTION}, got {self.sup_resolution}"
+            )
         if self.gamma_override is not None and not self.gamma_override >= 1:
             problems.append(f"gamma: override must be >= 1, got {self.gamma_override}")
         if not problems:
@@ -482,7 +437,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("invalid experiment config: " + "; ".join(problems))
     deltas = config.deltas()
     plan = config._sweep_plan
-    support = _noise_support(cross for _, cross in plan)
+    support = config.noise_support()
     sum_l2 = np.zeros(len(deltas))
     sum_c = np.zeros(len(deltas))
     sum_noise = np.zeros(len(deltas))

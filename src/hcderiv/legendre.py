@@ -21,7 +21,6 @@ and the array kernels :func:`differentiate_coeffs` and
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,12 +37,6 @@ __all__ = [
     "differentiate_coeffs",
     "phi_vandermonde",
 ]
-
-
-@lru_cache(maxsize=None)
-def _w(k: int) -> float:
-    """sqrt(k + 1/2), cached per index."""
-    return math.sqrt(k + 0.5)
 
 
 def _check_point(t: float) -> None:
@@ -99,7 +92,7 @@ def eval_phi_derivative(k: int, r: int, t: float) -> float:
             term = t * cur[q] + (q * cur[q - 1] if q else 0.0)
             nxt[q] = ((2 * i + 1) * term - i * prev[q]) / (i + 1)
         prev, cur = cur, nxt
-    return _w(k) * cur[r]
+    return math.sqrt(k + 0.5) * cur[r]
 
 
 def _weights(n: int) -> np.ndarray:
@@ -215,7 +208,7 @@ def clenshaw_rows(a: np.ndarray, t: float):
     _check_point(t)
     n = a.shape[-1] - 1
     alpha, c = _recurrence(n + 2)
-    w0, w1 = _w(0), _w(1)
+    w0, w1 = math.sqrt(0.5), math.sqrt(1.5)
     # alpha_k * t is the product Python forms first in alpha_k * t * b1
     alpha_t = (alpha[n:0:-1] * t).tolist()
     cols = a.tolist() if a.ndim == 1 else np.ascontiguousarray(a.T)

@@ -240,14 +240,6 @@ def _sample_basis(kmax: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return kept[0][:, : kmax + 1], kept[1][: kmax + 1]
 
 
-def _first_equal_row(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """For each row index, the smallest index in ``idx`` whose row of v holds the same values."""
-    uniq, inverse = np.unique(idx, return_inverse=True)
-    first: dict[bytes, int] = {}
-    reps = np.array([first.setdefault(v[i].tobytes(), i) for i in uniq.tolist()])
-    return reps[inverse.ravel()]
-
-
 def _fixed_order_abs_max(
     vt: np.ndarray, a: np.ndarray, vu: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> float:
@@ -256,16 +248,18 @@ def _fixed_order_abs_max(
     Every value is summed in one fixed order without BLAS: the products
     a[k, j] vu[l, j] are summed over j along each row k, then the
     products vt[i, k] times those row sums are summed over k, each sum
-    a numpy np.sum over a contiguous axis.  Pairs whose sample rows hold
-    the same values have the same sum, so each is summed once.
+    a numpy np.sum over a contiguous axis.  The row sums are formed once
+    per sample column l.  Equal sample rows are summed again, so
+    ``sup_norm_on_grid`` passes an axis of degree 0, whose samples all
+    equal phi_0, as one row.
     """
-    t_of_u: dict[int, set[int]] = {}
-    for i, l in zip(_first_equal_row(vt, rows).tolist(), _first_equal_row(vu, cols).tolist()):
-        t_of_u.setdefault(l, set()).add(i)
+    t_of_u: dict[int, list[int]] = {}
+    for i, l in zip(rows.tolist(), cols.tolist()):
+        t_of_u.setdefault(l, []).append(i)
     best = 0.0
     for l, ts in t_of_u.items():
         row_sums = (a * vu[l]).sum(axis=1)
-        best = max(best, float(np.max(np.abs((vt[list(ts)] * row_sums).sum(axis=1)))))
+        best = max(best, float(np.max(np.abs((vt[ts] * row_sums).sum(axis=1)))))
     return best
 
 
@@ -274,7 +268,10 @@ def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
 
     Sample points are cos(pi i / (resolution - 1)), i = 0..resolution-1,
     which always include the endpoints +-1 where Legendre polynomials
-    peak.
+    peak.  A resolution over 8192 (more than 2**26 samples) is refused.
+    phi_0 is constant, so on an axis of degree 0 every sample has the
+    same value and that axis is sampled once; on any other axis the
+    samples are distinct.
 
     The result is the largest sample value summed in one fixed order
     without BLAS (see ``_fixed_order_abs_max``), so it depends on numpy's
@@ -295,12 +292,14 @@ def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if resolution > _MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
     if c.max_index() is None:
         return 0.0
     a = c.array
     k1, k2 = a.shape
     v, colmax = _sample_basis(max(k1, k2) - 1, resolution)
-    vt, vu = v[:, :k1], v[:, :k2]
+    vt, vu = (v[: 1 if k == 1 else resolution, :k] for k in (k1, k2))
     screen = np.abs(vt @ a @ vu.T)
     n = k1 + k2
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
@@ -427,6 +426,8 @@ def _line_table(text: str) -> np.ndarray:
 # (4097, 4097) array of a K = 4096 projection: one number or line of input must
 # not be able to ask for any amount of memory
 _MAX_GRID_CELLS = 2**26
+# sup-norm sample grids are resolution x resolution, within the same limit
+_MAX_RESOLUTION = 2**13
 
 
 def _check_cells(shape: tuple[int, int]) -> None:

@@ -12,12 +12,13 @@ ln(1/delta) is clamped below by 1.
 The admissible gamma range splits into open intervals where the error
 carries a clean power of n and isolated exceptional points where an
 extra logarithm appears; ``gamma_intervals`` lists both, tagged with
-the extra log exponent, from one list of (breakpoint, log exponent)
-pairs.  ``select_parameters`` takes one path for every case: it picks
-gamma and the power of ln(1/delta) in n, then sizes n by the one
-formula.  The default gamma is the midpoint of the leftmost clean
-interval and therefore never an exceptional point; a forced gamma on
-an exceptional point gives n that point's logarithmic correction.
+the extra log exponent, from the (breakpoint, log exponent) pairs of
+one case table, which also names the case.  ``select_parameters``
+takes one path for every case: it picks gamma and the power of
+ln(1/delta) in n, then sizes n by the one formula.  The default gamma
+is the midpoint of the leftmost clean interval and therefore never an
+exceptional point; a forced gamma on an exceptional point gives n that
+point's logarithmic correction.
 """
 
 from __future__ import annotations
@@ -138,6 +139,37 @@ def _regions(points: list[tuple[float, float]]) -> list[GammaRegion]:
     return regions
 
 
+def _case(si: SelectionInput) -> tuple[str, list[tuple[float, float]]]:
+    """The rule's case for (metric, r1, r2): its label and its exceptional points.
+
+    The points are (gamma, log exponent) pairs in increasing gamma; the
+    cases are equal orders, L2 unequal orders, and C with adjacent or
+    separated orders.  Needs an admissible ``si``.
+    """
+    s = si.cls.s
+    a = si.cls.mu - 2 * si.r1 + 1.0 / s
+    b = si.cls.mu - 2 * si.r2 + 1.0 / s
+    if si.r1 == si.r2:
+        return "equal-orders", [(1.0, (1.5 if si.metric == METRIC_L2 else 2.0) - 1.0 / s)]
+    if si.metric == METRIC_L2:
+        return "l2-unequal-orders", [
+            ((b - 0.5) / (a + 0.5), 0.5),
+            ((b + 0.5) / (a + 0.5), 1.0 - 1.0 / s),
+            ((b - 0.5) / (a - 0.5), 0.5),
+        ]
+    if si.r1 == si.r2 + 1:
+        return "c-adjacent-orders", [
+            (1.0, 1.0),
+            ((a + 2.5) / (a + 0.5), 1.0 - 1.0 / s),
+            ((a + 0.5) / (a - 1.5), 1.0),
+        ]
+    return "c-separated-orders", [
+        ((b - 1.5) / (a + 0.5), 1.0),
+        ((b + 0.5) / (a + 0.5), 1.0 - 1.0 / s),
+        ((b - 1.5) / (a - 1.5), 1.0),
+    ]
+
+
 def gamma_intervals(si: SelectionInput) -> list[GammaRegion]:
     """Admissible gamma regions for (metric, r1, r2), ordered from 1 upward.
 
@@ -146,38 +178,7 @@ def gamma_intervals(si: SelectionInput) -> list[GammaRegion]:
     clean open intervals separated by exceptional points.
     """
     si.check_admissible()
-    s = si.cls.s
-    a = si.cls.mu - 2 * si.r1 + 1.0 / s
-    b = si.cls.mu - 2 * si.r2 + 1.0 / s
-    if si.r1 == si.r2:
-        points = [(1.0, (1.5 if si.metric == METRIC_L2 else 2.0) - 1.0 / s)]
-    elif si.metric == METRIC_L2:
-        points = [
-            ((b - 0.5) / (a + 0.5), 0.5),
-            ((b + 0.5) / (a + 0.5), 1.0 - 1.0 / s),
-            ((b - 0.5) / (a - 0.5), 0.5),
-        ]
-    elif si.r1 == si.r2 + 1:
-        points = [
-            (1.0, 1.0),
-            ((a + 2.5) / (a + 0.5), 1.0 - 1.0 / s),
-            ((a + 0.5) / (a - 1.5), 1.0),
-        ]
-    else:
-        points = [
-            ((b - 1.5) / (a + 0.5), 1.0),
-            ((b + 0.5) / (a + 0.5), 1.0 - 1.0 / s),
-            ((b - 1.5) / (a - 1.5), 1.0),
-        ]
-    return _regions(points)
-
-
-def _case_label(si: SelectionInput) -> str:
-    if si.r1 == si.r2:
-        return "equal-orders"
-    if si.metric == METRIC_L2:
-        return "l2-unequal-orders"
-    return "c-adjacent-orders" if si.r1 == si.r2 + 1 else "c-separated-orders"
+    return _regions(_case(si)[1])
 
 
 def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> ParameterSelection:
@@ -193,6 +194,7 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
     if forced_gamma is not None and not forced_gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {forced_gamma}")
     q = si.cls.mu - _inv(si.p) + 1.0 / si.cls.s
+    label, points = _case(si)
     gamma = None if forced_gamma is None else float(forced_gamma)
     log_exponent = 0.0
     suffix = "" if gamma is None else "-forced"
@@ -200,14 +202,14 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
         gamma = 1.0 if gamma is None else gamma
         log_exponent = _inv(si.p) - 1.0 / si.cls.s
     elif gamma is None:
-        clean = next(r for r in gamma_intervals(si) if not r.is_point and r.log_exponent == 0.0)
+        clean = next(r for r in _regions(points) if not r.is_point and r.log_exponent == 0.0)
         gamma = 0.5 * (clean.lo + clean.hi)
     else:
-        hit = next((r for r in gamma_intervals(si) if r.contains(gamma)), None)
+        hit = next((r for r in _regions(points) if r.contains(gamma)), None)
         if hit is not None and hit.is_point and hit.log_exponent != 0.0:
             log_exponent, suffix = hit.log_exponent, "-exceptional"
     n = (si.delta / max(math.log(1.0 / si.delta), 1.0) ** log_exponent) ** (-1.0 / q)
-    return ParameterSelection(n=n, gamma=gamma, case_label=_case_label(si) + suffix)
+    return ParameterSelection(n=n, gamma=gamma, case_label=label + suffix)
 
 
 def _inv(p: float) -> float:

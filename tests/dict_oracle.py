@@ -15,17 +15,21 @@ from, for the tests that write grids down entry by entry.
 parameter rule as it was written before it took one path: one branch
 per case and a hand-written region list per order pattern.
 ``test_truncation.py`` asserts that the library gives the same
-selections and regions, bit for bit.
+selections and regions, bit for bit.  ``exact_derivative`` gives the
+closed-form mixed derivatives of the registry functions, which the
+method's exactness tests compare against.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Container, Iterable, Mapping
 
 import numpy as np
 
 from hcderiv.cross import CROSS_HEADER_PREFIX, floor_guarded
+from hcderiv.harness import _monomial_eval
 from hcderiv.lowerbound import WitnessInfeasibleError
 from hcderiv.spectral import GRID_HEADER
 from hcderiv.truncation import METRIC_L2, GammaRegion, ParameterSelection, SelectionInput
@@ -411,5 +415,33 @@ def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
-def _inv(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
+# ---------------------------------------------------------------------------
+# closed-form mixed derivatives of the registry functions
+
+_MONOMIALS = {
+    "one": {(0, 0): 1.0},
+    "poly": {(4, 3): 1.0, (2, 1): 2.0, (1, 2): 1.0},
+}
+
+
+def _falling(a: int, r: int) -> float:
+    out = 1.0
+    for i in range(r):
+        out *= a - i
+    return out
+
+
+def exact_derivative(function_id: str, r1: int, r2: int):
+    """f^(r1, r2) of the registry function ``function_id``, as an array function of (t, u).
+
+    The polynomials are differentiated monomial by monomial; exp(t + u) / 4
+    is its own derivative.
+    """
+    if function_id == "exp-sum":
+        return lambda t, u: np.exp(t + u) / 4.0
+    monomials = {
+        (a - r1, b - r2): coef * _falling(a, r1) * _falling(b, r2)
+        for (a, b), coef in _MONOMIALS[function_id].items()
+        if a >= r1 and b >= r2
+    }
+    return partial(_monomial_eval, monomials)

@@ -92,9 +92,8 @@ def test_criterion_2_coefficient_vs_pointwise_derivatives():
 
 
 def test_criterion_3_method_exactness_on_polynomial():
-    entry = REGISTRY["poly"]
-    grid = compute_coeff_grid(entry.callable(), 12)
-    reference = compute_coeff_grid(entry.derivative_callable(1, 1), 12)
+    grid = compute_coeff_grid(REGISTRY["poly"], 12)
+    reference = compute_coeff_grid(oracle.exact_derivative("poly", 1, 1), 12)
     # covering cross: every source index with k, j >= 1 satisfies k*j <= 20
     out = apply_method(grid, build_cross(20.0, 1.0, 1, 1))
     diff = out - reference

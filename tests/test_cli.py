@@ -10,6 +10,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+import dict_oracle as oracle
 import hcderiv
 from hcderiv import cli
 from hcderiv.cli import main
@@ -68,7 +69,7 @@ def test_coeffs_round_trip(tmp_path):
     out = tmp_path / "poly.grid"
     assert run("coeffs", "poly", "--k", 8, "--out", out) == 0
     loaded = load_grid(out)
-    direct = compute_coeff_grid(REGISTRY["poly"].callable(), 8)
+    direct = compute_coeff_grid(REGISTRY["poly"], 8)
     assert loaded == direct
 
 
@@ -87,13 +88,13 @@ def test_coeffs_writes_manifest(tmp_path):
 @pytest.fixture()
 def poly_grid(tmp_path):
     path = tmp_path / "poly.grid"
-    save_grid(compute_coeff_grid(REGISTRY["poly"].callable(), 12), path)
+    save_grid(compute_coeff_grid(REGISTRY["poly"], 12), path)
     return path
 
 
 def test_diff_zero_noise_matches_analytic(tmp_path, poly_grid):
     ref_path = tmp_path / "ref.grid"
-    save_grid(compute_coeff_grid(REGISTRY["poly"].derivative_callable(1, 1), 12), ref_path)
+    save_grid(compute_coeff_grid(oracle.exact_derivative("poly", 1, 1), 12), ref_path)
     out = tmp_path / "d.grid"
     code = run(
         "diff", poly_grid, "--r1", 1, "--r2", 1, "--delta", "1e-9", "--mu", 6,
@@ -220,8 +221,8 @@ def test_diff_manifest_hashes_input_contents(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d, fn in zip(dirs, ("poly", "exp-sum")):
         d.mkdir()
-        save_grid(compute_coeff_grid(REGISTRY[fn].callable(), 8), d / "in.grid")
-        save_grid(compute_coeff_grid(REGISTRY[fn].derivative_callable(1, 1), 8), d / "ref.grid")
+        save_grid(compute_coeff_grid(REGISTRY[fn], 8), d / "in.grid")
+        save_grid(compute_coeff_grid(oracle.exact_derivative(fn, 1, 1), 8), d / "ref.grid")
     coeff_hashes = [_diff_manifest_hash(d, d / "in.grid") for d in dirs]
     assert coeff_hashes[0] != coeff_hashes[1]
     ref_hashes = [_diff_manifest_hash(d, dirs[0] / "in.grid", d / "ref.grid") for d in dirs]
@@ -237,6 +238,18 @@ def test_diff_writes_nothing_when_the_reference_errors_fail(tmp_path, capsys):
                "--reference", grid, "--resolution", 1, "--out", tmp_path / "d.grid")
     assert code == 2
     assert capsys.readouterr().err == "error: resolution must be >= 2\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_diff_rejects_a_sup_resolution_over_the_limit(tmp_path, capsys):
+    # 10**6 x 10**6 samples would need 7.28 TiB; the refusal comes before any sample
+    grid = tmp_path / "e.grid"
+    assert run("coeffs", "exp-sum", "--k", 8, "--out", grid) == 0
+    before = sorted(os.listdir(tmp_path))
+    code = run("diff", grid, "--r1", 1, "--r2", 1, "--delta", "1e-4", "--mu", 5,
+               "--reference", grid, "--resolution", 1000000, "--out", tmp_path / "d.grid")
+    assert code == 2
+    assert capsys.readouterr().err == "error: resolution must be <= 8192, got 1000000\n"
     assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -454,8 +467,8 @@ def _run_cli_with_blas_threads(argv, threads):
 def test_outputs_do_not_depend_on_the_blas_thread_count(command, tmp_path):
     if command == "diff":
         coeffs, reference = tmp_path / "f.grid", tmp_path / "ref.grid"
-        save_grid(compute_coeff_grid(REGISTRY["exp-sum"].callable(), 64), coeffs)
-        save_grid(compute_coeff_grid(REGISTRY["exp-sum"].derivative_callable(1, 1), 64), reference)
+        save_grid(compute_coeff_grid(REGISTRY["exp-sum"], 64), coeffs)
+        save_grid(compute_coeff_grid(oracle.exact_derivative("exp-sum", 1, 1), 64), reference)
     outputs = {}
     for threads in (1, 2):
         out = tmp_path / str(threads)
@@ -519,6 +532,21 @@ def test_experiment_rejects_a_k_ref_over_the_cell_limit(tmp_path, capsys, functi
     assert capsys.readouterr().err == (
         "error: invalid config:\n"
         "  - k_ref: grid shape (1000001, 1000001) exceeds the limit of 67108864 cells\n"
+    )
+    assert os.listdir(tmp_path) == ["big.ini"]
+
+
+@pytest.mark.parametrize("section,key,value,limit", [
+    ("method", "sup_resolution", 1000000, 8192),
+    ("sweep", "count", 1000000000000, 67108864),
+])
+def test_experiment_rejects_a_size_over_the_limit(tmp_path, capsys, section, key, value, limit):
+    bad = tmp_path / "big.ini"
+    bad.write_text(f"[{section}]\n{key} = {value}\n")
+    code = run("experiment", "--config", bad, "--out-csv", tmp_path / "x.csv")
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: invalid config:\n  - {key}: must be <= {limit}, got {value}\n"
     )
     assert os.listdir(tmp_path) == ["big.ini"]
 
@@ -612,6 +640,14 @@ def test_radius_rejects_a_band_over_the_cell_limit(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: grid shape (3298534883330, 2) exceeds the limit of 67108864 cells\n"
     )
+    assert os.listdir(tmp_path) == []
+
+
+def test_radius_rejects_a_sup_resolution_over_the_limit(tmp_path, capsys):
+    code = run("radius", "--n-values", "4,8,16,32", "--resolution", 1000000,
+               "--out-json", tmp_path / "r.json")
+    assert code == 2
+    assert capsys.readouterr().err == "error: resolution must be <= 8192, got 1000000\n"
     assert os.listdir(tmp_path) == []
 
 

@@ -1,7 +1,9 @@
-"""Every name a module exports through ``__all__`` exists."""
+"""Every name a module exports through ``__all__`` exists, and no module defines a name twice."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ import hcderiv
 MODULES = ["hcderiv"] + [
     f"hcderiv.{info.name}" for info in pkgutil.iter_modules(hcderiv.__path__)
 ]
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted([*(ROOT / "src" / "hcderiv").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -18,3 +22,13 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported))
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_top_level_function_or_class_is_defined_twice(path):
+    defined = [
+        node.name
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert sorted({name for name in defined if defined.count(name) > 1}) == []

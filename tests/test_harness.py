@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dict_oracle as oracle
 from hcderiv import cli, harness, lowerbound, truncation
 from hcderiv.cross import build_cross
 from hcderiv.harness import (
@@ -36,10 +37,9 @@ def test_registry_ships_required_functions():
 
 
 def test_poly_derivative_is_exact():
-    entry = REGISTRY["poly"]
-    grid = compute_coeff_grid(entry.callable(), 8)
+    grid = compute_coeff_grid(REGISTRY["poly"], 8)
     derived = mixed_derivative_coeffs(grid, 1, 1)
-    analytic = compute_coeff_grid(entry.derivative_callable(1, 1), 8)
+    analytic = compute_coeff_grid(oracle.exact_derivative("poly", 1, 1), 8)
     diff = derived - analytic
     assert parseval_l2_norm(diff) < 1e-10
     assert sup_norm_on_grid(diff, 129) < 1e-10 if len(diff) else True
@@ -47,15 +47,14 @@ def test_poly_derivative_is_exact():
 
 def test_poly_derivative_callable_values():
     # p = t^4 u^3 + 2 t^2 u + t u^2, so d2p/dt du = 12 t^3 u^2 + 4 t + 2 u
-    d = REGISTRY["poly"].derivative_callable(1, 1)
+    d = oracle.exact_derivative("poly", 1, 1)
     for t, u in [(0.0, 0.0), (0.5, -0.5), (-1.0, 1.0)]:
         assert d(t, u) == pytest.approx(12 * t**3 * u**2 + 4 * t + 2 * u, rel=1e-14, abs=1e-14)
 
 
 def test_exp_sum_derivative_is_itself():
-    entry = REGISTRY["exp-sum"]
-    f = entry.callable()
-    d = entry.derivative_callable(3, 2)
+    f = REGISTRY["exp-sum"]
+    d = oracle.exact_derivative("exp-sum", 3, 2)
     assert d(0.3, -0.2) == f(0.3, -0.2)
 
 

@@ -272,6 +272,8 @@ def test_sup_norm_monotone_in_resolution():
 def test_sup_norm_validation():
     with pytest.raises(ValueError):
         sup_norm_on_grid(CoeffGrid(), 1)
+    with pytest.raises(ValueError, match="resolution must be <= 8192, got 8193"):
+        sup_norm_on_grid(CoeffGrid(), 8193)
     assert sup_norm_on_grid(CoeffGrid(), 5) == 0.0
 
 
@@ -281,6 +283,7 @@ def _tied_grids():
     even = rng.standard_normal((5, 5))
     even[1::2, :] = 0.0
     even[:, 1::2] = 0.0  # f(+-t, +-u) = f(t, u): extrema tie in fours
+    row = CoeffGrid(rng.standard_normal((1, 6)))  # every sample row ties
     # c = c^T ties Y[i, l] with Y[l, i], but a BLAS product sums the two along
     # different paths; for this seed its rounding ranks them apart from the fixed
     # order, so a screen that kept only its own maximum would miss the max
@@ -290,6 +293,8 @@ def _tied_grids():
         (CoeffGrid(even), 21),
         (CoeffGrid(scatter({(1, 0): 0.5})), 9),
         (CoeffGrid(b + b.T), 17),
+        (row, 25),
+        (CoeffGrid(np.array([[-0.75]])), 5),  # every sample ties
     ]
 
 
