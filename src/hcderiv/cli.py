@@ -48,18 +48,17 @@ from .harness import (
     ExperimentResult,
     RadiusStudy,
     SweepRecord,
-    _errors,
     _noise_support,
-    _perturb_for_cross,
+    _noisy_method,
     _plan_point,
     _registry_grid,
     run_convergence_study,
     run_radius_study,
 )
 from .lowerbound import WitnessInfeasibleError
-from .noise import RNG_ALGORITHM, lp_norm
-from .spectral import ClassParams, dump_grid, parse_grid
-from .truncation import AdmissibilityError, apply_method
+from .noise import RNG_ALGORITHM
+from .spectral import ClassParams, _ErrorReference, dump_grid, parse_grid
+from .truncation import AdmissibilityError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -158,19 +157,18 @@ def _cmd_diff(args) -> int:
     cls = ClassParams(s=args.s, mu=args.mu)
     sel, cross = _plan_point(args.delta, args.p, cls, args.r1, args.r2, args.metric, args.gamma)
     support = _noise_support([cross])
-    c_delta, xi = _perturb_for_cross(
+    deriv, noise_norm = _noisy_method(
         grid, cross, args.noise, args.p, args.delta, args.seed, support, cls
     )
-    noise_meta = {"mode": args.noise} if xi is None else {
+    noise_meta = {"mode": args.noise} if noise_norm is None else {
         "mode": _NOISE_MODES[args.noise],
         "p": _json_safe(args.p),
         "delta": args.delta,
         "seed": args.seed,
         "support": support,
-        "norm": lp_norm(xi, args.p),
+        "norm": noise_norm,
         "algorithm": RNG_ALGORITHM,
     }
-    deriv = apply_method(c_delta, cross)
     echo = {
         "coeffs": os.path.basename(args.coeffs),
         "coeffs_sha256": coeffs_sha256,
@@ -187,7 +185,7 @@ def _cmd_diff(args) -> int:
         "noise": noise_meta,
     }
     if ref is not None:
-        sidecar["error_l2"], sidecar["error_c"] = _errors(deriv, ref, args.resolution)
+        sidecar["error_l2"], sidecar["error_c"] = _ErrorReference(ref, args.resolution).errors(deriv)
     _emit("diff", echo, [
         (args.out, _stamped(dump_grid(deriv))),
         (args.out + ".json", lambda digest: _json_text({**sidecar, "manifest": digest})),

@@ -8,6 +8,17 @@ comparison with the theoretical exponent.  A radius study sweeps the
 witness band size N, feeds the method adversarial witness data, and
 compares the decay of the method error with the lower bound.
 
+Each sweep point runs in three stages.  ``_plan_point`` selects
+(n, gamma) and builds the cross.  ``_noisy_method`` restricts the
+reference coefficients to the cross, subtracts the noise (drawn over the
+support rectangle) and applies the method.  The error step,
+``_ErrorReference.errors``, subtracts the reference derivative once for
+the Parseval norm and the fixed-order sup norm, and screens the sup
+norm's samples with a product over the method output's box alone: the
+reference's share of that product is formed once per repetition.  Apart
+from the noise draw and that one full-size difference, every stage works
+on arrays the size of the cross's bounding box.
+
 Reference functions come from a small registry, a table from each id
 to its array function f(t, u): two exact bivariate polynomials and a
 fast-decay analytic function, which are projected by quadrature, and
@@ -30,12 +41,11 @@ from .quadrature import compute_coeff_grid
 from .spectral import (
     ClassParams,
     CoeffGrid,
-    _MAX_GRID_CELLS,
+    _ErrorReference,
     _MAX_RESOLUTION,
     _check_cells,
     mixed_derivative_coeffs,
-    parseval_l2_norm,
-    sup_norm_on_grid,
+    restrict_to_cross,
 )
 from .lowerbound import (
     BoundReport,
@@ -199,34 +209,39 @@ def _plan_point(
     return sel, build_cross(sel.n, sel.gamma, r1, r2)
 
 
-def _errors(approx: CoeffGrid, exact: CoeffGrid, resolution: int) -> tuple[float, float]:
-    """L2 (Parseval) and sup (Chebyshev-grid) norms of ``approx - exact``."""
-    diff = approx - exact
-    return parseval_l2_norm(diff), sup_norm_on_grid(diff, resolution)
-
-
 def _noise_support(crosses) -> int:
     """Rectangle bound of the noise: the largest cross extent plus 2."""
     return max(max(cross.k_extent(), cross.j_extent()) for cross in crosses) + 2
 
 
-def _perturb_for_cross(
+def _noisy_method(
     c: CoeffGrid, cross: HyperbolicCross, mode: str, p: float, delta: float, seed: int,
     support: int, cls: ClassParams,
-) -> tuple[CoeffGrid, CoeffGrid | None]:
-    """The coefficients a method on ``cross`` observes under noise ``mode``.
+) -> tuple[CoeffGrid, float | None]:
+    """The method's derivative on ``cross`` from ``c`` under noise ``mode``, and the noise's l_p norm.
 
-    Returns ``(c_delta, xi)`` for an l_p budget ``delta`` on indices up to
-    ``support`` (see :func:`perturb`); the witness mode takes ``xi`` from
-    the witness pair that ``cross`` cannot see.  Mode "off" returns
-    ``(c, None)``.
+    The noise xi has l_p budget ``delta`` on indices up to ``support``
+    (see :func:`perturb`); the witness mode takes xi from the witness
+    pair that ``cross`` cannot see.  ``c`` is restricted to the cross
+    before xi is subtracted: the method keeps only the entries on the
+    cross, which are c - xi either way, so the derivative is the same.
+    Mode "off" runs the method on ``c`` itself and gives the norm None.
     """
     spec_mode = _NOISE_MODES[mode]
     if spec_mode is None:
-        return c, None
+        return apply_method(c, cross), None
     spec = NoiseSpec(p=p, delta=delta, mode=spec_mode, seed=seed, support=support)
     witness = witness_for_cross(cross, delta, p, cls) if mode == "witness" else None
-    return perturb(c, spec, witness=witness)
+    c_delta, xi = perturb(restrict_to_cross(c, cross), spec, witness=witness)
+    noise_norm = lp_norm(xi, p)
+    del xi  # freed before the method's temporaries, the largest of the point
+    return apply_method(c_delta, cross), noise_norm
+
+
+# the most deltas a sweep may have: validation builds and keeps the selection
+# and cross of every point (about 0.5 kB and 0.25 ms each), so a sweep of
+# 2**16 points holds about 33 MB after about 16 s before the study starts
+_MAX_SWEEP_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -279,8 +294,8 @@ class ExperimentConfig:
             )
         if self.delta_count < 1:
             problems.append(f"count: must be >= 1, got {self.delta_count}")
-        elif self.delta_count > _MAX_GRID_CELLS:
-            problems.append(f"count: must be <= {_MAX_GRID_CELLS}, got {self.delta_count}")
+        elif self.delta_count > _MAX_SWEEP_POINTS:
+            problems.append(f"count: must be <= {_MAX_SWEEP_POINTS}, got {self.delta_count}")
         if self.noise_mode not in _NOISE_MODES:
             problems.append(f"mode: must be one of {tuple(_NOISE_MODES)}, got {self.noise_mode!r}")
         if not 0 <= self.seed < 2**64:
@@ -448,17 +463,19 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
             config.function_id, config.k_ref, _FUNCTION_STREAM_OFFSET + config.seed + rep,
             config.s, config.mu, config.epsilon,
         )
-        d_ref = mixed_derivative_coeffs(ref, config.r1, config.r2)
+        reference = _ErrorReference(
+            mixed_derivative_coeffs(ref, config.r1, config.r2), config.sup_resolution
+        )
         for i, (delta, (sel, cross)) in enumerate(zip(deltas, plan)):
             start = time.perf_counter() if config.timing else 0.0
-            c_delta, xi = _perturb_for_cross(
+            approx, noise_norm = _noisy_method(
                 ref, cross, config.noise_mode, config.p, float(delta),
                 (config.seed + rep * config.delta_count + i) % 2**64, support, cls,
             )
-            err_l2, err_c = _errors(apply_method(c_delta, cross), d_ref, config.sup_resolution)
+            err_l2, err_c = reference.errors(approx)
             sum_l2[i] += err_l2
             sum_c[i] += err_c
-            sum_noise[i] += 0.0 if xi is None else lp_norm(xi, config.p)
+            sum_noise[i] += 0.0 if noise_norm is None else noise_norm
             if config.timing:
                 wall[i] += (time.perf_counter() - start) * 1000.0
     reps = config.num_seeds
@@ -564,7 +581,9 @@ def run_radius_study(
             skews[skew] = (verify_lower_bound_C(w_skew), verify_lower_bound_L2(w_skew))
         sel, cross = _plan_point(delta, p, cls, r1, r2, METRIC_L2)
         # the adversary hands the method data indistinguishable from f2
-        err_l2, err_c = _errors(apply_method(w.f2, cross), w.f1_derivative, sup_resolution)
+        err_l2, err_c = _ErrorReference(w.f1_derivative, sup_resolution).errors(
+            apply_method(w.f2, cross)
+        )
         rep_c = verify_lower_bound_C(w)
         rep_l2 = verify_lower_bound_L2(w)
         records.append(

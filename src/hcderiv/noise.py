@@ -54,7 +54,7 @@ def lp_norm(x: CoeffGrid, p: float) -> float:
     """(sum |x|^p)^(1/p), or max |x| for p = inf."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if len(x) == 0:
+    if x.max_index() is None:
         return 0.0
     vals = np.abs(x.values())
     if math.isinf(p):
@@ -79,8 +79,9 @@ def _sphere_noise(spec: NoiseSpec) -> CoeffGrid:
         norm = np.max(np.abs(g))
     else:
         norm = float(np.sum(np.abs(g) ** spec.p) ** (1.0 / spec.p))
-    unit = g / norm
-    return CoeffGrid._adopt((spec.delta * unit).reshape(side, side))
+    g /= norm
+    g *= spec.delta
+    return CoeffGrid._adopt(g.reshape(side, side))
 
 
 def _single_noise(spec: NoiseSpec) -> CoeffGrid:

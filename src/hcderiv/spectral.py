@@ -83,7 +83,12 @@ class CoeffGrid:
         return grid
 
     def values(self) -> np.ndarray:
-        """Coefficient values in (k, j) order."""
+        """Coefficient values in (k, j) order.
+
+        An array without zeros is its own values, read without a mask.
+        """
+        if self.array.all():
+            return self.array.reshape(-1)
         return self.array[self.array != 0.0]
 
     def max_index(self) -> Index | None:
@@ -174,7 +179,7 @@ def class_norm(c: CoeffGrid, params: ClassParams) -> float:
 
 def parseval_l2_norm(c: CoeffGrid) -> float:
     """L2(Q) norm of the synthesized function, via Parseval."""
-    if len(c) == 0:
+    if c.max_index() is None:
         return 0.0
     return float(np.sqrt(np.sum(c.values() ** 2)))
 
@@ -250,7 +255,7 @@ def _fixed_order_abs_max(
     products vt[i, k] times those row sums are summed over k, each sum
     a numpy np.sum over a contiguous axis.  The row sums are formed once
     per sample column l.  Equal sample rows are summed again, so
-    ``sup_norm_on_grid`` passes an axis of degree 0, whose samples all
+    ``_screened_abs_max`` passes an axis of degree 0, whose samples all
     equal phi_0, as one row.
     """
     t_of_u: dict[int, list[int]] = {}
@@ -261,6 +266,66 @@ def _fixed_order_abs_max(
         row_sums = (a * vu[l]).sum(axis=1)
         best = max(best, float(np.max(np.abs((vt[ts] * row_sums).sum(axis=1)))))
     return best
+
+
+def _check_resolution(resolution: int) -> None:
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    if resolution > _MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
+
+
+def _samples(shape: tuple[int, int], resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vt and Vu for an array of ``shape``, and the column maxima of |V| up to its larger extent.
+
+    An axis with at most one coefficient is sampled once: phi_0 is
+    constant, so all its samples are equal.
+    """
+    v, colmax = _sample_basis(max(*shape, 1) - 1, resolution)
+    vt, vu = (v[: 1 if k <= 1 else resolution, :k] for k in shape)
+    return vt, vu, colmax
+
+
+def _sample_screen(a: np.ndarray, resolution: int) -> tuple[np.ndarray, float]:
+    """The BLAS product Vt a Vu^T and the weight sum_kj m_t[k] |a_kj| m_u[j].
+
+    m_t and m_u are the column maxima of |Vt| and |Vu|.  The product has
+    one row (column) for an axis of ``a`` with at most one coefficient
+    and ``resolution`` otherwise, so the screens of two arrays broadcast
+    against each other.
+    """
+    vt, vu, colmax = _samples(a.shape, resolution)
+    k1, k2 = a.shape
+    return vt @ a @ vu.T, float(colmax[:k1] @ np.abs(a) @ colmax[:k2])
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), the relative error bound of an n-term sum of products."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def _underflow_allowance(k1: int, k2: int, resolution: int) -> float:
+    """What the products of one sample of a (k1, k2) array may lose to underflow, with room to spare."""
+    colmax = _samples((k1, k2), resolution)[2]
+    return (k1 + 1) * (k2 + 1) * (1.0 + float(colmax.max())) * _TINY
+
+
+def _screened_abs_max(a: np.ndarray, screen: np.ndarray, bound: float, resolution: int) -> float:
+    """The fixed-order maximum of |samples of a|, given a screen within ``bound`` of them.
+
+    ``screen`` holds every sample of ``a`` to within ``bound`` of its
+    exact value, as does the fixed-order sum of that sample.  A sample
+    whose screened magnitude lies more than 4 bound below the screened
+    maximum M is then below M - 2 bound in the fixed order, while the
+    sample at M is at least M - 2 bound there, so the fixed order is
+    re-evaluated only on the samples within 4 bound of M.  An axis of
+    ``a`` with one coefficient takes the screen's first row (column):
+    all its samples are equal.
+    """
+    vt, vu, _ = _samples(a.shape, resolution)
+    screen = np.abs(screen[: len(vt), : len(vu)])
+    rows, cols = np.nonzero(screen >= screen.max() - 4.0 * bound)
+    return _fixed_order_abs_max(vt, a, vu, rows, cols)
 
 
 def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
@@ -284,41 +349,89 @@ def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
     gamma_n = n u / (1 - n u), of its exact value, where m_t and m_u are
     the column maxima of |Vt| and |Vu| (Higham, Accuracy and Stability of
     Numerical Algorithms, sec. 3.5; B is inflated by 1% for its own
-    rounding and by an allowance for underflow).  A sample whose
-    screened value lies more than 4B below the screened maximum M is
-    below M - 2B in every order, while the sample at M is at least
-    M - 2B in every order, so re-evaluating only the samples within 4B
-    of M returns the fixed order's maximum over all samples.
+    rounding and by an allowance for underflow).  Only the samples whose
+    screened value lies within 4B of the screened maximum are summed in
+    the fixed order (see ``_screened_abs_max``), which returns the fixed
+    order's maximum over all samples.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    if resolution > _MAX_RESOLUTION:
-        raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
+    _check_resolution(resolution)
     if c.max_index() is None:
         return 0.0
     a = c.array
     k1, k2 = a.shape
-    v, colmax = _sample_basis(max(k1, k2) - 1, resolution)
-    vt, vu = (v[: 1 if k == 1 else resolution, :k] for k in (k1, k2))
-    screen = np.abs(vt @ a @ vu.T)
-    n = k1 + k2
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    weight = float(colmax[:k1] @ np.abs(a) @ colmax[:k2])
-    bound = 1.01 * gamma * weight + (k1 + 1) * (k2 + 1) * (1.0 + float(colmax.max())) * _TINY
-    rows, cols = np.nonzero(screen >= screen.max() - 4.0 * bound)
-    return _fixed_order_abs_max(vt, a, vu, rows, cols)
+    screen, weight = _sample_screen(a, resolution)
+    bound = 1.01 * _gamma(k1 + k2) * weight + _underflow_allowance(k1, k2, resolution)
+    return _screened_abs_max(a, screen, bound, resolution)
+
+
+class _ErrorReference:
+    """A reference grid E kept with its sample screen, for the errors of many grids A.
+
+    ``errors(approx)`` returns the L2 (Parseval) and sup norms of
+    D = approx - E, the sup norm equal bit for bit to
+    ``sup_norm_on_grid(approx - E, resolution)``: it is the fixed-order
+    maximum over the same samples of the same stored D.  Only the screen
+    differs.  The screen is linear, Vt (A - E) Vu^T = Vt A Vu^T - Vt E Vu^T,
+    so the screen S_E = Vt E Vu^T and the weight W_E = sum m_t |E| m_u
+    are formed here once, and each call forms S_A and W_A over A's box
+    alone and screens with S = S_A - S_E.  A box larger than E's on
+    either axis, an empty A and an axis of degree 0 all take this path:
+    the screens broadcast against each other.
+
+    The bound.  Let x be the exact value of a sample of A - E, W = W_A +
+    W_E, n = n1 + n2 for the larger extents n1 x n2 of A and E, and U
+    the underflow allowance of an n1 x n2 array.  S_A and S_E are within
+    gamma_n W_A + U and gamma_n W_E + U of their exact values, and the
+    subtraction adds at most u |S_A - S_E| <= u (1 + gamma_n) W, so S is
+    within gamma_n W + u (1 + gamma_n) W + 2U <= gamma_{n+1} W + 2U of x.
+    The fixed-order sum runs over the stored D = fl(A - E), whose entries
+    are within u |A - E| of A - E: it is within gamma_n (1 + u) W + U of
+    D's exact sample, which is within u W of x, so it is within
+    gamma_{n+1} W + U of x.  Both are thus within
+
+        B = 1.01 gamma_{n+2} W + 2U
+
+    of x, where the 1% covers the rounding of W and the extra step in
+    gamma the rounding of the threshold M - 4B (at most u (M + 4B), and
+    M <= 1.01 W), so ``_screened_abs_max`` keeps the fixed order's
+    maximum.
+    """
+
+    __slots__ = ("exact", "resolution", "_screen", "_weight")
+
+    def __init__(self, exact: CoeffGrid, resolution: int):
+        _check_resolution(resolution)
+        self.exact = exact
+        self.resolution = resolution
+        self._screen, self._weight = _sample_screen(exact.array, resolution)
+
+    def errors(self, approx: CoeffGrid) -> tuple[float, float]:
+        """L2 (Parseval) and sup (sample grid) norms of ``approx - exact``."""
+        diff = approx - self.exact
+        if diff.max_index() is None:
+            return 0.0, 0.0
+        screen, weight = _sample_screen(approx.array, self.resolution)
+        n1, n2 = map(max, approx.array.shape, self.exact.array.shape)
+        bound = (
+            1.01 * _gamma(n1 + n2 + 2) * (weight + self._weight)
+            + 2.0 * _underflow_allowance(n1, n2, self.resolution)
+        )
+        sup = _screened_abs_max(diff.array, screen - self._screen, bound, self.resolution)
+        return parseval_l2_norm(diff), sup
 
 
 def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:
     """Keep exactly the entries whose index pair lies in the cross.
 
-    Only the rows the grid has are compared with the cross's per-row
-    limits, so the work is bounded by the grid, not by the cross.
+    Only the grid's entries inside the cross's bounding box are compared
+    with its per-row limits, so the work is bounded by the smaller of
+    the grid and that box.
     """
     limits = cross.jmax[: c.array.shape[0], None]
-    j = np.arange(c.array.shape[1])
+    box = c.array[: len(limits), : int(limits.max(initial=-1)) + 1]
+    j = np.arange(box.shape[1])
     keep = (j >= cross.r2) & (j <= limits)
-    return CoeffGrid._adopt(np.where(keep, c.array[: len(limits)], 0.0))
+    return CoeffGrid._adopt(np.where(keep, box, 0.0))
 
 
 # rows formatted per block, so the per-field Python objects of one block exist at a time

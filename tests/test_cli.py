@@ -538,7 +538,9 @@ def test_experiment_rejects_a_k_ref_over_the_cell_limit(tmp_path, capsys, functi
 
 @pytest.mark.parametrize("section,key,value,limit", [
     ("method", "sup_resolution", 1000000, 8192),
-    ("sweep", "count", 1000000000000, 67108864),
+    ("sweep", "count", 1000000000000, 65536),
+    # the sweep plan is built in validation, so the cap comes before it
+    ("sweep", "count", 65537, 65536),
 ])
 def test_experiment_rejects_a_size_over_the_limit(tmp_path, capsys, section, key, value, limit):
     bad = tmp_path / "big.ini"

@@ -1,10 +1,12 @@
+import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dict_oracle as oracle
-from hcderiv import cli, harness, lowerbound, truncation
+from hcderiv import cli, harness, lowerbound, spectral, truncation
 from hcderiv.cross import build_cross
 from hcderiv.harness import (
     REGISTRY,
@@ -228,6 +230,41 @@ def test_one_cross_per_sweep_point(monkeypatch, tmp_path):
     calls.clear()
     run_radius_study([8, 16, 32, 64], ClassParams(2, 3), 1, 1, 2.0, sup_resolution=33)
     assert len(calls) == 4
+
+
+# the convergence workload's scale: a 401 x 401 reference and 13 deltas
+_LARGE = ExperimentConfig(delta_start=1e-2, delta_stop=1e-10, delta_count=13, k_ref=400,
+                          sup_resolution=129)
+
+
+def test_one_reference_screen_per_repetition(monkeypatch):
+    shapes = []
+
+    def recording_screen(a, resolution):
+        shapes.append(a.shape)
+        return sample_screen(a, resolution)
+
+    sample_screen = spectral._sample_screen
+    monkeypatch.setattr(spectral, "_sample_screen", recording_screen)
+    config = dataclasses.replace(_LARGE, num_seeds=2)
+    result = run_convergence_study(config)
+    # the (1, 1) derivative of the 401 x 401 reference is 400 x 400; every
+    # sweep point screens only its approximation, inside its cross's box
+    points = [shape for shape in shapes if shape != (400, 400)]
+    assert len(shapes) - len(points) == config.num_seeds
+    assert len(points) == config.num_seeds * len(result.records)
+    assert max(max(shape) for shape in points) < config.noise_support()
+
+
+def test_convergence_study_peak_stays_below_seven_and_a_half_references():
+    run_convergence_study(_LARGE)  # keeps the sample basis, as a repeated study does
+    tracemalloc.start()
+    try:
+        run_convergence_study(_LARGE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 401 * 401 * 8
 
 
 def test_one_derivative_per_witness_and_method_run(monkeypatch):

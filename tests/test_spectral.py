@@ -26,6 +26,7 @@ from hcderiv.spectral import (
     synth_eval,
 )
 from hcderiv.legendre import differentiate_coeffs
+from hcderiv.noise import lp_norm
 from dict_oracle import scatter
 
 
@@ -329,6 +330,76 @@ def test_sup_norm_within_its_bound_of_the_exact_sample_max(grid, resolution):
     # the screen changes nothing: the result is the fixed-order max over every sample
     rows, cols = np.divmod(np.arange(resolution**2), resolution)
     assert result == spectral._fixed_order_abs_max(vt, a, vu, rows, cols)
+
+
+@st.composite
+def _reference_case(draw):
+    """(E, A, resolution): a reference, an approximation of it, and a sample resolution.
+
+    Each grid is scaled by 10**e for an e in [-300, 300].  A is drawn on
+    its own, equal to E, or E plus noise 10**-1 to 10**-16 times its
+    scale; the last two are held in a box at least E's on both axes.
+    """
+    shape = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**32))))
+
+    def grid(box, exponent):
+        return rng.standard_normal(box) * 10.0**exponent
+
+    e_exponent = draw(st.integers(-300, 300))
+    e = grid(draw(shape), e_exponent)
+    kind = draw(st.sampled_from(["independent", "equal", "near"]))
+    if kind == "independent":
+        a = grid(draw(shape), draw(st.integers(-300, 300)))
+    else:
+        a = np.zeros(np.maximum(e.shape, draw(shape)))
+        a[: e.shape[0], : e.shape[1]] = e
+        if kind == "near":
+            a += grid(a.shape, e_exponent - draw(st.integers(1, 16)))
+    return e, a, draw(st.sampled_from([2, 3, 4, 9, 17, 33]))
+
+
+_E = np.array([[0.5, -1.25, 2.0], [0.75, 0.0, -0.5]])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_reference_case())
+@example((_E, np.ones((5, 2)), 9))  # A's box is larger than E's on axis 0
+@example((_E, np.ones((1, 6)), 9))  # and on axis 1
+@example((np.ones((7, 1)), np.zeros((0, 0)), 17))  # an empty A on a degree-0 axis
+@example((_E, _E.copy(), 5))  # A == E
+@example((np.ones((1, 4)), np.full((1, 4), 2.0), 9))
+@example((np.ones((4, 1)), np.ones((1, 1)), 9))
+@example((np.ones((1, 1)), np.full((1, 1), 3.0), 9))
+@example((_E, _E[::-1, ::-1] * 3.0, 2))
+@example((_E * 1e-300, _E[:, :2] * 1e300, 17))
+@example((_E * 1e300, _E * (1e300 * (1 + 2.0**-52)), 17))
+def test_kept_reference_errors_equal_the_one_shot_norms(case):
+    e, a, resolution = case
+    exact, approx = CoeffGrid(e), CoeffGrid(a)
+    diff = approx - exact
+    error_l2, error_c = spectral._ErrorReference(exact, resolution).errors(approx)
+    assert error_l2 == parseval_l2_norm(diff)
+    assert error_c == sup_norm_on_grid(diff, resolution)
+    if diff.max_index() is not None:
+        # the fixed-order max over every sample, screened by nothing
+        vt, vu, _ = spectral._samples(diff.array.shape, resolution)
+        rows, cols = np.divmod(np.arange(len(vt) * len(vu)), len(vu))
+        assert error_c == spectral._fixed_order_abs_max(vt, diff.array, vu, rows, cols)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_values_without_zeros_give_the_norms_of_values_with_zeros(layout):
+    rng = np.random.Generator(np.random.Philox(key=13))
+    dense = rng.standard_normal((40, 33)) * 10.0 ** rng.integers(-5, 5, size=(40, 33))
+    padded = np.insert(np.insert(dense, [3, 17], 0.0, axis=0), [1, 1, 30], 0.0, axis=1)
+    full = CoeffGrid._adopt(np.array(dense, order=layout))
+    holey = CoeffGrid(padded)
+    assert full.array.all() and not holey.array.all()
+    assert full.values().tobytes() == holey.values().tobytes()
+    assert parseval_l2_norm(full) == parseval_l2_norm(holey)
+    for p in (1, 2, 3.5, math.inf):
+        assert lp_norm(full, p) == lp_norm(holey, p)
 
 
 def test_restrict_to_cross():
