@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CoeffGrid
+from .spectral import CoeffGrid, parseval_l2_norm
 
 __all__ = ["NoiseSpec", "RNG_ALGORITHM", "NOISE_MODES", "lp_norm", "perturb"]
 
@@ -54,6 +54,8 @@ def lp_norm(x: CoeffGrid, p: float) -> float:
     """(sum |x|^p)^(1/p), or max |x| for p = inf."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    if p == 2:
+        return parseval_l2_norm(x)
     if x.max_index() is None:
         return 0.0
     vals = np.abs(x.values())
@@ -61,8 +63,6 @@ def lp_norm(x: CoeffGrid, p: float) -> float:
         return float(np.max(vals))
     if p == 1:
         return float(np.sum(vals))
-    if p == 2:
-        return float(np.sqrt(np.sum(vals * vals)))
     return float(np.sum(vals**p) ** (1.0 / p))
 
 

@@ -8,7 +8,9 @@ loaded through the text format.  The module provides the
 smoothness-class norm, the Parseval L2 norm, synthesis back to point
 values, sup-norm estimation on Chebyshev-clustered grids, restriction
 to a hyperbolic cross, coefficient-space mixed differentiation, and a
-tab-separated text format.
+tab-separated text format.  The L2 and sup errors against a reference
+grid are one step, ``_ErrorReference.errors``; the sup norm of a grid
+is its sup error against the zero grid.
 
 All operations are pure and grids are immutable after construction, so
 instances can be shared freely across threads.  The sup norm keeps its
@@ -178,10 +180,21 @@ def class_norm(c: CoeffGrid, params: ClassParams) -> float:
 
 
 def parseval_l2_norm(c: CoeffGrid) -> float:
-    """L2(Q) norm of the synthesized function, via Parseval."""
+    """L2(Q) norm of the synthesized function, via Parseval.
+
+    A sum of squares that overflows is summed again over the values times
+    the power of two that brings the largest below 1, a scaling exact for
+    every entry large enough to change the sum.
+    """
     if c.max_index() is None:
         return 0.0
-    return float(np.sqrt(np.sum(c.values() ** 2)))
+    values = c.values()
+    with np.errstate(over="ignore"):
+        total = np.sum(values**2)
+    if np.isinf(total):
+        shift = np.frexp(np.max(np.abs(values)))[1]
+        return float(np.ldexp(np.sqrt(np.sum(np.ldexp(values, -shift) ** 2)), shift))
+    return float(np.sqrt(total))
 
 
 def synth_eval(c: CoeffGrid, t: float, tau: float) -> float:
@@ -221,30 +234,6 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 _SAMPLE_BASIS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _sample_basis(kmax: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """V[i, k] = phi_k(t_i) at the sample points for k <= kmax, and max_i |V[i, k]|.
-
-    One matrix is kept, built for the largest degree asked for at the
-    current resolution; smaller degrees get a column slice of it, which
-    equals the smaller matrix bit for bit because the recurrence builds
-    each column from the ones before.  The kept matrix is dropped before
-    a larger one is built, so two are never held at once.  Callers get
-    the same values whether the matrix was kept or built; threads racing
-    here at worst build it twice.
-    """
-    kept = _SAMPLE_BASIS.get(resolution)
-    if kept is None or kept[0].shape[1] <= kmax:
-        _SAMPLE_BASIS.clear()
-        kept = None  # drop the old matrix before the new one exists
-        pts = np.cos(np.pi * np.arange(resolution) / (resolution - 1))
-        v = phi_vandermonde(kmax, pts)
-        colmax = np.maximum(v.max(axis=0), -v.min(axis=0))
-        v.flags.writeable = False
-        colmax.flags.writeable = False
-        kept = _SAMPLE_BASIS[resolution] = (v, colmax)
-    return kept[0][:, : kmax + 1], kept[1][: kmax + 1]
-
-
 def _fixed_order_abs_max(
     vt: np.ndarray, a: np.ndarray, vu: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> float:
@@ -254,9 +243,7 @@ def _fixed_order_abs_max(
     a[k, j] vu[l, j] are summed over j along each row k, then the
     products vt[i, k] times those row sums are summed over k, each sum
     a numpy np.sum over a contiguous axis.  The row sums are formed once
-    per sample column l.  Equal sample rows are summed again, so
-    ``_screened_abs_max`` passes an axis of degree 0, whose samples all
-    equal phi_0, as one row.
+    per sample column l.
     """
     t_of_u: dict[int, list[int]] = {}
     for i, l in zip(rows.tolist(), cols.tolist()):
@@ -268,22 +255,32 @@ def _fixed_order_abs_max(
     return best
 
 
-def _check_resolution(resolution: int) -> None:
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    if resolution > _MAX_RESOLUTION:
-        raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
-
-
 def _samples(shape: tuple[int, int], resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vt and Vu for an array of ``shape``, and the column maxima of |V| up to its larger extent.
 
-    An axis with at most one coefficient is sampled once: phi_0 is
-    constant, so all its samples are equal.
+    V[i, k] = phi_k(t_i) at the sample points t_i.  An axis with at most
+    one coefficient is sampled once: phi_0 is constant, so its samples
+    are equal.  One V is kept, built for the largest degree asked for at
+    the current resolution; a smaller degree gets a column slice of it,
+    equal bit for bit to the smaller matrix because the recurrence
+    builds each column from the ones before.  The kept matrix is dropped
+    before a larger one is built, so two are never held at once; threads
+    racing here at worst build it twice.
     """
-    v, colmax = _sample_basis(max(*shape, 1) - 1, resolution)
+    kmax = max(*shape, 1) - 1
+    kept = _SAMPLE_BASIS.get(resolution)
+    if kept is None or kept[0].shape[1] <= kmax:
+        _SAMPLE_BASIS.clear()
+        kept = None  # drop the old matrix before the new one exists
+        pts = np.cos(np.pi * np.arange(resolution) / (resolution - 1))
+        v = phi_vandermonde(kmax, pts)
+        colmax = np.maximum(v.max(axis=0), -v.min(axis=0))
+        v.flags.writeable = False
+        colmax.flags.writeable = False
+        kept = _SAMPLE_BASIS[resolution] = (v, colmax)
+    v, colmax = kept
     vt, vu = (v[: 1 if k <= 1 else resolution, :k] for k in shape)
-    return vt, vu, colmax
+    return vt, vu, colmax[: kmax + 1]
 
 
 def _sample_screen(a: np.ndarray, resolution: int) -> tuple[np.ndarray, float]:
@@ -299,108 +296,72 @@ def _sample_screen(a: np.ndarray, resolution: int) -> tuple[np.ndarray, float]:
     return vt @ a @ vu.T, float(colmax[:k1] @ np.abs(a) @ colmax[:k2])
 
 
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u), the relative error bound of an n-term sum of products."""
-    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-
-
-def _underflow_allowance(k1: int, k2: int, resolution: int) -> float:
-    """What the products of one sample of a (k1, k2) array may lose to underflow, with room to spare."""
-    colmax = _samples((k1, k2), resolution)[2]
-    return (k1 + 1) * (k2 + 1) * (1.0 + float(colmax.max())) * _TINY
-
-
-def _screened_abs_max(a: np.ndarray, screen: np.ndarray, bound: float, resolution: int) -> float:
-    """The fixed-order maximum of |samples of a|, given a screen within ``bound`` of them.
-
-    ``screen`` holds every sample of ``a`` to within ``bound`` of its
-    exact value, as does the fixed-order sum of that sample.  A sample
-    whose screened magnitude lies more than 4 bound below the screened
-    maximum M is then below M - 2 bound in the fixed order, while the
-    sample at M is at least M - 2 bound there, so the fixed order is
-    re-evaluated only on the samples within 4 bound of M.  An axis of
-    ``a`` with one coefficient takes the screen's first row (column):
-    all its samples are equal.
-    """
-    vt, vu, _ = _samples(a.shape, resolution)
-    screen = np.abs(screen[: len(vt), : len(vu)])
-    rows, cols = np.nonzero(screen >= screen.max() - 4.0 * bound)
-    return _fixed_order_abs_max(vt, a, vu, rows, cols)
-
-
 def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
     """Max of |synthesized function| over a Chebyshev-clustered tensor grid.
 
     Sample points are cos(pi i / (resolution - 1)), i = 0..resolution-1,
     which always include the endpoints +-1 where Legendre polynomials
     peak.  A resolution over 8192 (more than 2**26 samples) is refused.
-    phi_0 is constant, so on an axis of degree 0 every sample has the
-    same value and that axis is sampled once; on any other axis the
-    samples are distinct.
 
-    The result is the largest sample value summed in one fixed order
-    without BLAS (see ``_fixed_order_abs_max``), so it depends on numpy's
-    elementwise arithmetic and its fixed reductions but not on the BLAS
-    or its thread count.  The BLAS product Vt c Vu^T only screens the
-    samples: any summation order of a sample value is within
-
-        B = gamma_{K1+K2} sum_kj m_t[k] |c_kj| m_u[j],
-
-    gamma_n = n u / (1 - n u), of its exact value, where m_t and m_u are
-    the column maxima of |Vt| and |Vu| (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 3.5; B is inflated by 1% for its own
-    rounding and by an allowance for underflow).  Only the samples whose
-    screened value lies within 4B of the screened maximum are summed in
-    the fixed order (see ``_screened_abs_max``), which returns the fixed
-    order's maximum over all samples.
+    It is the sup error of ``c`` against the zero grid (see
+    ``_ErrorReference``), summed in one fixed order without BLAS, so it
+    does not depend on the BLAS or its thread count.
     """
-    _check_resolution(resolution)
-    if c.max_index() is None:
-        return 0.0
-    a = c.array
-    k1, k2 = a.shape
-    screen, weight = _sample_screen(a, resolution)
-    bound = 1.01 * _gamma(k1 + k2) * weight + _underflow_allowance(k1, k2, resolution)
-    return _screened_abs_max(a, screen, bound, resolution)
+    return _ErrorReference(CoeffGrid(), resolution).errors(c)[1]
 
 
 class _ErrorReference:
-    """A reference grid E kept with its sample screen, for the errors of many grids A.
+    """A reference grid E kept with its sample screen: the error step for many grids A.
 
-    ``errors(approx)`` returns the L2 (Parseval) and sup norms of
-    D = approx - E, the sup norm equal bit for bit to
-    ``sup_norm_on_grid(approx - E, resolution)``: it is the fixed-order
-    maximum over the same samples of the same stored D.  Only the screen
-    differs.  The screen is linear, Vt (A - E) Vu^T = Vt A Vu^T - Vt E Vu^T,
-    so the screen S_E = Vt E Vu^T and the weight W_E = sum m_t |E| m_u
-    are formed here once, and each call forms S_A and W_A over A's box
-    alone and screens with S = S_A - S_E.  A box larger than E's on
-    either axis, an empty A and an axis of degree 0 all take this path:
-    the screens broadcast against each other.
+    ``errors(approx)`` returns the L2 (Parseval) and sup norms of the
+    stored difference D = fl(approx - E).  The sup norm is the largest
+    |sample| of D summed in one fixed order (``_fixed_order_abs_max``)
+    over every sample; a BLAS screen only picks the samples worth
+    summing.  An empty E gives ``sup_norm_on_grid(A)``: S_E = 0, W_E = 0
+    and D = A exactly.
 
-    The bound.  Let x be the exact value of a sample of A - E, W = W_A +
+    The screen is linear, Vt (A - E) Vu^T = Vt A Vu^T - Vt E Vu^T, so the
+    screen S_E = Vt E Vu^T and the weight W_E = sum m_t |E| m_u, with
+    m_t and m_u the column maxima of |Vt| and |Vu|, are formed here
+    once, and each call forms S_A and W_A over A's box alone and screens
+    with S = S_A - S_E.  A box larger than E's on either axis, an empty
+    A or E and an axis of degree 0 all take this path: the screens
+    broadcast against each other.
+
+    The bound.  Any summation order of an n-term sum of products is
+    within gamma_n times the sum of the products' magnitudes of its
+    exact value, gamma_n = n u / (1 - n u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.5), as long as no product
+    underflows.  Let x be the exact value of a sample of A - E, W = W_A +
     W_E, n = n1 + n2 for the larger extents n1 x n2 of A and E, and U
-    the underflow allowance of an n1 x n2 array.  S_A and S_E are within
-    gamma_n W_A + U and gamma_n W_E + U of their exact values, and the
-    subtraction adds at most u |S_A - S_E| <= u (1 + gamma_n) W, so S is
-    within gamma_n W + u (1 + gamma_n) W + 2U <= gamma_{n+1} W + 2U of x.
-    The fixed-order sum runs over the stored D = fl(A - E), whose entries
-    are within u |A - E| of A - E: it is within gamma_n (1 + u) W + U of
-    D's exact sample, which is within u W of x, so it is within
+    the underflow allowance of an n1 x n2 array (what the products of
+    one sample may lose to underflow, with room to spare).  S_A and S_E
+    are within gamma_n W_A + U and gamma_n W_E + U of their exact
+    values, and the subtraction adds at most u |S_A - S_E| <= u (1 +
+    gamma_n) W, so S is within gamma_n W + u (1 + gamma_n) W + 2U <=
+    gamma_{n+1} W + 2U of x.  The fixed-order sum runs over D, whose
+    entries are within u |A - E| of A - E: it is within gamma_n (1 + u)
+    W + U of D's exact sample, which is within u W of x, so it is within
     gamma_{n+1} W + U of x.  Both are thus within
 
         B = 1.01 gamma_{n+2} W + 2U
 
-    of x, where the 1% covers the rounding of W and the extra step in
-    gamma the rounding of the threshold M - 4B (at most u (M + 4B), and
-    M <= 1.01 W), so ``_screened_abs_max`` keeps the fixed order's
-    maximum.
+    of x.  Let M be the largest |S|.  The sample at M is at least M - 2B
+    in the fixed order, and a sample whose |S| lies more than 4B below M
+    is below M - 2B there, so only the samples within 4B of M are summed
+    in the fixed order, and their maximum is the fixed order's maximum
+    over all samples.  The 1% covers the rounding of W, and the extra
+    step in gamma the rounding of the threshold M - 4B (at most
+    u (M + 4B), and M <= 1.01 W).
     """
 
     __slots__ = ("exact", "resolution", "_screen", "_weight")
 
     def __init__(self, exact: CoeffGrid, resolution: int):
-        _check_resolution(resolution)
+        if resolution < 2:
+            raise ValueError("resolution must be >= 2")
+        if resolution > _MAX_RESOLUTION:
+            raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
         self.exact = exact
         self.resolution = resolution
         self._screen, self._weight = _sample_screen(exact.array, resolution)
@@ -410,14 +371,18 @@ class _ErrorReference:
         diff = approx - self.exact
         if diff.max_index() is None:
             return 0.0, 0.0
+        error_l2 = parseval_l2_norm(diff)
         screen, weight = _sample_screen(approx.array, self.resolution)
         n1, n2 = map(max, approx.array.shape, self.exact.array.shape)
-        bound = (
-            1.01 * _gamma(n1 + n2 + 2) * (weight + self._weight)
-            + 2.0 * _underflow_allowance(n1, n2, self.resolution)
-        )
-        sup = _screened_abs_max(diff.array, screen - self._screen, bound, self.resolution)
-        return parseval_l2_norm(diff), sup
+        n = n1 + n2 + 2
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        colmax = _samples((n1, n2), self.resolution)[2]
+        underflow = (n1 + 1) * (n2 + 1) * (1.0 + float(colmax.max())) * _TINY
+        bound = 1.01 * gamma * (weight + self._weight) + 2.0 * underflow
+        vt, vu, _ = _samples(diff.array.shape, self.resolution)
+        screen = np.abs((screen - self._screen)[: len(vt), : len(vu)])
+        rows, cols = np.nonzero(screen >= screen.max() - 4.0 * bound)
+        return error_l2, _fixed_order_abs_max(vt, diff.array, vu, rows, cols)
 
 
 def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:

@@ -124,21 +124,6 @@ class ParameterSelection:
     case_label: str
 
 
-def _regions(points: list[tuple[float, float]]) -> list[GammaRegion]:
-    """The exceptional points (gamma, log exponent), increasing, with a clean interval below each.
-
-    The first interval is closed at 1; a point at gamma = 1 has no interval below it.
-    """
-    regions: list[GammaRegion] = []
-    lo, lo_open = 1.0, False
-    for g, log_exponent in points:
-        if g != 1.0:
-            regions.append(GammaRegion(lo, g, lo_open, True, 0.0))
-        regions.append(GammaRegion(g, g, False, False, log_exponent))
-        lo, lo_open = g, True
-    return regions
-
-
 def _case(si: SelectionInput) -> tuple[str, list[tuple[float, float]]]:
     """The rule's case for (metric, r1, r2): its label and its exceptional points.
 
@@ -175,10 +160,18 @@ def gamma_intervals(si: SelectionInput) -> list[GammaRegion]:
 
     For equal orders only gamma = 1 is covered and the rate carries the
     main log factor.  For distinct orders the regions tile [1, top] with
-    clean open intervals separated by exceptional points.
+    clean open intervals separated by exceptional points: each point has
+    a clean interval below it, the first closed at 1, except a point at 1.
     """
     si.check_admissible()
-    return _regions(_case(si)[1])
+    regions: list[GammaRegion] = []
+    lo, lo_open = 1.0, False
+    for g, log_exponent in _case(si)[1]:
+        if g != 1.0:
+            regions.append(GammaRegion(lo, g, lo_open, True, 0.0))
+        regions.append(GammaRegion(g, g, False, False, log_exponent))
+        lo, lo_open = g, True
+    return regions
 
 
 def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> ParameterSelection:
@@ -188,7 +181,7 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
     orders take gamma = 1 and e = 1/p - 1/s; distinct orders take the
     midpoint of the leftmost clean interval and e = 0.  A forced gamma
     is kept as given, with e from the exceptional point it sits on, if
-    any.
+    any: within a relative 1e-9 of the point, on either side.
     """
     si.check_admissible()
     if forced_gamma is not None and not forced_gamma >= 1:
@@ -202,12 +195,13 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
         gamma = 1.0 if gamma is None else gamma
         log_exponent = _inv(si.p) - 1.0 / si.cls.s
     elif gamma is None:
-        clean = next(r for r in _regions(points) if not r.is_point and r.log_exponent == 0.0)
-        gamma = 0.5 * (clean.lo + clean.hi)
+        # the midpoint of the leftmost clean interval, [1, g) or (1, g) for the first point g != 1
+        gamma = 0.5 * (1.0 + next(g for g, _ in points if g != 1.0))
     else:
-        hit = next((r for r in _regions(points) if r.contains(gamma)), None)
-        if hit is not None and hit.is_point and hit.log_exponent != 0.0:
-            log_exponent, suffix = hit.log_exponent, "-exceptional"
+        near = (e for g, e in points if math.isclose(gamma, g, rel_tol=_POINT_REL_TOL))
+        log_exponent = next(near, 0.0)
+        if log_exponent != 0.0:
+            suffix = "-exceptional"
     n = (si.delta / max(math.log(1.0 / si.delta), 1.0) ** log_exponent) ** (-1.0 / q)
     return ParameterSelection(n=n, gamma=gamma, case_label=label + suffix)
 

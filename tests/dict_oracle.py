@@ -401,8 +401,8 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
         n = _n_from_delta(si.delta, q, _inv(si.p) - 1.0 / si.cls.s)
         return ParameterSelection(n=n, gamma=float(forced_gamma), case_label=base_label + "-forced")
     regions = gamma_intervals(si)
-    hit = next((r for r in regions if r.contains(forced_gamma)), None)
-    if hit is not None and hit.is_point and hit.log_exponent != 0.0:
+    hit = next((r for r in regions if r.is_point and r.contains(forced_gamma)), None)
+    if hit is not None and hit.log_exponent != 0.0:
         n = _n_from_delta(si.delta, q, hit.log_exponent)
         return ParameterSelection(
             n=n, gamma=float(forced_gamma), case_label=base_label + "-exceptional"

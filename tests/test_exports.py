@@ -1,4 +1,5 @@
-"""Every name a module exports through ``__all__`` exists, and no module defines a name twice."""
+"""Every name a module exports through ``__all__`` exists, no module defines a name twice,
+and every private top-level name of the package is used in the package."""
 
 import ast
 import importlib
@@ -13,7 +14,8 @@ MODULES = ["hcderiv"] + [
     f"hcderiv.{info.name}" for info in pkgutil.iter_modules(hcderiv.__path__)
 ]
 ROOT = Path(__file__).parents[1]
-SOURCES = sorted([*(ROOT / "src" / "hcderiv").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "hcderiv").rglob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").rglob("*.py")])
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -32,3 +34,25 @@ def test_no_top_level_function_or_class_is_defined_twice(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
     assert sorted({name for name in defined if defined.count(name) > 1}) == []
+
+
+def test_every_private_top_level_name_is_loaded_somewhere_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    private, loaded = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            private += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert private
+    assert [(module, name) for module, name in private if name not in loaded] == []

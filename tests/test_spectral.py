@@ -106,6 +106,14 @@ def test_parseval_examples():
     assert parseval_l2_norm(CoeffGrid(scatter({(1, 2): 3.0, (4, 4): 4.0}))) == pytest.approx(5.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_l2_norms_whose_squares_overflow():
+    g = CoeffGrid(np.array([[3e200, 4e200]]))
+    assert parseval_l2_norm(g) == lp_norm(g, 2) == pytest.approx(5e200, rel=1e-15)
+    g = CoeffGrid(np.array([[1e308], [-1e308]]))
+    assert parseval_l2_norm(g) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.dictionaries(

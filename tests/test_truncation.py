@@ -185,6 +185,22 @@ def test_forced_gamma_clean_keeps_power_law_n():
     assert sel.case_label.endswith("-forced")
 
 
+@pytest.mark.parametrize(
+    "r1,r2,metric", [(1, 1, "l2"), (2, 1, "l2"), (2, 1, "c"), (3, 1, "c"), (4, 2, "c")]
+)
+@pytest.mark.parametrize("s,extra", [(2.0, 5.0), (1.5, 1.6), (1.0, 3.0)])
+def test_forced_gamma_within_the_tolerance_of_a_point_takes_the_point_from_either_side(
+    r1, r2, metric, s, extra
+):
+    si = _si(delta=1e-4, s=s, mu=2 * r1 + extra, r1=r1, r2=r2, metric=metric)
+    for point in (r.lo for r in gamma_intervals(si) if r.is_point):
+        on = select_parameters(si, forced_gamma=point)
+        for gamma in (point * (1 - 5e-10), point * (1 + 5e-10)):
+            if gamma >= 1:
+                near = select_parameters(si, forced_gamma=gamma)
+                assert (near.n, near.case_label) == (on.n, on.case_label)
+
+
 def test_forced_gamma_below_one_rejected():
     with pytest.raises(ValueError):
         select_parameters(_si(), forced_gamma=0.5)
@@ -209,8 +225,10 @@ def test_rule_matches_the_branch_per_case_reference(metric, r1, r2, p):
         si = _si(delta=delta, p=p, s=s, mu=mu, r1=r1, r2=r2, metric=metric)
         regions = oracle.gamma_intervals(si)
         assert gamma_intervals(si) == regions
-        # the default, gamma = 1, every point and midpoint, one past the top, and one below 1
+        # the default, gamma = 1, every point and midpoint, each point's relative 5e-10
+        # neighbours, one past the top, and one below 1
         forced = [None, 1.0, *(r.lo if r.is_point else 0.5 * (r.lo + r.hi) for r in regions)]
+        forced += [r.lo * f for r in regions if r.is_point for f in (1 - 5e-10, 1 + 5e-10)]
         for gamma in forced + [1.5 * regions[-1].hi, 0.5]:
             sel = _outcome(lambda: select_parameters(si, forced_gamma=gamma))
             assert sel == _outcome(lambda: oracle.select_parameters(si, forced_gamma=gamma))
