@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CoeffGrid, parseval_l2_norm
+from .spectral import CoeffGrid, _power_norm, parseval_l2_norm
 
 __all__ = ["NoiseSpec", "RNG_ALGORITHM", "NOISE_MODES", "lp_norm", "perturb"]
 
@@ -51,7 +51,11 @@ class NoiseSpec:
 
 
 def lp_norm(x: CoeffGrid, p: float) -> float:
-    """(sum |x|^p)^(1/p), or max |x| for p = inf."""
+    """(sum |x|^p)^(1/p), or max |x| for p = inf.
+
+    A sum of powers that overflows or underflows is summed again over
+    scaled values (see ``spectral._power_norm``).
+    """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
@@ -63,7 +67,7 @@ def lp_norm(x: CoeffGrid, p: float) -> float:
         return float(np.max(vals))
     if p == 1:
         return float(np.sum(vals))
-    return float(np.sum(vals**p) ** (1.0 / p))
+    return _power_norm(vals, p)
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -3,7 +3,9 @@
 Rules live on [-1, 1]; bivariate integrals use the tensor product of a
 one-dimensional rule with itself.  Integrand callbacks are invoked with
 two equal-shape numpy arrays and must broadcast elementwise; callbacks
-that only accept scalars are evaluated pointwise as a fallback.
+that only accept scalars are evaluated pointwise as a fallback, and
+every value must be finite.  The projection keeps the read-only rule of
+its last order between calls; no result depends on whether it was kept.
 """
 
 from __future__ import annotations
@@ -85,19 +87,50 @@ def gauss_legendre_rule(m: int) -> QuadratureRule:
     return QuadratureRule(nodes=x, weights=w, order=m)
 
 
-def _eval_on_grid(f: Callable, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+# one slot: the rule of the last projection order asked for; see _kept_rule
+_KEPT_RULE: list[QuadratureRule | None] = [None]
+
+
+def _kept_rule(m: int) -> QuadratureRule:
+    """``gauss_legendre_rule(m)``, kept between calls for the last m asked.
+
+    The rule's arrays are read-only, so no result depends on whether it
+    was kept.  The kept rule is dropped before a rule for another m is
+    built, so two are never held at once; threads racing here at worst
+    build it twice.
+    """
+    kept = _KEPT_RULE[0]
+    if kept is None or kept.order != m:
+        _KEPT_RULE[0] = None  # drop the old rule first
+        kept = _KEPT_RULE[0] = gauss_legendre_rule(m)
+    return kept
+
+
+def _eval_on_rule(f: Callable, nodes: np.ndarray) -> np.ndarray:
+    """f at the tensor nodes (t, u) = (nodes[i], nodes[l]), checked finite.
+
+    A non-finite value raises ValueError naming the first such node in
+    row-major order.
+    """
+    t, u = np.meshgrid(nodes, nodes, indexing="ij")
     try:
         vals = np.asarray(f(t, u), dtype=float)
-        if vals.shape == t.shape:
-            return vals
     except (TypeError, ValueError):
-        pass
-    # scalar-only callback
-    vals = np.empty_like(t)
-    it = np.nditer(t, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        vals[idx] = f(float(t[idx]), float(u[idx]))
+        vals = None
+    if vals is None or vals.shape != t.shape:
+        # scalar-only callback
+        vals = np.empty_like(t)
+        it = np.nditer(t, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            vals[idx] = f(float(t[idx]), float(u[idx]))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i, l = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(
+            f"integrand is not finite at node (t, u) = {(float(t[i, l]), float(u[i, l]))}: "
+            f"{float(vals[i, l])!r}"
+        )
     return vals
 
 
@@ -111,7 +144,8 @@ def compute_coeff_grid(
     Parameters
     ----------
     f : callable
-        Real-valued function on [-1, 1]^2.
+        Real-valued function on [-1, 1]^2, finite at every quadrature
+        node (a non-finite value raises ValueError naming the node).
     kmax : int
         Largest index on each axis.
     m : int, optional
@@ -119,7 +153,8 @@ def compute_coeff_grid(
         least kmax + 2 to keep the projection alias-free.
 
     Entries below ``_DROP_TOL * max(1, max |c|)`` are treated as
-    quadrature noise and omitted.
+    quadrature noise and omitted.  The m-point rule is kept between
+    calls (see ``_kept_rule``).
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -127,21 +162,26 @@ def compute_coeff_grid(
         m = kmax + 10
     if m < kmax + 2:
         raise ValueError(f"quadrature order m={m} must be >= kmax + 2 = {kmax + 2}")
-    rule = gauss_legendre_rule(m)
-    t, u = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    vals = _eval_on_grid(f, t, u)
-    weighted = np.outer(rule.weights, rule.weights) * vals
+    rule = _kept_rule(m)
+    weighted = np.outer(rule.weights, rule.weights)
+    weighted *= _eval_on_rule(f, rule.nodes)
     v = phi_vandermonde(kmax, rule.nodes)
     c = v.T @ weighted @ v
-    cut = _DROP_TOL * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    return CoeffGrid._adopt(np.where(np.abs(c) > cut, c, 0.0))
+    magnitude = np.abs(c)
+    cut = _DROP_TOL * max(1.0, float(magnitude.max()))
+    c[magnitude <= cut] = 0.0
+    return CoeffGrid._adopt(c)
 
 
 def l2_norm_quadrature(g: Callable, m: int) -> float:
-    """L2(Q) norm of g over Q = [-1, 1]^2 by the tensor m-point rule."""
+    """L2(Q) norm of g over Q = [-1, 1]^2 by the tensor m-point rule.
+
+    g must be finite at every node (a non-finite value raises
+    ValueError naming the node); the rule is kept as for
+    :func:`compute_coeff_grid`.
+    """
     if m < 2:
         raise ValueError("quadrature order m must be >= 2")
-    rule = gauss_legendre_rule(m)
-    t, u = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    vals = _eval_on_grid(g, t, u)
+    rule = _kept_rule(m)
+    vals = _eval_on_rule(g, rule.nodes)
     return float(np.sqrt(np.sum(np.outer(rule.weights, rule.weights) * vals * vals)))

@@ -132,17 +132,22 @@ def _trimmed(dense: np.ndarray, copy: bool) -> np.ndarray:
     """``dense`` checked finite, trimmed to its last nonzero row and column, and read-only.
 
     Without ``copy``, an array that needs no trimming is returned itself.
+    An array whose last row and last column each hold a nonzero needs no
+    trimming, which is read from those two lines without scanning the rest.
     """
     if not np.all(np.isfinite(dense)):
         raise ValueError("coefficient array holds non-finite values")
-    nonzero = dense != 0.0
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    if not rows.size:
-        return _EMPTY
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    shape = (rows[-1] + 1, cols[-1] + 1)
-    if copy or shape != dense.shape:
-        dense = np.array(dense[: shape[0], : shape[1]])
+    if not (dense.size and dense[-1].any() and dense[:, -1].any()):
+        nonzero = dense != 0.0
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        if not rows.size:
+            return _EMPTY
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        shape = (rows[-1] + 1, cols[-1] + 1)
+        if shape != dense.shape:
+            dense, copy = dense[: shape[0], : shape[1]], True
+    if copy:
+        dense = np.array(dense)
     dense.flags.writeable = False
     return dense
 
@@ -180,21 +185,34 @@ def class_norm(c: CoeffGrid, params: ClassParams) -> float:
 
 
 def parseval_l2_norm(c: CoeffGrid) -> float:
-    """L2(Q) norm of the synthesized function, via Parseval.
-
-    A sum of squares that overflows is summed again over the values times
-    the power of two that brings the largest below 1, a scaling exact for
-    every entry large enough to change the sum.
-    """
+    """L2(Q) norm of the synthesized function, via Parseval."""
     if c.max_index() is None:
         return 0.0
-    values = c.values()
+    return _power_norm(c.values(), 2)
+
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
+def _power_norm(values: np.ndarray, p: float) -> float:
+    """(sum values**p)^(1/p) of nonzero values, for finite p > 1; a square root at p = 2.
+
+    The values must be nonnegative unless p = 2.  A sum in the normal
+    range gives the result as the plain formula does, bit for bit.  A sum
+    that overflows or falls below the smallest normal float is summed
+    again over the values divided by their largest magnitude m, and its
+    root multiplied by m: the largest term is then 1, so no term
+    overflows, and a term that underflows is too small to change the
+    sum.  A power-of-two scaling would be exact, but its largest term
+    2**-p or more underflows itself once p passes 1022.
+    """
+    root = np.sqrt if p == 2 else (lambda x: x ** (1.0 / p))
     with np.errstate(over="ignore"):
-        total = np.sum(values**2)
-    if np.isinf(total):
-        shift = np.frexp(np.max(np.abs(values)))[1]
-        return float(np.ldexp(np.sqrt(np.sum(np.ldexp(values, -shift) ** 2)), shift))
-    return float(np.sqrt(total))
+        total = np.sum(values**p)
+        if _SMALLEST_NORMAL <= total < np.inf:
+            return float(root(total))
+        largest = np.max(np.abs(values))
+        return float(largest * root(np.sum((values / largest) ** p)))
 
 
 def synth_eval(c: CoeffGrid, t: float, tau: float) -> float:
@@ -380,7 +398,9 @@ class _ErrorReference:
         underflow = (n1 + 1) * (n2 + 1) * (1.0 + float(colmax.max())) * _TINY
         bound = 1.01 * gamma * (weight + self._weight) + 2.0 * underflow
         vt, vu, _ = _samples(diff.array.shape, self.resolution)
-        screen = np.abs((screen - self._screen)[: len(vt), : len(vu)])
+        # S_A is dropped once S_A - S_E exists, and |S| is taken in place
+        screen = (screen - self._screen)[: len(vt), : len(vu)]
+        np.abs(screen, out=screen)
         rows, cols = np.nonzero(screen >= screen.max() - 4.0 * bound)
         return error_l2, _fixed_order_abs_max(vt, diff.array, vu, rows, cols)
 
@@ -524,11 +544,15 @@ def _table_grid(table: np.ndarray) -> CoeffGrid:
     if bad.size:
         k, j, v = table[bad[0]].tolist()
         raise ValueError(f"coefficient at {(k, j)} is not finite: {v!r}")
-    order = np.lexsort((js, ks))
-    repeats = (np.diff(ks[order]) == 0) & (np.diff(js[order]) == 0)
-    if repeats.any():
-        dup = order[np.argmax(repeats)]
-        raise ValueError(f"duplicate index {(int(ks[dup]), int(js[dup]))}")
+    # pairs in strictly increasing (k, j) order, as dump_grid writes them, are unique;
+    # only other tables are sorted to find a duplicate
+    dk = np.diff(ks)
+    if not np.all((dk > 0) | ((dk == 0) & (np.diff(js) > 0))):
+        order = np.lexsort((js, ks))
+        repeats = (np.diff(ks[order]) == 0) & (np.diff(js[order]) == 0)
+        if repeats.any():
+            dup = order[np.argmax(repeats)]
+            raise ValueError(f"duplicate index {(int(ks[dup]), int(js[dup]))}")
     keep = vals != 0.0
     if not keep.any():
         return CoeffGrid()

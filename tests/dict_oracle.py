@@ -98,7 +98,14 @@ class CoeffGrid:
 def parseval_l2_norm(c: CoeffGrid) -> float:
     if len(c) == 0:
         return 0.0
-    return float(np.sqrt(np.sum(c.values() ** 2)))
+    values = c.values()
+    with np.errstate(over="ignore"):
+        total = np.sum(values**2)
+        if np.finfo(float).tiny <= total < np.inf:
+            return float(np.sqrt(total))
+        # a sum outside the normal range: sum the squares of the values over the largest
+        largest = np.max(np.abs(values))
+        return float(largest * np.sqrt(np.sum((values / largest) ** 2)))
 
 
 def dump_grid(c: CoeffGrid) -> str:

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dict_oracle import scatter
-from hcderiv.legendre import eval_phi
+from hcderiv import quadrature
+from hcderiv.legendre import eval_phi, phi_vandermonde
 from hcderiv.quadrature import compute_coeff_grid, gauss_legendre_rule, l2_norm_quadrature
 from hcderiv.spectral import CoeffGrid, parseval_l2_norm, synth_eval
 
@@ -151,3 +153,49 @@ def test_scalar_only_callback_fallback():
     grid = compute_coeff_grid(lambda t, u: float(t) ** 2 * float(u) ** 0, 2, m=6)
     # <t^2, phi_0 phi_0> = (2/3) * 2 / 2 = 2/3
     assert grid.array[0, 0] == pytest.approx(2 / 3, rel=1e-13)
+
+
+def _node_message(t, u, value):
+    return re.escape(f"integrand is not finite at node (t, u) = {(float(t), float(u))}: {value!r}")
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_integrands_name_their_first_node():
+    nodes = gauss_legendre_rule(14).nodes
+    nan_at = lambda t, u: np.where(t > 0.9, np.nan, 1.0 + 0 * u)
+    t = nodes[np.argmax(nodes > 0.9)]
+    with pytest.raises(ValueError, match=_node_message(t, nodes[0], math.nan)):
+        compute_coeff_grid(nan_at, 4)
+    inf_at = lambda t, u: np.where(u < -0.5, -np.inf, t * u)
+    with pytest.raises(ValueError, match=_node_message(nodes[0], nodes[0], -math.inf)):
+        compute_coeff_grid(inf_at, 4)
+    with pytest.raises(ValueError, match=_node_message(t, nodes[0], math.nan)):
+        l2_norm_quadrature(nan_at, 14)
+    scalar_inf = lambda t, u: math.inf if t == nodes[3] and u == nodes[5] else 1.0
+    with pytest.raises(ValueError, match=_node_message(nodes[3], nodes[5], math.inf)):
+        compute_coeff_grid(scalar_inf, 4)
+
+
+def _cold_coeff_array(f, kmax, m):
+    """The projection with a rule built for the call, cut by np.where."""
+    rule = gauss_legendre_rule(m)
+    t, u = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    v = phi_vandermonde(kmax, rule.nodes)
+    c = v.T @ (np.outer(rule.weights, rule.weights) * f(t, u)) @ v
+    cut = 1e-14 * max(1.0, float(np.max(np.abs(c))))
+    return CoeffGrid(np.where(np.abs(c) > cut, c, 0.0)).array
+
+
+def test_kept_rule_gives_the_grids_of_built_rules(monkeypatch):
+    f = lambda t, u: np.exp(t - 2.0 * u) * np.cos(3.0 * t * u)
+    expected = {m: _cold_coeff_array(f, 20, m) for m in (22, 31)}
+    built = []
+    monkeypatch.setattr(quadrature, "_KEPT_RULE", [None])
+    monkeypatch.setattr(quadrature, "gauss_legendre_rule", lambda m: built.append(m) or gauss_legendre_rule(m))
+    for m in (22, 22, 31, 31, 22, 31):
+        grid = compute_coeff_grid(f, 20, m)
+        assert grid.array.tobytes() == expected[m].tobytes()
+        assert grid.array.shape == expected[m].shape
+    assert built == [22, 31, 22, 31]
+    assert l2_norm_quadrature(f, 31) == pytest.approx(parseval_l2_norm(grid), rel=1e-12)
+    assert built == [22, 31, 22, 31]  # the norm took the kept 31-point rule

@@ -614,3 +614,127 @@ def test_grid_sum_peak_stays_below_one_and_a_half_results():
     rng = np.random.Generator(np.random.Philox(key=12))
     a, b = (CoeffGrid(rng.standard_normal((512, 512))) for _ in range(2))
     assert _peak_bytes(lambda: a + b) < 1.5 * 512 * 512 * 8
+
+
+def _full_scan_trimmed(dense, copy):
+    """spectral._trimmed as it was before it read the last row and column first."""
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("coefficient array holds non-finite values")
+    nonzero = dense != 0.0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if not rows.size:
+        return spectral._EMPTY
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    shape = (rows[-1] + 1, cols[-1] + 1)
+    if copy or shape != dense.shape:
+        dense = np.array(dense[: shape[0], : shape[1]])
+    dense.flags.writeable = False
+    return dense
+
+
+def _laid_out(dense, layout):
+    """A fresh copy of ``dense`` in C or F order, or a strided view of a fresh array."""
+    if layout == "strided":
+        return np.repeat(dense, 2, axis=1)[:, ::2]
+    return np.array(dense, order=layout)
+
+
+@st.composite
+def _arrays_to_trim(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cells = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e300])
+    dense = np.array(draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    if rows and draw(st.booleans()):
+        dense[-1] = draw(st.sampled_from([0.0, -0.0]))
+    if cols and draw(st.booleans()):
+        dense[:, -1] = draw(st.sampled_from([0.0, -0.0]))
+    return dense, draw(st.sampled_from(["C", "F", "strided"])), draw(st.booleans())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_arrays_to_trim())
+@example((np.zeros((0, 3)), "C", False))
+@example((np.zeros((4, 0)), "F", True))
+@example((np.array([[1.0, -0.0], [-0.0, -0.0]]), "F", False))
+@example((np.array([[0.0, 2.0], [3.0, 0.0]]), "strided", False))
+@example((np.array([[0.0, 2.0], [3.0, 0.0]]), "F", True))
+def test_trim_reads_the_last_lines_like_the_full_scan(case):
+    dense, layout, copy = case
+    fast_in, full_in = _laid_out(dense, layout), _laid_out(dense, layout)
+    fast, full = spectral._trimmed(fast_in, copy), _full_scan_trimmed(full_in, copy)
+    assert fast.tobytes() == full.tobytes() and fast.shape == full.shape
+    assert fast.strides == full.strides and fast.dtype == full.dtype
+    assert fast.flags == full.flags
+    assert (fast is fast_in) == (full is full_in)
+    assert (fast is spectral._EMPTY) == (full is spectral._EMPTY)
+    assert fast_in.flags.writeable == full_in.flags.writeable
+
+
+def _table(pairs, values=None):
+    table = np.zeros(len(pairs), spectral._ENTRY)
+    if pairs:
+        table["k"], table["j"] = np.array(pairs).T
+    table["v"] = np.arange(1.0, len(pairs) + 1) if values is None else values
+    return table
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20),
+    st.randoms(use_true_random=False),
+)
+@example([], None)
+@example([(0, 0), (0, 0)], None)
+@example([(2, 1), (0, 3), (2, 1), (0, 3)], None)
+def test_tables_in_any_order_give_the_grid_or_error_of_the_sorted_table(pairs, rand):
+    unique = sorted(set(pairs))
+    values = np.arange(1.0, len(unique) + 1)
+    grid = spectral._table_grid(_table(unique, values))
+    shuffled = list(zip(unique, values))
+    if rand is not None:
+        rand.shuffle(shuffled)
+    assert spectral._table_grid(_table([p for p, _ in shuffled], [v for _, v in shuffled])) == grid
+    repeated = sorted(p for p in set(pairs) if pairs.count(p) > 1)
+    for table in (_table(sorted(pairs)), _table(pairs)):
+        if repeated:
+            with pytest.raises(ValueError, match=re.escape(f"duplicate index {repeated[0]}")):
+                spectral._table_grid(table)
+        else:
+            assert spectral._table_grid(table).array.shape == grid.array.shape
+
+
+@pytest.mark.filterwarnings("error")
+def test_norms_whose_sums_underflow_or_overflow():
+    assert parseval_l2_norm(CoeffGrid(np.array([[3e-170, 4e-170]]))) == pytest.approx(5e-170, rel=1e-15)
+    assert parseval_l2_norm(CoeffGrid(np.array([[1e-160]]))) == 1e-160
+    assert parseval_l2_norm(CoeffGrid(np.array([[5e-324, 0.0, -5e-324]]))) == pytest.approx(
+        math.sqrt(2) * 5e-324, abs=5e-324
+    )
+    cube_root = 91.0 ** (1 / 3)
+    assert lp_norm(CoeffGrid(np.array([[3e200, 4e200]])), 3) == pytest.approx(cube_root * 1e200, rel=1e-15)
+    assert lp_norm(CoeffGrid(np.array([[3e-120], [-4e-120]])), 3) == pytest.approx(
+        cube_root * 1e-120, rel=1e-15
+    )
+    assert lp_norm(CoeffGrid(np.array([[1e-3]])), 2000) == 1e-3
+    assert lp_norm(CoeffGrid(np.array([[1e300, 1e300]])), 1.5) == pytest.approx(2 ** (2 / 3) * 1e300, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3.5, 7])
+def test_norms_in_the_normal_range_are_the_plain_sums(p):
+    rng = np.random.Generator(np.random.Philox(key=17))
+    g = CoeffGrid(rng.standard_normal((30, 20)) * 10.0 ** rng.integers(-20, 20, size=(30, 20)))
+    values = np.abs(g.values())
+    plain = float(np.sqrt(np.sum(values**2))) if p == 2 else float(np.sum(values**p) ** (1.0 / p))
+    assert lp_norm(g, p) == plain
+    assert parseval_l2_norm(g) == float(np.sqrt(np.sum(g.values() ** 2)))
+
+
+def test_error_step_peaks_below_two_screens():
+    rng = np.random.Generator(np.random.Philox(key=19))
+    exact = CoeffGrid(rng.standard_normal((64, 64)))
+    approx = CoeffGrid(exact.array + 1e-6 * rng.standard_normal((64, 64)))
+    reference = spectral._ErrorReference(exact, 1025)
+    reference.errors(approx)  # the sample basis is kept before the peak is taken
+    screen_bytes = 8 * 1025**2
+    assert _peak_bytes(lambda: reference.errors(approx)) <= 2.1 * screen_bytes
+    assert _peak_bytes(lambda: sup_norm_on_grid(approx, 1025)) <= 2.1 * screen_bytes
