@@ -617,7 +617,7 @@ def test_grid_sum_peak_stays_below_one_and_a_half_results():
 
 
 def _full_scan_trimmed(dense, copy):
-    """spectral._trimmed as it was before it read the last row and column first."""
+    """The trim that scans every entry: the reference for spectral._trimmed."""
     if not np.all(np.isfinite(dense)):
         raise ValueError("coefficient array holds non-finite values")
     nonzero = dense != 0.0
