@@ -50,6 +50,7 @@ from .harness import (
     SweepRecord,
     _noise_support,
     _noisy_method,
+    _point_noise,
     _plan_point,
     _registry_grid,
     run_convergence_study,
@@ -158,7 +159,8 @@ def _cmd_diff(args) -> int:
     sel, cross = _plan_point(args.delta, args.p, cls, args.r1, args.r2, args.metric, args.gamma)
     support = _noise_support([cross])
     deriv, noise_norm = _noisy_method(
-        grid, cross, args.noise, args.p, args.delta, args.seed, support, cls
+        grid, cross, _point_noise(cross, args.noise, args.p, args.delta, args.seed, support, cls),
+        args.p,
     )
     noise_meta = {"mode": args.noise} if noise_norm is None else {
         "mode": _NOISE_MODES[args.noise],

@@ -9,15 +9,23 @@ witness band size N, feeds the method adversarial witness data, and
 compares the decay of the method error with the lower bound.
 
 Each sweep point runs in three stages.  ``_plan_point`` selects
-(n, gamma) and builds the cross.  ``_noisy_method`` restricts the
-reference coefficients to the cross, subtracts the noise (drawn over the
-support rectangle) and applies the method.  The error step,
-``_ErrorReference.errors``, subtracts the reference derivative once for
-the Parseval norm and the fixed-order sup norm, and screens the sup
-norm's samples with a product over the method output's box alone: the
-reference's share of that product is formed once per repetition.  Apart
-from the noise draw and that one full-size difference, every stage works
-on arrays the size of the cross's bounding box.
+(n, gamma) and builds the cross.  ``_noisy_method`` takes the point's
+noise xi (drawn over the support rectangle by ``_point_noise``),
+restricts the reference coefficients to the cross, subtracts xi and
+applies the method.  The error step, ``_ErrorReference.errors``,
+subtracts the reference derivative once for the Parseval norm and the
+fixed-order sup norm, and screens the sup norm's samples with a product
+over the method output's box alone: the reference's share of that
+product is formed once per repetition.  Apart from the noise draw and
+that one full-size difference, every stage works on arrays the size of
+the cross's bounding box.
+
+No draw depends on a method result, so a convergence study draws each
+point's noise on one helper thread while the point before it runs the
+method and the error step (``_DrawAhead``).  Each draw seeds its own
+generator, so no output depends on the thread or on timing; at most one
+draw is in flight, and the helper is joined before the study returns or
+raises.
 
 Reference functions come from a small registry, a table from each id
 to its array function f(t, u): two exact bivariate polynomials and a
@@ -28,6 +36,7 @@ are drawn directly on the unit sphere of the smoothness class.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -36,7 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .cross import HyperbolicCross, build_cross
-from .noise import RNG_ALGORITHM, NoiseSpec, lp_norm, perturb
+# perturb is unused here but stays bound: perfbench's traced-op test looks it up on this module
+from .noise import RNG_ALGORITHM, NoiseSpec, _draw, lp_norm, perturb  # noqa: F401
 from .quadrature import compute_coeff_grid
 from .spectral import (
     ClassParams,
@@ -214,28 +224,100 @@ def _noise_support(crosses) -> int:
     return max(max(cross.k_extent(), cross.j_extent()) for cross in crosses) + 2
 
 
-def _noisy_method(
-    c: CoeffGrid, cross: HyperbolicCross, mode: str, p: float, delta: float, seed: int,
-    support: int, cls: ClassParams,
-) -> tuple[CoeffGrid, float | None]:
-    """The method's derivative on ``cross`` from ``c`` under noise ``mode``, and the noise's l_p norm.
+def _point_noise(
+    cross: HyperbolicCross, mode: str, p: float, delta: float, seed: int, support: int,
+    cls: ClassParams,
+) -> CoeffGrid | None:
+    """The noise xi of one sweep point under ``mode``, or None for mode "off".
 
-    The noise xi has l_p budget ``delta`` on indices up to ``support``
-    (see :func:`perturb`); the witness mode takes xi from the witness
-    pair that ``cross`` cannot see.  ``c`` is restricted to the cross
-    before xi is subtracted: the method keeps only the entries on the
-    cross, which are c - xi either way, so the derivative is the same.
-    Mode "off" runs the method on ``c`` itself and gives the norm None.
+    xi has l_p budget ``delta`` on indices up to ``support`` (see
+    :func:`perturb`); the witness mode takes xi from the witness pair
+    that ``cross`` cannot see.  Only numpy work and no kept state, so a
+    study runs it on its helper thread.
     """
     spec_mode = _NOISE_MODES[mode]
     if spec_mode is None:
-        return apply_method(c, cross), None
+        return None
     spec = NoiseSpec(p=p, delta=delta, mode=spec_mode, seed=seed, support=support)
     witness = witness_for_cross(cross, delta, p, cls) if mode == "witness" else None
-    c_delta, xi = perturb(restrict_to_cross(c, cross), spec, witness=witness)
-    noise_norm = lp_norm(xi, p)
-    del xi  # freed before the method's temporaries, the largest of the point
+    return _draw(spec, witness)
+
+
+def _noisy_method(
+    c: CoeffGrid, cross: HyperbolicCross, xi: CoeffGrid | None, p: float,
+    dropped: Callable[[], None] | None = None,
+) -> tuple[CoeffGrid, float | None]:
+    """The method's derivative on ``cross`` from ``c`` - ``xi``, and the l_p norm of ``xi``.
+
+    ``c`` is restricted to the cross before xi is subtracted: the method
+    keeps only the entries on the cross, which are c - xi either way, so
+    the derivative is the same.  ``dropped`` runs once xi is subtracted
+    and dropped, before the method's temporaries, the largest of the
+    point: a study starts the next point's draw there, so that draw
+    never overlaps xi.  With xi None (mode "off") the method runs on
+    ``c`` itself and the norm is None.
+    """
+    if xi is None:
+        noise_norm, c_delta = None, c
+    else:
+        noise_norm = lp_norm(xi, p)
+        c_delta = restrict_to_cross(c, cross) - xi
+        del xi  # the caller passes its last reference
+    if dropped is not None:
+        dropped()
     return apply_method(c_delta, cross), noise_norm
+
+
+class _DrawAhead:
+    """``fn(*args)`` for each ``args`` of ``jobs`` in order, on one helper thread.
+
+    ``take`` waits for the job in flight, or starts the next one when
+    none is, and returns its value or raises its exception on the
+    caller's thread.  ``start_next`` hands the next job to the helper
+    without waiting; the caller starts a job only after taking the one
+    before, so at most one is in flight.  ``close`` lets a job still in
+    flight end, drops its outcome and joins the helper.
+    """
+
+    def __init__(self, fn: Callable, jobs):
+        import queue  # loaded by the first study, not by ``import hcderiv``
+
+        self._jobs = iter(jobs)
+        self._todo = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self._in_flight = False
+        self._thread = threading.Thread(
+            target=self._serve, args=(fn,), name="hcderiv-draw", daemon=True
+        )
+        self._thread.start()
+
+    def _serve(self, fn: Callable) -> None:
+        for args in iter(self._todo.get, None):
+            try:
+                outcome = (fn(*args), None)
+            except BaseException as exc:  # raised again by take, on the caller's thread
+                outcome = (None, exc)
+            self._done.put(outcome)
+            del args, outcome  # the caller holds the only reference to the value
+
+    def start_next(self) -> None:
+        args = next(self._jobs, None)
+        if args is not None:
+            self._todo.put(args)
+            self._in_flight = True
+
+    def take(self):
+        if not self._in_flight:
+            self._todo.put(next(self._jobs))
+        self._in_flight = False
+        value, exc = self._done.get()
+        if exc is not None:
+            raise exc
+        return value
+
+    def close(self) -> None:
+        self._todo.put(None)
+        self._thread.join()
 
 
 # the most deltas a sweep may have: validation builds and keeps the selection
@@ -458,26 +540,35 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
     sum_noise = np.zeros(len(deltas))
     wall = np.zeros(len(deltas))
     cls = config.cls()
-    for rep in range(config.num_seeds):
-        ref = _registry_grid(
-            config.function_id, config.k_ref, _FUNCTION_STREAM_OFFSET + config.seed + rep,
-            config.s, config.mu, config.epsilon,
-        )
-        reference = _ErrorReference(
-            mixed_derivative_coeffs(ref, config.r1, config.r2), config.sup_resolution
-        )
-        for i, (delta, (sel, cross)) in enumerate(zip(deltas, plan)):
-            start = time.perf_counter() if config.timing else 0.0
-            approx, noise_norm = _noisy_method(
-                ref, cross, config.noise_mode, config.p, float(delta),
-                (config.seed + rep * config.delta_count + i) % 2**64, support, cls,
+    draws = _DrawAhead(_point_noise, (
+        (cross, config.noise_mode, config.p, float(delta),
+         (config.seed + rep * config.delta_count + i) % 2**64, support, cls)
+        for rep in range(config.num_seeds)
+        for i, (delta, (_, cross)) in enumerate(zip(deltas, plan))
+    ))
+    try:
+        for rep in range(config.num_seeds):
+            ref = _registry_grid(
+                config.function_id, config.k_ref, _FUNCTION_STREAM_OFFSET + config.seed + rep,
+                config.s, config.mu, config.epsilon,
             )
-            err_l2, err_c = reference.errors(approx)
-            sum_l2[i] += err_l2
-            sum_c[i] += err_c
-            sum_noise[i] += 0.0 if noise_norm is None else noise_norm
-            if config.timing:
-                wall[i] += (time.perf_counter() - start) * 1000.0
+            reference = _ErrorReference(
+                mixed_derivative_coeffs(ref, config.r1, config.r2), config.sup_resolution
+            )
+            for i, (_, cross) in enumerate(plan):
+                start = time.perf_counter() if config.timing else 0.0
+                # the next point's draw runs while this point's method and errors do
+                approx, noise_norm = _noisy_method(
+                    ref, cross, draws.take(), config.p, draws.start_next
+                )
+                err_l2, err_c = reference.errors(approx)
+                sum_l2[i] += err_l2
+                sum_c[i] += err_c
+                sum_noise[i] += 0.0 if noise_norm is None else noise_norm
+                if config.timing:
+                    wall[i] += (time.perf_counter() - start) * 1000.0
+    finally:
+        draws.close()
     reps = config.num_seeds
     records = [
         SweepRecord(

@@ -111,6 +111,8 @@ def differentiate_coeffs(a: np.ndarray, r: int = 1) -> np.ndarray:
 
     computed as a reverse cumulative sum over each parity class of k, so
     the tail sums accumulate from the top index down, one term at a time.
+    Each sum is written straight into the result and scaled there, so a
+    derivative holds one input-sized temporary besides its result.
     """
     if r < 0:
         raise ValueError("derivative order r must be >= 0")
@@ -122,11 +124,12 @@ def differentiate_coeffs(a: np.ndarray, r: int = 1) -> np.ndarray:
         w = _weights(size)
         scaled = a * w
         tails = np.empty(a.shape[:-1] + (size - 1,))
-        # tails over odd k feed even l = k - 1; tails over even k >= 2 feed odd l
-        for parity, out in ((1, tails[..., 0::2]), (0, tails[..., 1::2])):
-            rev = np.cumsum(scaled[..., parity::2][..., ::-1], axis=-1)[..., ::-1]
-            out[...] = rev[..., 1 - parity:]
-        a = (2.0 * w[:-1]) * tails
+        # tails over odd k >= 1 feed even l = k - 1; tails over even k >= 2 feed odd l
+        for first, out in ((1, tails[..., 0::2]), (2, tails[..., 1::2])):
+            np.cumsum(scaled[..., first::2][..., ::-1], axis=-1, out=out[..., ::-1])
+        del scaled
+        tails *= 2.0 * w[:-1]
+        a = tails
     return a
 
 

@@ -82,7 +82,8 @@ def _sphere_noise(spec: NoiseSpec) -> CoeffGrid:
     if math.isinf(spec.p):
         norm = np.max(np.abs(g))
     else:
-        norm = float(np.sum(np.abs(g) ** spec.p) ** (1.0 / spec.p))
+        # at p = 2 the squares of g are those of |g|, and no |g| is held beside them
+        norm = _power_norm(g if spec.p == 2 else np.abs(g), spec.p, sqrt=False)
     g /= norm
     g *= spec.delta
     return CoeffGrid._adopt(g.reshape(side, side))
@@ -98,6 +99,24 @@ def _single_noise(spec: NoiseSpec) -> CoeffGrid:
     return CoeffGrid._adopt(xi)
 
 
+def _draw(spec: NoiseSpec, witness=None) -> CoeffGrid:
+    """The perturbation xi of ``spec``; see :func:`perturb`.
+
+    A random draw seeds its own generator from ``spec.seed``, so no bit
+    depends on the thread it runs on or on what ran before it.
+    """
+    if spec.mode == "random-sphere":
+        return _sphere_noise(spec)
+    if spec.mode == "single-coefficient":
+        return _single_noise(spec)
+    if witness is None:
+        raise ValueError("adversarial-witness mode requires a witness pair")
+    xi = witness.f1 - witness.f2
+    if lp_norm(xi, spec.p) > spec.delta * (1.0 + 1e-12):
+        raise ValueError("witness difference exceeds the noise budget delta")
+    return xi
+
+
 def perturb(c: CoeffGrid, spec: NoiseSpec, witness=None) -> tuple[CoeffGrid, CoeffGrid]:
     """Return (c_delta, xi) with c_delta = c - xi stored entrywise.
 
@@ -105,14 +124,5 @@ def perturb(c: CoeffGrid, spec: NoiseSpec, witness=None) -> tuple[CoeffGrid, Coe
     f1 - f2 of a witness pair built by the lower-bound module; the pair
     must be passed in and its difference must fit the delta budget.
     """
-    if spec.mode == "random-sphere":
-        xi = _sphere_noise(spec)
-    elif spec.mode == "single-coefficient":
-        xi = _single_noise(spec)
-    else:
-        if witness is None:
-            raise ValueError("adversarial-witness mode requires a witness pair")
-        xi = witness.f1 - witness.f2
-        if lp_norm(xi, spec.p) > spec.delta * (1.0 + 1e-12):
-            raise ValueError("witness difference exceeds the noise budget delta")
+    xi = _draw(spec, witness)
     return c - xi, xi

@@ -145,7 +145,8 @@ def compute_coeff_grid(
     ----------
     f : callable
         Real-valued function on [-1, 1]^2, finite at every quadrature
-        node (a non-finite value raises ValueError naming the node).
+        node (a non-finite value raises ValueError naming the node)
+        and small enough that no coefficient overflows (ValueError).
     kmax : int
         Largest index on each axis.
     m : int, optional
@@ -166,9 +167,13 @@ def compute_coeff_grid(
     weighted = np.outer(rule.weights, rule.weights)
     weighted *= _eval_on_rule(f, rule.nodes)
     v = phi_vandermonde(kmax, rule.nodes)
-    c = v.T @ weighted @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = v.T @ weighted @ v
     magnitude = np.abs(c)
-    cut = _DROP_TOL * max(1.0, float(magnitude.max()))
+    largest = float(magnitude.max())
+    if not np.isfinite(largest):
+        raise ValueError(f"the projection of the integrand overflowed: max |c| is {largest!r}")
+    cut = _DROP_TOL * max(1.0, largest)
     c[magnitude <= cut] = 0.0
     return CoeffGrid._adopt(c)
 

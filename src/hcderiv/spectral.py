@@ -194,19 +194,21 @@ def parseval_l2_norm(c: CoeffGrid) -> float:
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
-def _power_norm(values: np.ndarray, p: float) -> float:
-    """(sum values**p)^(1/p) of nonzero values, for finite p > 1; a square root at p = 2.
+def _power_norm(values: np.ndarray, p: float, sqrt: bool = True) -> float:
+    """(sum values**p)^(1/p) of nonzero values, for finite p >= 1; a square root at p = 2.
 
-    The values must be nonnegative unless p = 2.  A sum in the normal
-    range gives the result as the plain formula does, bit for bit.  A sum
-    that overflows or falls below the smallest normal float is summed
-    again over the values divided by their largest magnitude m, and its
-    root multiplied by m: the largest term is then 1, so no term
-    overflows, and a term that underflows is too small to change the
-    sum.  A power-of-two scaling would be exact, but its largest term
-    2**-p or more underflows itself once p passes 1022.
+    ``sqrt=False`` takes the root as ``** (1/p)`` at p = 2 too, as the
+    sphere draws of ``noise`` always have.  The values must be
+    nonnegative unless p = 2.  A sum in the normal range gives the result
+    as the plain formula does, bit for bit.  A sum that overflows or
+    falls below the smallest normal float is summed again over the values
+    divided by their largest magnitude m, and its root multiplied by m:
+    the largest term is then 1, so no term overflows, and a term that
+    underflows is too small to change the sum.  A power-of-two scaling
+    would be exact, but its largest term 2**-p or more underflows itself
+    once p passes 1022.
     """
-    root = np.sqrt if p == 2 else (lambda x: x ** (1.0 / p))
+    root = np.sqrt if sqrt and p == 2 else (lambda x: x ** (1.0 / p))
     with np.errstate(over="ignore"):
         total = np.sum(values**p)
         if _SMALLEST_NORMAL <= total < np.inf:

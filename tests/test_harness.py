@@ -1,5 +1,11 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +286,138 @@ def test_one_derivative_per_witness_and_method_run(monkeypatch):
     # per band size: the witness and its two skewed copies, one derivative each, and the method
     assert len(calls) == 4 * 4
     assert set(calls) == {(2, 1)}
+
+
+# ---------------------------------------------------------------------------
+# noise drawn one point ahead on a helper thread
+
+_SMALL = ExperimentConfig(delta_start=1e-2, delta_stop=1e-4, delta_count=5, k_ref=16,
+                          sup_resolution=33, num_seeds=2)
+
+
+def _sequential_sums(config):
+    """Per point: the summed L2 and C errors and noise norms of a plain loop drawing inline."""
+    support, cls = config.noise_support(), config.cls()
+    sums = np.zeros((config.delta_count, 3))
+    for rep in range(config.num_seeds):
+        ref = harness._registry_grid(
+            config.function_id, config.k_ref, harness._FUNCTION_STREAM_OFFSET + config.seed + rep,
+            config.s, config.mu, config.epsilon,
+        )
+        reference = spectral._ErrorReference(
+            mixed_derivative_coeffs(ref, config.r1, config.r2), config.sup_resolution
+        )
+        for i, (delta, (_, cross)) in enumerate(zip(config.deltas(), config._sweep_plan)):
+            seed = config.seed + rep * config.delta_count + i
+            xi = harness._point_noise(
+                cross, config.noise_mode, config.p, float(delta), seed, support, cls
+            )
+            approx, norm = harness._noisy_method(ref, cross, xi, config.p)
+            sums[i] += (*reference.errors(approx), 0.0 if norm is None else norm)
+    return sums
+
+
+@pytest.mark.parametrize("mode", ["sphere", "single", "witness", "off"])
+def test_study_records_equal_a_sequential_loop(mode):
+    config = dataclasses.replace(_SMALL, noise_mode=mode)
+    records = run_convergence_study(config).records
+    means = _sequential_sums(config) / config.num_seeds
+    assert [[r.error_l2, r.error_c, r.noise_norm] for r in records] == means.tolist()
+
+
+def test_at_most_one_draw_in_flight_and_each_after_the_last_is_dropped(monkeypatch):
+    draw = harness._point_noise
+    lock = threading.Lock()
+    state = {"in_flight": 0, "most": 0, "calls": 0, "last": lambda: None}
+
+    def counting_draw(*args):
+        with lock:
+            state["in_flight"] += 1
+            state["most"] = max(state["most"], state["in_flight"])
+            state["calls"] += 1
+        try:
+            # the point before has subtracted its noise and dropped it
+            assert state["last"]() is None
+            time.sleep(0.005)  # widen the window a second draw would need
+            xi = draw(*args)
+            state["last"] = weakref.ref(xi.array)
+            return xi
+        finally:
+            with lock:
+                state["in_flight"] -= 1
+
+    monkeypatch.setattr(harness, "_point_noise", counting_draw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        result = run_convergence_study(_SMALL)
+    finally:
+        sys.setswitchinterval(interval)
+    assert state["calls"] == _SMALL.num_seeds * len(result.records)
+    assert state["most"] == 1
+
+
+def test_a_failing_draw_raises_at_its_point_and_leaves_no_thread(monkeypatch):
+    draw = harness._point_noise
+    draws, methods = [], []
+
+    def failing_draw(*args):
+        draws.append(args)
+        if len(draws) == 4:
+            raise ValueError("draw 3 failed")
+        return draw(*args)
+
+    def counting_method(c, cross):
+        methods.append(cross)
+        return truncation.apply_method(c, cross)
+
+    monkeypatch.setattr(harness, "_point_noise", failing_draw)
+    monkeypatch.setattr(harness, "apply_method", counting_method)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="^draw 3 failed$"):
+        run_convergence_study(_SMALL)
+    assert set(threading.enumerate()) == before
+    # as in a sequential loop: points 0-2 ran their method, and no later draw started
+    assert len(methods) == 3 and len(draws) == 4
+
+
+def test_a_failing_point_joins_the_draw_in_flight(monkeypatch):
+    draw = harness._point_noise
+    finished = []
+
+    def slow_draw(*args):
+        time.sleep(0.02)
+        xi = draw(*args)
+        finished.append(args)
+        return xi
+
+    def failing_method(c, cross):
+        raise RuntimeError("method failed")
+
+    monkeypatch.setattr(harness, "_point_noise", slow_draw)
+    monkeypatch.setattr(harness, "apply_method", failing_method)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="^method failed$"):
+        run_convergence_study(_SMALL)
+    assert set(threading.enumerate()) == before
+    # point 0 took its draw and started draw 1, which ran to its end before the study raised
+    assert len(finished) == 2
+
+
+def test_a_study_leaves_no_thread_alive():
+    before = set(threading.enumerate())
+    run_convergence_study(_SMALL)
+    assert set(threading.enumerate()) == before
+
+
+def test_import_does_not_load_concurrent_futures():
+    env = dict(os.environ)
+    src = str(Path(harness.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, hcderiv; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

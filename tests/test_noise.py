@@ -120,3 +120,24 @@ def test_witness_mode_enforces_budget():
     spec = NoiseSpec(p=2, delta=tiny, mode="adversarial-witness", seed=0, support=4)
     with pytest.raises(ValueError):
         perturb(w.f1, spec, witness=w)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sphere_norm_is_delta_at_large_p():
+    # the plain sum of |g|**1500 overflows; the draw is normalized over rescaled values
+    spec = NoiseSpec(p=1500.0, delta=1e-3, mode="random-sphere", seed=1, support=20)
+    _, xi = perturb(CoeffGrid(), spec)
+    assert len(xi) == 21 * 21
+    assert lp_norm(xi, 1500.0) == pytest.approx(1e-3, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("seed", range(4))
+def test_sphere_draws_keep_the_plain_formula_bits(p, seed):
+    # at p = 2 the root stays ** 0.5: np.sqrt of the same sum differs in the last bit
+    g = np.random.Generator(np.random.Philox(key=seed)).standard_normal(21 * 21)
+    norm = np.max(np.abs(g)) if math.isinf(p) else float(np.sum(np.abs(g) ** p) ** (1.0 / p))
+    expected = (g / norm * 1e-3).reshape(21, 21)
+    _, xi = perturb(CoeffGrid(), NoiseSpec(p=p, delta=1e-3, mode="random-sphere", seed=seed, support=20))
+    assert xi.array.shape == expected.shape
+    assert xi.array.tobytes() == expected.tobytes()

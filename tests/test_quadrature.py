@@ -199,3 +199,11 @@ def test_kept_rule_gives_the_grids_of_built_rules(monkeypatch):
     assert built == [22, 31, 22, 31]
     assert l2_norm_quadrature(f, 31) == pytest.approx(parseval_l2_norm(grid), rel=1e-12)
     assert built == [22, 31, 22, 31]  # the norm took the kept 31-point rule
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_projection_is_refused():
+    # every node value is finite, but the sums of the projection overflow
+    with pytest.raises(ValueError, match="the projection of the integrand overflowed"):
+        compute_coeff_grid(lambda t, u: 1e308 + 0 * t, 4)
+    assert compute_coeff_grid(lambda t, u: 1e300 + 0 * t, 4).array[0, 0] == pytest.approx(2e300)

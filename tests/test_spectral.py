@@ -200,6 +200,19 @@ def test_mixed_derivative_linearity():
         assert tripled.array[idx] == pytest.approx(expected[idx], rel=1e-14)
 
 
+def test_mixed_derivative_holds_about_three_inputs_at_its_peak():
+    # the j axis holds the k axis's result, one scaled copy of it and its
+    # own result: the reverse sums are written straight into the result
+    grid = CoeffGrid(np.random.Generator(np.random.Philox(key=4)).standard_normal((320, 320)))
+    tracemalloc.start()
+    try:
+        mixed_derivative_coeffs(grid, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * grid.array.nbytes
+
+
 def _k_then_j(a, r1, r2):
     return differentiate_coeffs(differentiate_coeffs(a.T, r1).T, r2)
 
