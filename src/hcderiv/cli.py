@@ -153,6 +153,7 @@ def _cmd_coeffs(args) -> int:
 # diff
 
 def _cmd_diff(args) -> int:
+    _ErrorReference.check_resolution(args.resolution)
     grid, coeffs_sha256 = _load_input(args.coeffs)
     ref, ref_sha256 = _load_input(args.reference) if args.reference else (None, None)
     cls = ClassParams(s=args.s, mu=args.mu)

@@ -21,10 +21,12 @@ that one full-size difference, every stage works on arrays the size of
 the cross's bounding box.
 
 No draw depends on a method result, so a convergence study draws each
-point's noise on one helper thread while the point before it runs the
-method and the error step (``_DrawAhead``).  Each draw seeds its own
+point's noise on the one worker of a ``ThreadPoolExecutor`` while the
+point before it runs the method and the error step.  A repetition's
+first draw starts once its reference is built; each later one starts
+once the point before has dropped its noise.  Each draw seeds its own
 generator, so no output depends on the thread or on timing; at most one
-draw is in flight, and the helper is joined before the study returns or
+draw is in flight, and the worker is joined before the study returns or
 raises.
 
 Reference functions come from a small registry, a table from each id
@@ -36,7 +38,6 @@ are drawn directly on the unit sphere of the smoothness class.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -46,7 +47,7 @@ import numpy as np
 
 from .cross import HyperbolicCross, build_cross
 # perturb is unused here but stays bound: perfbench's traced-op test looks it up on this module
-from .noise import RNG_ALGORITHM, NoiseSpec, _draw, lp_norm, perturb  # noqa: F401
+from .noise import RNG_ALGORITHM, NoiseSpec, _draw, _rng, lp_norm, perturb  # noqa: F401
 from .quadrature import compute_coeff_grid
 from .spectral import (
     ClassParams,
@@ -146,7 +147,7 @@ def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int
     truncation error of the method close to its worst case over the
     class.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _rng(seed)
     kk = np.maximum(1, np.arange(profile.kmax + 1)).astype(float)
     mags = np.outer(
         kk ** (-(cls.mu + 1.0 / cls.s + profile.epsilon)),
@@ -266,58 +267,6 @@ def _noisy_method(
     if dropped is not None:
         dropped()
     return apply_method(c_delta, cross), noise_norm
-
-
-class _DrawAhead:
-    """``fn(*args)`` for each ``args`` of ``jobs`` in order, on one helper thread.
-
-    ``take`` waits for the job in flight, or starts the next one when
-    none is, and returns its value or raises its exception on the
-    caller's thread.  ``start_next`` hands the next job to the helper
-    without waiting; the caller starts a job only after taking the one
-    before, so at most one is in flight.  ``close`` lets a job still in
-    flight end, drops its outcome and joins the helper.
-    """
-
-    def __init__(self, fn: Callable, jobs):
-        import queue  # loaded by the first study, not by ``import hcderiv``
-
-        self._jobs = iter(jobs)
-        self._todo = queue.SimpleQueue()
-        self._done = queue.SimpleQueue()
-        self._in_flight = False
-        self._thread = threading.Thread(
-            target=self._serve, args=(fn,), name="hcderiv-draw", daemon=True
-        )
-        self._thread.start()
-
-    def _serve(self, fn: Callable) -> None:
-        for args in iter(self._todo.get, None):
-            try:
-                outcome = (fn(*args), None)
-            except BaseException as exc:  # raised again by take, on the caller's thread
-                outcome = (None, exc)
-            self._done.put(outcome)
-            del args, outcome  # the caller holds the only reference to the value
-
-    def start_next(self) -> None:
-        args = next(self._jobs, None)
-        if args is not None:
-            self._todo.put(args)
-            self._in_flight = True
-
-    def take(self):
-        if not self._in_flight:
-            self._todo.put(next(self._jobs))
-        self._in_flight = False
-        value, exc = self._done.get()
-        if exc is not None:
-            raise exc
-        return value
-
-    def close(self) -> None:
-        self._todo.put(None)
-        self._thread.join()
 
 
 # the most deltas a sweep may have: validation builds and keeps the selection
@@ -540,13 +489,20 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
     sum_noise = np.zeros(len(deltas))
     wall = np.zeros(len(deltas))
     cls = config.cls()
-    draws = _DrawAhead(_point_noise, (
-        (cross, config.noise_mode, config.p, float(delta),
-         (config.seed + rep * config.delta_count + i) % 2**64, support, cls)
-        for rep in range(config.num_seeds)
-        for i, (delta, (_, cross)) in enumerate(zip(deltas, plan))
-    ))
-    try:
+    # loaded by the first study, not by ``import hcderiv``
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="hcderiv-draw") as pool:
+        pending = []  # the one draw in flight
+
+        def start_draw(rep: int, i: int) -> None:
+            if i < len(plan):
+                seed = (config.seed + rep * config.delta_count + i) % 2**64
+                pending.append(pool.submit(
+                    _point_noise, plan[i][1], config.noise_mode, config.p, float(deltas[i]), seed,
+                    support, cls,
+                ))
+
         for rep in range(config.num_seeds):
             ref = _registry_grid(
                 config.function_id, config.k_ref, _FUNCTION_STREAM_OFFSET + config.seed + rep,
@@ -555,11 +511,13 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
             reference = _ErrorReference(
                 mixed_derivative_coeffs(ref, config.r1, config.r2), config.sup_resolution
             )
+            start_draw(rep, 0)
             for i, (_, cross) in enumerate(plan):
                 start = time.perf_counter() if config.timing else 0.0
-                # the next point's draw runs while this point's method and errors do
+                # popping the future leaves _noisy_method the only reference to xi; the
+                # next point's draw starts once xi is dropped and runs during the method
                 approx, noise_norm = _noisy_method(
-                    ref, cross, draws.take(), config.p, draws.start_next
+                    ref, cross, pending.pop().result(), config.p, partial(start_draw, rep, i + 1)
                 )
                 err_l2, err_c = reference.errors(approx)
                 sum_l2[i] += err_l2
@@ -567,8 +525,6 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
                 sum_noise[i] += 0.0 if noise_norm is None else noise_norm
                 if config.timing:
                     wall[i] += (time.perf_counter() - start) * 1000.0
-    finally:
-        draws.close()
     reps = config.num_seeds
     records = [
         SweepRecord(

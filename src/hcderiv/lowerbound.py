@@ -37,6 +37,7 @@ from .spectral import (
     synth_eval,
 )
 from .noise import lp_norm
+from .truncation import _inv
 
 __all__ = [
     "WitnessInfeasibleError",
@@ -206,8 +207,7 @@ def min_N_for_delta(delta: float, p: float, cls: ClassParams, r2: int) -> float:
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    return (r2**cls.mu * delta / _c_tilde(cls)) ** (-1.0 / (cls.mu + 1.0 / cls.s - inv_p))
+    return (r2**cls.mu * delta / _c_tilde(cls)) ** (-1.0 / (cls.mu + 1.0 / cls.s - _inv(p)))
 
 
 def witness_for_cross(

@@ -11,6 +11,7 @@ its last order between calls; no result depends on whether it was kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -87,23 +88,15 @@ def gauss_legendre_rule(m: int) -> QuadratureRule:
     return QuadratureRule(nodes=x, weights=w, order=m)
 
 
-# one slot: the rule of the last projection order asked for; see _kept_rule
-_KEPT_RULE: list[QuadratureRule | None] = [None]
-
-
+@lru_cache(maxsize=1)
 def _kept_rule(m: int) -> QuadratureRule:
     """``gauss_legendre_rule(m)``, kept between calls for the last m asked.
 
     The rule's arrays are read-only, so no result depends on whether it
-    was kept.  The kept rule is dropped before a rule for another m is
-    built, so two are never held at once; threads racing here at worst
-    build it twice.
+    was kept.  A rule for another m is built before the kept one is
+    dropped, so two are held for that moment.
     """
-    kept = _KEPT_RULE[0]
-    if kept is None or kept.order != m:
-        _KEPT_RULE[0] = None  # drop the old rule first
-        kept = _KEPT_RULE[0] = gauss_legendre_rule(m)
-    return kept
+    return gauss_legendre_rule(m)
 
 
 def _eval_on_rule(f: Callable, nodes: np.ndarray) -> np.ndarray:

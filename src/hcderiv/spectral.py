@@ -378,13 +378,18 @@ class _ErrorReference:
     __slots__ = ("exact", "resolution", "_screen", "_weight")
 
     def __init__(self, exact: CoeffGrid, resolution: int):
+        self.check_resolution(resolution)
+        self.exact = exact
+        self.resolution = resolution
+        self._screen, self._weight = _sample_screen(exact.array, resolution)
+
+    @staticmethod
+    def check_resolution(resolution: int) -> None:
+        """Refuse a sample grid of ``resolution`` points per axis outside [2, _MAX_RESOLUTION]."""
         if resolution < 2:
             raise ValueError("resolution must be >= 2")
         if resolution > _MAX_RESOLUTION:
             raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
-        self.exact = exact
-        self.resolution = resolution
-        self._screen, self._weight = _sample_screen(exact.array, resolution)
 
     def errors(self, approx: CoeffGrid) -> tuple[float, float]:
         """L2 (Parseval) and sup (sample grid) norms of ``approx - exact``."""

@@ -230,24 +230,28 @@ def test_diff_manifest_hashes_input_contents(tmp_path):
     assert _diff_manifest_hash(dirs[1], dirs[0] / "in.grid") == coeff_hashes[0]
 
 
-def test_diff_writes_nothing_when_the_reference_errors_fail(tmp_path, capsys):
+@pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])
+def test_diff_writes_nothing_when_the_reference_errors_fail(tmp_path, capsys, with_reference):
     grid = tmp_path / "e.grid"
     assert run("coeffs", "exp-sum", "--k", 8, "--out", grid) == 0
     before = sorted(os.listdir(tmp_path))
+    reference = ("--reference", grid) if with_reference else ()
     code = run("diff", grid, "--r1", 1, "--r2", 1, "--delta", "1e-4", "--mu", 5,
-               "--reference", grid, "--resolution", 1, "--out", tmp_path / "d.grid")
+               *reference, "--resolution", 1, "--out", tmp_path / "d.grid")
     assert code == 2
     assert capsys.readouterr().err == "error: resolution must be >= 2\n"
     assert sorted(os.listdir(tmp_path)) == before
 
 
-def test_diff_rejects_a_sup_resolution_over_the_limit(tmp_path, capsys):
+@pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])
+def test_diff_rejects_a_sup_resolution_over_the_limit(tmp_path, capsys, with_reference):
     # 10**6 x 10**6 samples would need 7.28 TiB; the refusal comes before any sample
     grid = tmp_path / "e.grid"
     assert run("coeffs", "exp-sum", "--k", 8, "--out", grid) == 0
     before = sorted(os.listdir(tmp_path))
+    reference = ("--reference", grid) if with_reference else ()
     code = run("diff", grid, "--r1", 1, "--r2", 1, "--delta", "1e-4", "--mu", 5,
-               "--reference", grid, "--resolution", 1000000, "--out", tmp_path / "d.grid")
+               *reference, "--resolution", 1000000, "--out", tmp_path / "d.grid")
     assert code == 2
     assert capsys.readouterr().err == "error: resolution must be <= 8192, got 1000000\n"
     assert sorted(os.listdir(tmp_path)) == before

@@ -357,14 +357,19 @@ def test_at_most_one_draw_in_flight_and_each_after_the_last_is_dropped(monkeypat
     assert state["most"] == 1
 
 
-def test_a_failing_draw_raises_at_its_point_and_leaves_no_thread(monkeypatch):
+class _DrawInterrupt(BaseException):
+    """A BaseException that is not an Exception, as KeyboardInterrupt is."""
+
+
+@pytest.mark.parametrize("error", [ValueError, _DrawInterrupt])
+def test_a_failing_draw_raises_at_its_point_and_leaves_no_thread(monkeypatch, error):
     draw = harness._point_noise
     draws, methods = [], []
 
     def failing_draw(*args):
         draws.append(args)
         if len(draws) == 4:
-            raise ValueError("draw 3 failed")
+            raise error("draw 3 failed")
         return draw(*args)
 
     def counting_method(c, cross):
@@ -374,7 +379,7 @@ def test_a_failing_draw_raises_at_its_point_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(harness, "_point_noise", failing_draw)
     monkeypatch.setattr(harness, "apply_method", counting_method)
     before = set(threading.enumerate())
-    with pytest.raises(ValueError, match="^draw 3 failed$"):
+    with pytest.raises(error, match="^draw 3 failed$"):
         run_convergence_study(_SMALL)
     assert set(threading.enumerate()) == before
     # as in a sequential loop: points 0-2 ran their method, and no later draw started

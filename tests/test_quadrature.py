@@ -186,11 +186,12 @@ def _cold_coeff_array(f, kmax, m):
     return CoeffGrid(np.where(np.abs(c) > cut, c, 0.0)).array
 
 
-def test_kept_rule_gives_the_grids_of_built_rules(monkeypatch):
+def test_kept_rule_gives_the_grids_of_built_rules(monkeypatch, request):
     f = lambda t, u: np.exp(t - 2.0 * u) * np.cos(3.0 * t * u)
     expected = {m: _cold_coeff_array(f, 20, m) for m in (22, 31)}
     built = []
-    monkeypatch.setattr(quadrature, "_KEPT_RULE", [None])
+    quadrature._kept_rule.cache_clear()
+    request.addfinalizer(quadrature._kept_rule.cache_clear)  # keep no rule the patch built
     monkeypatch.setattr(quadrature, "gauss_legendre_rule", lambda m: built.append(m) or gauss_legendre_rule(m))
     for m in (22, 22, 31, 31, 22, 31):
         grid = compute_coeff_grid(f, 20, m)
