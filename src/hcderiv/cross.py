@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import _MAX_GRID_CELLS, _dump_table
+from .spectral import _MAX_GRID_CELLS
+from .text import dump_table
 
 __all__ = ["HyperbolicCross", "build_cross", "dump_cross"]
 
@@ -120,12 +121,23 @@ def cardinality(cross: HyperbolicCross) -> int:
 
 
 def dump_cross(cross: HyperbolicCross) -> str:
-    """The header line, then one ``k<TAB>j`` line per pair, read off ``jmax`` in (k, j) order."""
+    """The header line, then one ``k<TAB>j`` line per pair, read off ``jmax`` in (k, j) order.
+
+    The pairs of a block of lines are found from the running row counts,
+    so one block of them exists at a time.
+    """
     counts = np.maximum(cross.jmax - (cross.r2 - 1), 0)
-    ks = np.repeat(np.arange(len(counts)), counts)
-    js = np.arange(len(ks)) - np.repeat(np.cumsum(counts) - counts - cross.r2, counts)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+
+    def pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        spans = np.minimum(ends[first : last + 1], hi) - np.maximum(starts[first : last + 1], lo)
+        ks = np.repeat(np.arange(first, last + 1), spans)
+        return ks, np.arange(lo, hi) - np.repeat(starts[first : last + 1] - cross.r2, spans)
+
     params = f"n={cross.n!r} gamma={cross.gamma!r} r1={cross.r1} r2={cross.r2}"
-    return _dump_table(f"{CROSS_HEADER_PREFIX} {params}", (ks, js), "%d\t%d\n")
+    return dump_table(f"{CROSS_HEADER_PREFIX} {params}", int(ends[-1]), pairs)
 
 
 def save_cross(cross: HyperbolicCross, path) -> None:

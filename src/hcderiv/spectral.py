@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .legendre import clenshaw_rows, differentiate_coeffs, phi_vandermonde
+from .text import dump_table
 
 if TYPE_CHECKING:
     from .cross import HyperbolicCross
@@ -426,31 +427,15 @@ def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:
     return CoeffGrid._adopt(np.where(keep, box, 0.0))
 
 
-# rows formatted per block, so the per-field Python objects of one block exist at a time
-_DUMP_BLOCK = 1 << 12
-
-
-def _dump_table(header: str, columns: tuple[np.ndarray, ...], line: str) -> str:
-    """The header line, then ``line % row`` for each row of ``columns``, one ``%`` per block."""
-    width, rows = len(columns), len(columns[0])
-    blocks = [header + "\n"]
-    for lo in range(0, rows, _DUMP_BLOCK):
-        hi = min(lo + _DUMP_BLOCK, rows)
-        flat = [None] * (width * (hi - lo))
-        for at, column in enumerate(columns):
-            flat[at::width] = column[lo:hi].tolist()
-        blocks.append(line * (hi - lo) % tuple(flat))
-    return "".join(blocks)
-
-
 def dump_grid(c: CoeffGrid) -> str:
     """Serialize to the one-entry-per-line text format, sorted by (k, j).
 
     The text is the header line and then one ``k<TAB>j<TAB>repr(value)``
-    line per nonzero entry.
+    line per nonzero entry, written by ``text.dump_table``.
     """
     ks, js = np.nonzero(c.array)
-    return _dump_table(GRID_HEADER, (ks, js, c.array[ks, js]), "%d\t%d\t%r\n")
+    values = c.array[ks, js]
+    return dump_table(GRID_HEADER, len(ks), lambda lo, hi: (ks[lo:hi], js[lo:hi], values[lo:hi]))
 
 
 _ENTRY = np.dtype([("k", np.int64), ("j", np.int64), ("v", np.float64)])

@@ -135,9 +135,8 @@ def test_radius_shaped_inputs_stay_small():
 
 
 def test_dump_cross_stays_near_the_size_of_its_text():
-    # the pairs are expanded from the row limits as index arrays and formatted
-    # a block at a time: about 4.4x the text size here, and 4.1x at n = 2e5;
-    # a tuple of pair tuples took about 22x (20x at n = 2e5)
+    # the pairs of one block of lines at a time are found from the row limits
+    # and written by numpy: about 2.3x the text size here, and 2.2x at n = 2e5
     cross = build_cross(2e4, 1, 1, 1)
     tracemalloc.start()
     try:

@@ -222,6 +222,7 @@ def test_cross_on_floor_guarded_boundaries_matches(n, gamma, r1, r2):
 @example(3.0, 1.0, 2, 2)
 @example(1.5, 2.0, 2, 1)
 @example(12345.6, 3.0, 4, 3)
+@example(3000.5, 1.0, 4, 2)  # about 16k pairs: four blocks of lines, the first four rows empty
 def test_dump_cross_matches(n, gamma, r1, r2):
     cross = build_cross(n, gamma, r1, r2)
     assert oracle.cross_pairs(cross) == oracle.build_cross(n, gamma, r1, r2)
