@@ -159,10 +159,8 @@ def _cmd_diff(args) -> int:
     cls = ClassParams(s=args.s, mu=args.mu)
     sel, cross = _plan_point(args.delta, args.p, cls, args.r1, args.r2, args.metric, args.gamma)
     support = _noise_support([cross])
-    deriv, noise_norm = _noisy_method(
-        grid, cross, _point_noise(cross, args.noise, args.p, args.delta, args.seed, support, cls),
-        args.p,
-    )
+    xi, noise_norm = _point_noise(cross, args.noise, args.p, args.delta, args.seed, support, cls)
+    deriv = _noisy_method(grid, cross, xi)
     noise_meta = {"mode": args.noise} if noise_norm is None else {
         "mode": _NOISE_MODES[args.noise],
         "p": _json_safe(args.p),
@@ -248,7 +246,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     Collects every problem (unknown section/key, unparsable value,
     invalid field) instead of stopping at the first.
     """
-    parser = configparser.ConfigParser()
+    # values are taken as written: no config uses interpolation, so a "%" is plain text
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:

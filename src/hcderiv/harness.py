@@ -9,25 +9,28 @@ witness band size N, feeds the method adversarial witness data, and
 compares the decay of the method error with the lower bound.
 
 Each sweep point runs in three stages.  ``_plan_point`` selects
-(n, gamma) and builds the cross.  ``_noisy_method`` takes the point's
-noise xi (drawn over the support rectangle by ``_point_noise``),
-restricts the reference coefficients to the cross, subtracts xi and
-applies the method.  The error step, ``_ErrorReference.errors``,
-subtracts the reference derivative once for the Parseval norm and the
-fixed-order sup norm, and screens the sup norm's samples with a product
-over the method output's box alone: the reference's share of that
-product is formed once per repetition.  Apart from the noise draw and
-that one full-size difference, every stage works on arrays the size of
-the cross's bounding box.
+(n, gamma) and builds the cross.  The noisy method runs in two steps:
+``_point_noise`` draws the point's noise xi over the support rectangle,
+takes its l_p norm and keeps only its entries on the cross, and
+``_noisy_method`` restricts the reference coefficients to the cross,
+subtracts that noise and applies the method.  The error step,
+``_ErrorReference.errors``, subtracts the reference derivative once for
+the Parseval norm and the fixed-order sup norm, and screens the sup
+norm's samples with a product over the method output's box alone: the
+reference's share of that product is formed once per repetition.  Apart
+from the noise draw and that one full-size difference, every stage works
+on arrays the size of the cross's bounding box.
 
-No draw depends on a method result, so a convergence study draws each
-point's noise on the one worker of a ``ThreadPoolExecutor`` while the
-point before it runs the method and the error step.  A repetition's
-first draw starts once its reference is built; each later one starts
-once the point before has dropped its noise.  Each draw seeds its own
-generator, so no output depends on the thread or on timing; at most one
-draw is in flight, and the worker is joined before the study returns or
-raises.
+No draw depends on a method result, so a convergence study runs each
+point's ``_point_noise`` on the one worker of a ``ThreadPoolExecutor``
+while the point before it runs the method and the error step.  Only the
+noise on the cross and its norm cross the thread; the full draw is
+dropped on the worker.  The study loop submits a repetition's first draw
+once its reference is built, and each later one as soon as it takes the
+draw before, so at most one draw is in flight and at most one full-size
+draw is alive.  Each draw seeds its own generator, so no output depends
+on the thread or on timing, and the worker is joined before the study
+returns or raises.
 
 Reference functions come from a small registry, a table from each id
 to its array function f(t, u): two exact bivariate polynomials and a
@@ -48,7 +51,7 @@ import numpy as np
 from .cross import HyperbolicCross, build_cross
 # perturb is unused here but stays bound: perfbench's traced-op test looks it up on this module
 from .noise import RNG_ALGORITHM, NoiseSpec, _draw, _rng, lp_norm, perturb  # noqa: F401
-from .quadrature import compute_coeff_grid
+from .quadrature import _MAX_ORDER, _ORDER_MARGIN, compute_coeff_grid
 from .spectral import (
     ClassParams,
     CoeffGrid,
@@ -154,8 +157,13 @@ def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int
         kk ** (-(cls.mu + 1.0 / cls.s + profile.epsilon)),
     )
     mags = mags * (rng.integers(0, 2, size=mags.shape) * 2 - 1)
-    weights = np.outer(kk, kk) ** (cls.s * cls.mu)
-    norm = float(np.sum(weights * np.abs(mags) ** cls.s) ** (1.0 / cls.s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.outer(kk, kk) ** (cls.s * cls.mu)
+        norm = float(np.sum(weights * np.abs(mags) ** cls.s) ** (1.0 / cls.s))
+    if not np.isfinite(norm):
+        # the weights overflow at large s * mu; each weighted term is
+        # (max(1,k) max(1,j))^-(1 + s epsilon), so the sum is a square
+        norm = float(np.sum(kk ** -(1.0 + cls.s * profile.epsilon)) ** (2.0 / cls.s))
     mags /= norm
     return CoeffGrid._adopt(mags)
 
@@ -228,51 +236,38 @@ def _noise_support(crosses) -> int:
 def _point_noise(
     cross: HyperbolicCross, mode: str, p: float, delta: float, seed: int, support: int,
     cls: ClassParams,
-) -> CoeffGrid | None:
-    """The noise xi of one sweep point under ``mode``, or None for mode "off".
+) -> tuple[CoeffGrid | None, float | None]:
+    """The noise of one sweep point on ``cross``, and the l_p norm of the whole draw.
 
-    xi has l_p budget ``delta`` on indices up to ``support`` (see
-    :func:`perturb`); the witness mode takes xi from the witness pair
-    that ``cross`` cannot see.  Only numpy work and no kept state, so a
-    study runs it on its helper thread.
+    The draw xi has l_p budget ``delta`` on indices up to ``support``
+    (see :func:`perturb`); the witness mode takes xi from the witness
+    pair that ``cross`` cannot see.  Only xi's entries on the cross are
+    returned, since the method reads no other: a study runs this on its
+    helper thread, so the full draw never leaves it.  Mode "off" gives
+    (None, None).
     """
     spec_mode = _NOISE_MODES[mode]
     if spec_mode is None:
-        return None
+        return None, None
     spec = NoiseSpec(p=p, delta=delta, mode=spec_mode, seed=seed, support=support)
     witness = witness_for_cross(cross, delta, p, cls) if mode == "witness" else None
-    return _draw(spec, witness)
+    xi = _draw(spec, witness)
+    # the norm first: its full-size temporary is freed before the restricted copy is made
+    norm = lp_norm(xi, p)
+    return restrict_to_cross(xi, cross), norm
 
 
-def _noisy_method(
-    c: CoeffGrid, cross: HyperbolicCross, xi: CoeffGrid | None, p: float,
-    dropped: Callable[[], None] | None = None,
-) -> tuple[CoeffGrid, float | None]:
-    """The method's derivative on ``cross`` from ``c`` - ``xi``, and the l_p norm of ``xi``.
-
-    ``c`` is restricted to the cross before xi is subtracted: the method
-    keeps only the entries on the cross, which are c - xi either way, so
-    the derivative is the same.  ``dropped`` runs once xi is subtracted
-    and dropped, before the method's temporaries, the largest of the
-    point: a study starts the next point's draw there, so that draw
-    never overlaps xi.  With xi None (mode "off") the method runs on
-    ``c`` itself and the norm is None.
-    """
-    if xi is None:
-        noise_norm, c_delta = None, c
-    else:
-        noise_norm = lp_norm(xi, p)
-        c_delta = restrict_to_cross(c, cross) - xi
-        del xi  # the caller passes its last reference
-    if dropped is not None:
-        dropped()
-    return apply_method(c_delta, cross), noise_norm
+def _noisy_method(c: CoeffGrid, cross: HyperbolicCross, xi: CoeffGrid | None) -> CoeffGrid:
+    """The method's derivative on ``cross`` from ``c`` - ``xi``, or from ``c`` when xi is None."""
+    return apply_method(c if xi is None else restrict_to_cross(c, cross) - xi, cross)
 
 
 # the most deltas a sweep may have: validation builds and keeps the selection
 # and cross of every point (about 0.5 kB and 0.25 ms each), so a sweep of
 # 2**16 points holds about 33 MB after about 16 s before the study starts
 _MAX_SWEEP_POINTS = 2**16
+# the largest k_ref of a projected (non-synthetic) function at the default quadrature order
+_MAX_PROJECTED_K = _MAX_ORDER - _ORDER_MARGIN
 
 
 @dataclass(frozen=True)
@@ -343,6 +338,13 @@ class ExperimentConfig:
             _check_cells((self.k_ref + 1, self.k_ref + 1))
         except ValueError as exc:
             problems.append(f"k_ref: {exc}")
+        else:
+            if REGISTRY.get(self.function_id) is not None and self.k_ref > _MAX_PROJECTED_K:
+                problems.append(
+                    f"k_ref: must be <= {_MAX_PROJECTED_K} for a projected function, whose "
+                    f"quadrature order k_ref + {_ORDER_MARGIN} is at most {_MAX_ORDER}, "
+                    f"got {self.k_ref}"
+                )
         if self.sup_resolution < 2:
             problems.append(f"sup_resolution: must be >= 2, got {self.sup_resolution}")
         elif self.sup_resolution > _MAX_RESOLUTION:
@@ -493,16 +495,6 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="hcderiv-draw") as pool:
-        pending = []  # the one draw in flight
-
-        def start_draw(rep: int, i: int) -> None:
-            if i < len(plan):
-                seed = (config.seed + rep * config.delta_count + i) % 2**64
-                pending.append(pool.submit(
-                    _point_noise, plan[i][1], config.noise_mode, config.p, float(deltas[i]), seed,
-                    support, cls,
-                ))
-
         for rep in range(config.num_seeds):
             ref = _registry_grid(
                 config.function_id, config.k_ref, _FUNCTION_STREAM_OFFSET + config.seed + rep,
@@ -511,15 +503,21 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
             reference = _ErrorReference(
                 mixed_derivative_coeffs(ref, config.r1, config.r2), config.sup_resolution
             )
-            start_draw(rep, 0)
+            draws = [
+                partial(
+                    _point_noise, cross, config.noise_mode, config.p, float(delta),
+                    (config.seed + rep * config.delta_count + i) % 2**64, support, cls,
+                )
+                for i, (delta, (_, cross)) in enumerate(zip(deltas, plan))
+            ]
+            draw = pool.submit(draws[0])
             for i, (_, cross) in enumerate(plan):
                 start = time.perf_counter() if config.timing else 0.0
-                # popping the future leaves _noisy_method the only reference to xi; the
-                # next point's draw starts once xi is dropped and runs during the method
-                approx, noise_norm = _noisy_method(
-                    ref, cross, pending.pop().result(), config.p, partial(start_draw, rep, i + 1)
-                )
-                err_l2, err_c = reference.errors(approx)
+                xi, noise_norm = draw.result()
+                if i + 1 < len(plan):
+                    # the next point's draw runs while this point runs the method and the error step
+                    draw = pool.submit(draws[i + 1])
+                err_l2, err_c = reference.errors(_noisy_method(ref, cross, xi))
                 sum_l2[i] += err_l2
                 sum_c[i] += err_c
                 sum_noise[i] += 0.0 if noise_norm is None else noise_norm

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _MAX_ORDER = 4096
+# the default order exceeds kmax by this margin
+_ORDER_MARGIN = 10
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 # relative size below which a projected coefficient counts as quadrature noise
@@ -153,7 +155,7 @@ def compute_coeff_grid(
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if m is None:
-        m = kmax + 10
+        m = kmax + _ORDER_MARGIN
     if m < kmax + 2:
         raise ValueError(f"quadrature order m={m} must be >= kmax + 2 = {kmax + 2}")
     rule = _kept_rule(m)

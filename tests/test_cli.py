@@ -393,6 +393,25 @@ def test_experiment_outputs_and_determinism(tmp_path):
     assert "manifest sha256=" in svg
 
 
+def test_experiment_timing_changes_only_the_wall_clock_column(tmp_path):
+    outputs = {}
+    for timing in ("on", "off"):
+        config = tmp_path / f"{timing}.ini"
+        config.write_text(DEFAULT_CONFIG.read_text().replace("timing = off", f"timing = {timing}"))
+        csv, json_out = tmp_path / f"{timing}.csv", tmp_path / f"{timing}.json"
+        assert run("experiment", "--config", config, "--out-csv", csv, "--out-json", json_out) == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()[2:]]
+        payload = json.loads(json_out.read_text())
+        wall_ms = [float(row.pop()) for row in rows]
+        assert wall_ms == [rec.pop("wall_ms") for rec in payload["records"]]
+        assert payload["config"].pop("timing") is (timing == "on")
+        del payload["manifest"]
+        outputs[timing] = (rows, payload, wall_ms)
+    assert all(ms > 0 for ms in outputs["on"][2])
+    assert all(ms == 0.0 for ms in outputs["off"][2])
+    assert outputs["on"][:2] == outputs["off"][:2]
+
+
 def test_experiment_matches_golden_files(tmp_path):
     csv_out, json_out = tmp_path / "g.csv", tmp_path / "g.json"
     assert run("experiment", "--config", DEFAULT_CONFIG, "--out-csv", csv_out,
@@ -538,6 +557,32 @@ def test_experiment_rejects_a_k_ref_over_the_cell_limit(tmp_path, capsys, functi
         "  - k_ref: grid shape (1000001, 1000001) exceeds the limit of 67108864 cells\n"
     )
     assert os.listdir(tmp_path) == ["big.ini"]
+
+
+@pytest.mark.parametrize("value", ["sph%re", "%(x)s", "sph%%re"])
+def test_experiment_reads_a_percent_sign_as_written(tmp_path, capsys, value):
+    bad = tmp_path / "percent.ini"
+    bad.write_text(f"[noise]\nmode = {value}\n")
+    code = run("experiment", "--config", bad, "--out-csv", tmp_path / "x.csv")
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: invalid config:\n"
+        f"  - mode: must be one of ('sphere', 'single', 'witness', 'off'), got {value!r}\n"
+    )
+    assert os.listdir(tmp_path) == ["percent.ini"]
+
+
+def test_experiment_rejects_a_k_ref_past_the_quadrature_limit(tmp_path, capsys):
+    bad = tmp_path / "order.ini"
+    bad.write_text("[function]\nid = poly\nk_ref = 4090\n")
+    code = run("experiment", "--config", bad, "--out-csv", tmp_path / "x.csv")
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: invalid config:\n"
+        "  - k_ref: must be <= 4086 for a projected function, whose quadrature order "
+        "k_ref + 10 is at most 4096, got 4090\n"
+    )
+    assert os.listdir(tmp_path) == ["order.ini"]
 
 
 @pytest.mark.parametrize("section,key,value,limit", [

@@ -74,6 +74,16 @@ def test_synthetic_function_on_unit_sphere():
     assert class_norm(grid, CLS) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_synthetic_function_at_a_weight_past_the_float_range():
+    # at s * mu = 100 the weight (64 * 64)^100 overflows, but the grid stays finite
+    cls = ClassParams(2, 50)
+    grid = synthesize_class_function(cls, DecayProfile(epsilon=0.01, kmax=64), seed=0)
+    assert grid.array.shape == (65, 65) and np.all(np.isfinite(grid.array))
+    kk = np.maximum(1, np.arange(65)).astype(float)
+    weighted = (np.outer(kk, kk) ** cls.mu * np.abs(grid.array)) ** cls.s
+    assert np.sum(weighted) ** (1.0 / cls.s) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_synthetic_function_deterministic():
     a = synthesize_class_function(CLS, DecayProfile(epsilon=0.01, kmax=32), seed=5)
     b = synthesize_class_function(CLS, DecayProfile(epsilon=0.01, kmax=32), seed=5)
@@ -143,6 +153,18 @@ def test_config_kref_guard():
     cfg = ExperimentConfig(k_ref=10)
     problems = cfg.validate()
     assert any("k_ref" in p for p in problems)
+
+
+@pytest.mark.parametrize("function_id", ["one", "poly", "exp-sum"])
+def test_config_bounds_a_projected_k_ref_by_the_quadrature_order(function_id):
+    # a projected grid runs the rule of order k_ref + 10, at most 4096
+    assert ExperimentConfig(function_id=function_id, k_ref=4086).validate() == []
+    assert ExperimentConfig(function_id=function_id, k_ref=4087).validate() == [
+        "k_ref: must be <= 4086 for a projected function, whose quadrature order "
+        "k_ref + 10 is at most 4096, got 4087"
+    ]
+    # a synthetic grid needs no quadrature
+    assert ExperimentConfig(function_id="boundary-decay", k_ref=4087).validate() == []
 
 
 def test_zero_noise_errors_monotone():
@@ -309,10 +331,14 @@ def _sequential_sums(config):
         )
         for i, (delta, (_, cross)) in enumerate(zip(config.deltas(), config._sweep_plan)):
             seed = config.seed + rep * config.delta_count + i
-            xi = harness._point_noise(
+            xi, norm = harness._point_noise(
                 cross, config.noise_mode, config.p, float(delta), seed, support, cls
             )
-            approx, norm = harness._noisy_method(ref, cross, xi, config.p)
+            # only the noise on the cross is handed on: a grid inside its bounding box
+            if xi is not None:
+                rows, cols = xi.array.shape
+                assert rows <= cross.k_extent() + 1 and cols <= cross.j_extent() + 1
+            approx = harness._noisy_method(ref, cross, xi)
             sums[i] += (*reference.errors(approx), 0.0 if norm is None else norm)
     return sums
 
@@ -326,7 +352,7 @@ def test_study_records_equal_a_sequential_loop(mode):
 
 
 def test_at_most_one_draw_in_flight_and_each_after_the_last_is_dropped(monkeypatch):
-    draw = harness._point_noise
+    draw = harness._draw
     lock = threading.Lock()
     state = {"in_flight": 0, "most": 0, "calls": 0, "last": lambda: None}
 
@@ -336,7 +362,7 @@ def test_at_most_one_draw_in_flight_and_each_after_the_last_is_dropped(monkeypat
             state["most"] = max(state["most"], state["in_flight"])
             state["calls"] += 1
         try:
-            # the point before has subtracted its noise and dropped it
+            # the draw before was dropped on the worker, after it was restricted to the cross
             assert state["last"]() is None
             time.sleep(0.005)  # widen the window a second draw would need
             xi = draw(*args)
@@ -346,7 +372,7 @@ def test_at_most_one_draw_in_flight_and_each_after_the_last_is_dropped(monkeypat
             with lock:
                 state["in_flight"] -= 1
 
-    monkeypatch.setattr(harness, "_point_noise", counting_draw)
+    monkeypatch.setattr(harness, "_draw", counting_draw)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -363,7 +389,7 @@ class _DrawInterrupt(BaseException):
 
 @pytest.mark.parametrize("error", [ValueError, _DrawInterrupt])
 def test_a_failing_draw_raises_at_its_point_and_leaves_no_thread(monkeypatch, error):
-    draw = harness._point_noise
+    draw = harness._draw
     draws, methods = [], []
 
     def failing_draw(*args):
@@ -376,7 +402,7 @@ def test_a_failing_draw_raises_at_its_point_and_leaves_no_thread(monkeypatch, er
         methods.append(cross)
         return truncation.apply_method(c, cross)
 
-    monkeypatch.setattr(harness, "_point_noise", failing_draw)
+    monkeypatch.setattr(harness, "_draw", failing_draw)
     monkeypatch.setattr(harness, "apply_method", counting_method)
     before = set(threading.enumerate())
     with pytest.raises(error, match="^draw 3 failed$"):
@@ -387,7 +413,7 @@ def test_a_failing_draw_raises_at_its_point_and_leaves_no_thread(monkeypatch, er
 
 
 def test_a_failing_point_joins_the_draw_in_flight(monkeypatch):
-    draw = harness._point_noise
+    draw = harness._draw
     finished = []
 
     def slow_draw(*args):
@@ -399,7 +425,7 @@ def test_a_failing_point_joins_the_draw_in_flight(monkeypatch):
     def failing_method(c, cross):
         raise RuntimeError("method failed")
 
-    monkeypatch.setattr(harness, "_point_noise", slow_draw)
+    monkeypatch.setattr(harness, "_draw", slow_draw)
     monkeypatch.setattr(harness, "apply_method", failing_method)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="^method failed$"):
