@@ -148,7 +148,9 @@ def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int
     The grid is scaled so the class norm equals 1; with epsilon small
     the weighted coefficients are barely summable, which makes the
     truncation error of the method close to its worst case over the
-    class.
+    class.  Coefficients below the double range are flushed to zero after
+    the norm is taken, so the norm then falls short of 1: 0.99401 at s = 2,
+    epsilon = 0.01, mu = 100 and kmax = 64, where 1004 of 4225 are 0.
     """
     rng = _rng(seed)
     kk = np.maximum(1, np.arange(profile.kmax + 1)).astype(float)

@@ -20,7 +20,6 @@ was kept.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .legendre import clenshaw_rows, differentiate_coeffs, phi_vandermonde
-from .text import dump_table
+from .text import ENTRY, dump_table, load_table
 
 if TYPE_CHECKING:
     from .cross import HyperbolicCross
@@ -175,14 +174,20 @@ def class_norm(c: CoeffGrid, params: ClassParams) -> float:
     """Weighted coefficient norm (sum (max(1,k) max(1,j))^{s mu} |c_kj|^s)^{1/s}.
 
     The weight underlines each factor separately, so rows and columns
-    with a zero index carry the other factor's weight rather than 1.
+    with a zero index carry the other factor's weight rather than 1.  A
+    sum that is not finite (a weight overflows, or times a power that
+    underflows) is summed again in log form.
     """
     if len(c) == 0:
         return 0.0
     ks, js = np.nonzero(c.array)
-    weights = (np.maximum(1.0, ks) * np.maximum(1.0, js)) ** float(params.s * params.mu)
-    total = np.sum(weights * np.abs(c.array[ks, js]) ** params.s)
-    return float(total ** (1.0 / params.s))
+    bases, values = np.maximum(1.0, ks) * np.maximum(1.0, js), np.abs(c.array[ks, js])
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(bases ** float(params.s * params.mu) * values**params.s)
+    if np.isfinite(total):
+        return float(total ** (1.0 / params.s))
+    logs = params.s * (params.mu * np.log(bases) + np.log(values))
+    return float(np.exp((logs.max() + np.log(np.sum(np.exp(logs - logs.max())))) / params.s))
 
 
 def parseval_l2_norm(c: CoeffGrid) -> float:
@@ -438,56 +443,17 @@ def dump_grid(c: CoeffGrid) -> str:
     return dump_table(GRID_HEADER, len(ks), lambda lo, hi: (ks[lo:hi], js[lo:hi], values[lo:hi]))
 
 
-_ENTRY = np.dtype([("k", np.int64), ("j", np.int64), ("v", np.float64)])
-
-# dump_grid's entry lines: indices of at most 18 digits (so below 2**63) and a
-# value made of the characters of a finite float's repr.  The body is matched a
-# block of lines at a time: a repeated group keeps state for every line it
-# matches until the match ends.
-_CANONICAL_LINES = re.compile(r"(?:[0-9]{1,18}\t[0-9]{1,18}\t[-+.0-9eE]+\n)*")
-_READ_BLOCK = 1 << 14  # characters per block, rounded up to a whole line
-
-
-def _blocks(text: str, start: int):
-    """(start, end) of consecutive blocks of whole lines covering text[start:]."""
-    while start < len(text):
-        end = text.find("\n", start + _READ_BLOCK) + 1 or len(text)
-        yield start, end
-        start = end
-
-
-def _loadtxt_table(text: str) -> np.ndarray | None:
-    """The entries of text in dump_grid's form, read by one np.loadtxt call.
-
-    The form is optional ``#`` comment lines, the header line, and lines
-    that match ``_CANONICAL_LINES``; such a line splits at its two tabs
-    into decimal indices that int() and np.loadtxt read alike, and a
-    value that both hand to the same float parser.  Any other text, or a
-    value np.loadtxt refuses, gives None.
-    """
+def _fast_table(text: str) -> np.ndarray | None:
+    """The entries of text in dump_grid's form (``#`` comment lines, the header line and the
+    lines ``text.load_table`` reads), read by ``load_table``, or None for other text."""
     head = GRID_HEADER + "\n"
-    if text.startswith(head):
-        start = len(head)
-    else:
-        at = text.find("\n" + head)
-        if at < 0:
-            return None
-        prefix = text[: at + 1]
-        comments = prefix.split("\n")[:-1]
-        if prefix.splitlines() != comments or any(
-            not line.startswith("#") or line.strip() == GRID_HEADER for line in comments
-        ):
-            return None
-        start = at + 1 + len(head)
-    if start == len(text):
-        return np.zeros(0, _ENTRY)
-    if not all(_CANONICAL_LINES.fullmatch(text, lo, hi) for lo, hi in _blocks(text, start)):
+    at = 0 if text.startswith(head) else text.find("\n" + head) + 1
+    comments = text[:at].split("\n")[:-1]
+    if not text.startswith(head, at) or text[:at].splitlines() != comments or any(
+        not line.startswith("#") or line.strip() == GRID_HEADER for line in comments
+    ):
         return None
-    lines = (line for lo, hi in _blocks(text, start) for line in text[lo:hi].splitlines())
-    try:
-        return np.loadtxt(lines, dtype=_ENTRY, delimiter="\t", comments=None, quotechar=None, ndmin=1)
-    except ValueError:
-        return None
+    return load_table(text, at + len(head))
 
 
 def _grid_entry(line: str) -> tuple[int, int, float]:
@@ -506,7 +472,7 @@ def _line_table(text: str) -> np.ndarray:
     if not lines or lines[0].strip() != GRID_HEADER:
         raise ValueError(f"missing grid header {GRID_HEADER!r}")
     try:
-        return np.fromiter(map(_grid_entry, islice(lines, 1, None)), _ENTRY, len(lines) - 1)
+        return np.fromiter(map(_grid_entry, islice(lines, 1, None)), ENTRY, len(lines) - 1)
     except OverflowError:
         raise ValueError("grid indices must fit in 64 bits") from None
 
@@ -562,13 +528,14 @@ def parse_grid(text: str) -> CoeffGrid:
     Below the header every non-blank line is ``k<TAB>j<TAB>value``; the
     indices must be unique non-negative integers that fit in 64 bits and
     the values finite, and the nonzero entries must fit in an array of
-    at most 2**26 cells.  Text in dump_grid's form (see ``_loadtxt_table``)
-    is read by one np.loadtxt call; any other text is read line by line.
-    Both readers give the same entries, or the same error, for the same
-    text.  The entries go straight into index and value arrays, and zero
-    values are dropped before the grid array is sized.
+    at most 2**26 cells.  Text in dump_grid's form (see ``_fast_table``)
+    is read by ``text.load_table`` with integer numpy operations; any
+    other text is read line by line.  Both readers give the same entries,
+    or the same error, for the same text.  The entries go straight into
+    index and value arrays, and zero values are dropped before the grid
+    array is sized.
     """
-    table = _loadtxt_table(text)
+    table = _fast_table(text)
     return _table_grid(_line_table(text) if table is None else table)
 
 

@@ -21,6 +21,12 @@ still looks for a shorter decimal (Java prints ``4.9E-324`` where
 ``repr`` prints ``5e-324``).  So one path serves every finite nonzero
 float, subnormals included.
 
+Grid bodies are read back by ``load_table`` with integer numpy operations
+too: the non-digits check each line's form and bound its digit runs, the
+runs are folded 8 digits at a time, and Eisel-Lemire (D. Lemire, "Number
+Parsing at a Gigabyte per Second", 2021) gives the nearest double, or
+leaves the value to ``float()``.
+
 Every uint64 operand is uint64, scalars as ``np.uint64``: numpy 1.x
 promotes uint64 mixed with int64 to float64, which loses digits.
 """
@@ -32,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["dump_table"]
+__all__ = ["dump_table", "load_table"]
 
 _U = np.uint64
 _M32 = _U(2**32 - 1)
@@ -47,9 +53,9 @@ _K_MIN, _K_MAX = -324, 292
 _BLOCK = 1 << 12
 
 # the least numbers of 2, 3, ... 20 digits, where np.searchsorted counts digits,
-# and the powers of ten that pad a value's digits to 17
+# and the powers of ten below 2**64
 _DIGITS = np.array([10**i for i in range(1, 20)], _U)
-_POW10 = np.array([10**i for i in range(18)], _U)
+_POW10 = np.array([10**i for i in range(20)], _U)
 
 
 def _flog2pow10(e):
@@ -315,3 +321,147 @@ def dump_table(header: str, rows: int, columns: Callable[[int, int], Sequence[np
     for lo in range(0, rows, _BLOCK):
         blocks.append(_lines(columns(lo, min(lo + _BLOCK, rows)), tables))
     return "".join(blocks)
+
+
+# the zero bytes before each block of lines, so that every window with a digit
+# of a run starts in the buffer, and the bytes of text per block
+_PAD, _READ = 7, 1 << 18
+# per r, the digit bits of the top r bytes of a window; the powers of two; per
+# count f of fraction digits, the largest whole part that keeps w below 10**19
+_KEEP = np.array([0] + [(2**64 - 2 ** (64 - 8 * r)) & 0x0F0F0F0F0F0F0F0F for r in range(1, 9)], _U)
+_POW2 = np.array([2**i for i in range(64)], _U)
+_WHOLE = np.array([(10**19 - 1) // 10**f for f in range(21)], _U)
+_Q_MIN, _Q_MAX = -342, 308
+ENTRY = np.dtype([("k", np.int64), ("j", np.int64), ("v", np.float64)])  # a grid table's rows
+
+
+@lru_cache(maxsize=1)
+def _powers() -> tuple[np.ndarray, ...]:
+    """5**q for q in [_Q_MIN, _Q_MAX] as in fast_float's table, built on the first read: cut to
+    128 bits (a reciprocal rounded up first), kept as high words and 32-bit limbs of both words."""
+    table = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        p = 5 ** abs(q)
+        if q < 0:
+            p = (1 << (p.bit_length() + 127 if q >= -27 else 2 * p.bit_length() + 128)) // p + 1
+        table.append(p >> max(p.bit_length() - 128, 0) << max(128 - p.bit_length(), 0))
+    hi, lo = (np.array([p >> shift & (2**64 - 1) for p in table], _U) for shift in (64, 0))
+    return hi, hi & _M32, hi >> _S32, lo & _M32, lo >> _S32
+
+
+def _eisel_lemire(w, q):
+    """The bits of the double nearest w 10**q, for each w < 2**64, and the lanes it decides.
+
+    w at its top bit times 5**q's high word gives the significand and a
+    round bit, plus the low word's product where the 9 bits below are all
+    ones; ties go to even for q in [-4, 23], the only q where they occur.
+    Zero, subnormal and overflowing results and q off the table are left."""
+    hi_t, h0, h1, l0, l1 = _powers()
+    at = np.clip(q - _Q_MIN, 0, _Q_MAX - _Q_MIN)
+    lz = 64 - np.searchsorted(_POW2, w, side="right")
+    w = w << lz.astype(_U)
+    w0, w1 = w & _M32, w >> _S32
+    hi, lo = _mulhi(w0, w1, h0.take(at), h1.take(at)), w * hi_t.take(at)
+    more = np.flatnonzero(hi & _U(0x1FF) == _U(0x1FF))
+    low = _mulhi(w0[more], w1[more], l0.take(at[more]), l1.take(at[more]))
+    lo[more] += low
+    hi[more] += lo[more] < low
+    shift = (hi >> _S63) + _U(9)
+    mant = hi >> shift
+    mant -= (lo <= _U(1)) & (q >= -4) & (q <= 23) & (mant & _U(3) == _U(1)) & (mant << shift == hi)
+    mant = (mant + (mant & _U(1))) >> _U(1)
+    carry = mant >> _U(53)
+    power2 = ((217_706 * q) >> 16) + 1077 + (shift + carry).astype(np.int64) - lz
+    decided = (power2 > 0) & (power2 < 2047) & (at == q - _Q_MIN) & (w != _U(0))
+    return (power2.astype(_U) << _U(52)) | ((mant >> carry) & _U(2**52 - 1)), decided
+
+
+def _fold(u, runs):
+    """Per digit run (end, length), the number it spells and whether that is exact.
+
+    A run is read backwards from up to 3 windows of 8 bytes with the bytes outside it cleared; it
+    is exact when they cover it and the third holds less than 1000, so that it is below 2**64."""
+    counts = [min(3, max(1, -(-int(length.max()) // 8))) for _, length in runs]
+    windows = ((np.maximum(end - 8 * i - 8, 0), length - 8 * i)  # a window of no digit may start anywhere
+               for (end, length), n in zip(runs, counts) for i in range(n))
+    x = np.empty((sum(counts), len(runs[0][0])), _U)
+    for row, (start, digits) in enumerate(windows):
+        x[row] = u[start] & _KEEP.take(digits, mode="clip")
+    # Lemire's fold of 8 digits, in place: pairs, then quads, then all 8
+    np.right_shift(np.multiply(x, _U(10 * 2**8 + 1), out=x), _U(8), out=x)
+    np.right_shift(np.multiply(x & _U(0x00FF00FF00FF00FF), _U(100 * 2**16 + 1), out=x), _U(16), out=x)
+    np.right_shift(np.multiply(x & _U(0x0000FFFF0000FFFF), _U(10**4 * 2**32 + 1), out=x), _S32, out=x)
+    return [((x[e - n : e] * _POW10[: 8 * n : 8, None]).sum(axis=0),
+             (length <= 8 * n) & (x[e - 1] < _U(1000 if n == 3 else 10**8)))
+            for (_, length), n, e in zip(runs, counts, np.cumsum(counts))]
+
+
+def _runs(buf, lo: int, hi: int):
+    """The digit runs (end, length) k, j, whole, fraction and exponent of buf[lo:hi], and signs.
+
+    None if a line is not, in the order of its non-digits, a tab, a tab, the value's own ("-",
+    ".", "e" and a sign, each optional), a newline."""
+    nd = np.flatnonzero(buf[lo:hi] - np.uint8(48) > 9) + lo
+    c = buf[nd]
+    si = np.flatnonzero(c < 11)
+    i1, i2, i3 = si[0::3], si[1::3], si[2::3]
+    if not (buf[hi - 1] == 10 and c[si].tobytes() == b"\t\t\n" * (len(si) // 3) and i1[0] == 0
+            and (i2 - i1 == 1).all() and (i1[1:] - i3[:-1] == 1).all()):
+        return None
+    t1, t2, nl = nd[i1], nd[i2], nd[i3]
+    neg = buf[t2 + 1] == 45
+    at = i2 + 1 + neg
+    has_dot, dot = c[at] == 46, nd[at]
+    at += has_dot
+    has_e, e = c[at] == 101, nd[at]
+    sign = buf.take(e + 1, mode="clip")
+    mant_end = np.where(has_e, e, nl)
+    whole_end = np.where(has_dot, dot, mant_end)
+    k, j, whole = t1 - np.concatenate(([lo], nl[:-1] + 1)), t2 - t1 - 1, whole_end - t2 - 1 - neg
+    frac, exp = has_dot * (mant_end - dot - 1), has_e * (nl - e - 2)
+    ok = (i3 == at + 2 * has_e) & (k >= 1) & (k <= 18) & (j >= 1) & (j <= 18) & (whole >= 1)
+    ok &= ((frac >= 1) | ~has_dot) & ((exp >= 1) & ((sign == 43) | (sign == 45)) | ~has_e)
+    runs = [(t1, k), (t2, j), (whole_end, whole), (mant_end, frac), (nl, exp)]
+    return (runs, neg, sign == 45) if ok.all() else None
+
+
+def _read_block(buf, u, lo: int, hi: int):
+    """k, j, digits w, exponent q (exact where ``exact``), sign and bytes [start, end) of each value.
+
+    Each step is a function, so that its temporaries are gone before the next one starts."""
+    if (lines := _runs(buf, lo, hi)) is None:
+        return None
+    runs, neg, negexp = lines
+    (k, _), (j, _), (whole, whole_ok), (frac, frac_ok), (exp, exp_ok) = _fold(u, runs)
+    places = runs[3][1]
+    w = whole * _POW10.take(np.minimum(places, 19)) + frac
+    q = np.where(negexp, -1, 1) * exp.view(np.int64) - places
+    exact = whole_ok & frac_ok & exp_ok & (exp < _U(10**4)) & (whole <= _WHOLE.take(np.minimum(places, 20)))
+    return k, j, w, q, exact, neg, runs[2][0] - runs[2][1] - neg, runs[4][0]
+
+
+def load_table(text: str, start: int = 0) -> np.ndarray | None:
+    """The rows (k, j, v) of the grid lines in ``text[start:]``, or None for text of another form.
+
+    The inverse of ``dump_table`` for a grid body: each line must be
+    ``[0-9]{1,18}\\t[0-9]{1,18}\\t-?[0-9]+(\\.[0-9]+)?(e[-+][0-9]+)?\\n``, as every
+    ``repr`` of a float is, and is read as ``int()`` and ``float()`` read it.
+    """
+    if not text.isascii():
+        return None
+    table = np.empty(text.count("\n", start), ENTRY)
+    lo, row = start, 0
+    while lo < len(text):
+        hi = text.find("\n", lo + _READ) + 1 or len(text)
+        buf = np.frombuffer(b"\0" * _PAD + text[lo:hi].encode("ascii"), np.uint8)
+        u = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # the 8 bytes at each offset
+        if (block := _read_block(buf, u, _PAD, len(buf))) is None:
+            return None
+        k, j, w, q, exact, neg, starts, ends = block
+        bits, decided = _eisel_lemire(w, q)
+        rows = table[row : row + len(k)]
+        rows["k"], rows["j"], rows["v"] = k, j, (bits | (neg.astype(_U) << _S63)).view(np.float64)
+        for i in np.flatnonzero(~(decided & exact)).tolist():
+            rows["v"][i] = float(buf[starts[i] : ends[i]].tobytes())
+        lo, row = hi, row + len(k)
+    return table

@@ -12,7 +12,7 @@ import pytest
 
 import dict_oracle as oracle
 import hcderiv
-from hcderiv import cli
+from hcderiv import cli, spectral
 from hcderiv.cli import main
 from hcderiv.cross import build_cross
 from hcderiv.harness import REGISTRY
@@ -228,6 +228,35 @@ def test_diff_manifest_hashes_input_contents(tmp_path):
     ref_hashes = [_diff_manifest_hash(d, dirs[0] / "in.grid", d / "ref.grid") for d in dirs]
     assert ref_hashes[0] != ref_hashes[1]
     assert _diff_manifest_hash(dirs[1], dirs[0] / "in.grid") == coeff_hashes[0]
+
+
+def test_diff_gives_the_same_results_from_both_grid_readers(tmp_path):
+    # hand-written grids with extreme and 17-digit values: with LF line breaks
+    # text.load_table reads them, with CRLF the line parser
+    values = [
+        "0.12345678901234567", "-1.2345678901234567e-05", "5e-324", "2.2250738585072014e-308",
+        "-2.225073858507201e-308", "1e+16", "1.7976931348623157e+100", "-0.0001", "123456789012345.67",
+        "9007199254740993", "4.9406564584124654e-324", "0.30000000000000004", "-9.999999999999999e+22",
+    ]
+    grids = {
+        "coeffs": [f"{k}\t{j}\t{values[(3 * k + j) % len(values)]}" for k in range(6) for j in range(5)],
+        "reference": [f"{k}\t{j}\t{values[(k + 5 * j) % len(values)]}" for k in range(2, 5) for j in range(1, 4)],
+    }
+    outputs = []
+    for eol in ("\n", "\r\n"):
+        d = tmp_path / ("crlf" if eol == "\r\n" else "lf")
+        d.mkdir()
+        for name, lines in grids.items():
+            text = eol.join(["# hand-written", "# coeffgrid v1", *lines, ""])
+            (d / f"{name}.grid").write_bytes(text.encode("ascii"))
+            assert (spectral._fast_table(text) is None) == (eol == "\r\n")
+        assert run("diff", d / "coeffs.grid", "--r1", 2, "--r2", 1, "--delta", "1e-6", "--mu", 6,
+                   "--reference", d / "reference.grid", "--out", d / "d.grid") == 0
+        sidecar = json.loads((d / "d.grid.json").read_text())
+        sidecar.pop("manifest")
+        outputs.append(((d / "d.grid").read_text().split("\n", 1)[1], sidecar))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["error_l2"] > 0 and len(outputs[0][0].splitlines()) > 5
 
 
 @pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])

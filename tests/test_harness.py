@@ -84,6 +84,15 @@ def test_synthetic_function_at_a_weight_past_the_float_range():
     assert np.sum(weighted) ** (1.0 / cls.s) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("mu,zeros,norm", [(100, 1004, 0.994007377871551), (50, 0, 1.0)])
+def test_synthetic_function_falls_short_of_norm_one_once_coefficients_underflow(mu, zeros, norm):
+    # at mu = 100 the far coefficients fall below the double range after the norm is taken
+    cls = ClassParams(2, mu)
+    grid = synthesize_class_function(cls, DecayProfile(epsilon=0.01, kmax=64), seed=0)
+    assert np.count_nonzero(grid.array == 0.0) == zeros
+    assert class_norm(grid, cls) == pytest.approx(norm, abs=1e-12)
+
+
 def test_synthetic_function_deterministic():
     a = synthesize_class_function(CLS, DecayProfile(epsilon=0.01, kmax=32), seed=5)
     b = synthesize_class_function(CLS, DecayProfile(epsilon=0.01, kmax=32), seed=5)

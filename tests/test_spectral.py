@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,24 @@ def test_class_norm_hand_sum():
 
 def test_class_norm_empty():
     assert class_norm(CoeffGrid(), ClassParams(2, 2)) == 0.0
+
+
+def test_class_norm_where_the_weight_overflows():
+    # 4096**100 overflows and (1e-300)**2 underflows; the norm is 4096**50 * 1e-300
+    a = np.zeros((65, 65))
+    a[64, 64] = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = class_norm(CoeffGrid(a), ClassParams(2, 50))
+    assert norm == pytest.approx(math.exp(50 * math.log(4096) + math.log(1e-300)), rel=1e-12)
+
+
+def test_class_norm_keeps_the_plain_sum_where_it_is_finite():
+    g = _random_grid(seed=43, kmax=30, count=60)
+    ks, js = np.nonzero(g.array)
+    for s, mu in [(2, 3), (1.5, 2.5), (1, 0.5)]:
+        plain = np.sum((np.maximum(1.0, ks) * np.maximum(1.0, js)) ** float(s * mu) * np.abs(g.array[ks, js]) ** s)
+        assert class_norm(g, ClassParams(s, mu)) == float(plain ** (1.0 / s))
 
 
 def test_parseval_examples():
@@ -462,7 +481,7 @@ def test_parse_rejects_garbage():
 
 
 @pytest.mark.parametrize("k,j", [(10**18 - 1, 0), (8192, 8192)])
-@pytest.mark.parametrize("eol", ["\n", "\r\n"])  # read by np.loadtxt, and line by line
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])  # read by text.load_table, and line by line
 def test_parse_rejects_grids_too_large_to_hold(k, j, eol):
     # (k + 1)(j + 1) cells exceed 2**26, so the error comes before any array is allocated
     text = f"# coeffgrid v1{eol}0\t0\t1.0{eol}{k}\t{j}\t-2.5{eol}"
@@ -576,10 +595,10 @@ def _grid_text(draw):
 @example(("# a\x85b\n# coeffgrid v1\n1\t2\t1.0\n", False))
 @example(("# coeffgrid v1 \n# coeffgrid v1\n1\t2\t1.0\n", False))
 @example(("# coeffgrid v1\n", True))
-def test_loadtxt_and_line_readers_agree(case):
+def test_fast_and_line_readers_agree(case):
     text, canonical = case
     line = _outcome(lambda: spectral._table_grid(spectral._line_table(text)))
-    table = spectral._loadtxt_table(text)
+    table = spectral._fast_table(text)
     if canonical:
         assert table is not None
     if table is not None:
@@ -598,7 +617,7 @@ def test_loadtxt_and_line_readers_agree(case):
 def test_dump_grid_text_round_trips_below_a_manifest_line(entries):
     g = CoeffGrid(scatter(entries))
     text = "# manifest sha256=0123456789abcdef\n" + dump_grid(g)
-    assert spectral._loadtxt_table(text) is not None
+    assert spectral._fast_table(text) is not None
     assert parse_grid(text) == g
     assert dump_grid(parse_grid(text)) == dump_grid(g)
 
@@ -684,7 +703,7 @@ def test_trim_reads_the_last_lines_like_the_full_scan(case):
 
 
 def _table(pairs, values=None):
-    table = np.zeros(len(pairs), spectral._ENTRY)
+    table = np.zeros(len(pairs), spectral.ENTRY)
     if pairs:
         table["k"], table["j"] = np.array(pairs).T
     table["v"] = np.arange(1.0, len(pairs) + 1) if values is None else values
