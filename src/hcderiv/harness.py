@@ -21,16 +21,19 @@ reference's share of that product is formed once per repetition.  Apart
 from the noise draw and that one full-size difference, every stage works
 on arrays the size of the cross's bounding box.
 
-No draw depends on a method result, so a convergence study runs each
-point's ``_point_noise`` on the one worker of a ``ThreadPoolExecutor``
-while the point before it runs the method and the error step.  Only the
-noise on the cross and its norm cross the thread; the full draw is
-dropped on the worker.  The study loop submits a repetition's first draw
-once its reference is built, and each later one as soon as it takes the
-draw before, so at most one draw is in flight and at most one full-size
-draw is alive.  Each draw seeds its own generator, so no output depends
-on the thread or on timing, and the worker is joined before the study
-returns or raises.
+No draw depends on a method result, so a convergence study runs every
+point's ``_point_noise`` on the one worker of a ``ThreadPoolExecutor``,
+in one sequence over (repetition, point), while the main thread builds
+the references and runs the methods and error steps.  The first
+``_DRAWS_AHEAD`` draws are queued before the first reference is built,
+and each point that has run its method queues the draw that many places
+further on, across repetitions too.  So the worker runs at most
+``_DRAWS_AHEAD`` draws ahead of the methods, at most that many box-sized
+results wait, and the one worker holds at most one full-size draw: only
+the noise on the cross and its norm cross the thread.  Each draw seeds
+its own generator, so no output depends on the thread or on timing.  On
+any exit the queued draws are cancelled and the worker is joined before
+the study returns or raises.
 
 Reference functions come from a small registry, a table from each id
 to its array function f(t, u): two exact bivariate polynomials and a
@@ -42,6 +45,7 @@ are drawn directly on the unit sphere of the smoothness class.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -458,6 +462,11 @@ def _fit_with_drop(points: list[tuple[float, float]]) -> RateFit | None:
 # synthetic function draws use the seed offset by 2**63, a stream
 # disjoint from the small per-point noise seeds
 _FUNCTION_STREAM_OFFSET = 2**63
+# the most draws a study queues on its worker: each point's draw is queued this many
+# points ahead, so at most this many box-sized results wait.  On the convergence
+# workload (k_ref 400, 13 deltas, 2 vCPUs) windows of 1, 2, 4 and 8 changed a study's
+# wall time by +2, -13, -18 and -14% against one draw queued after the reference
+_DRAWS_AHEAD = 4
 
 
 def _theoretical_exponent(config: ExperimentConfig, metric: str) -> float | None:
@@ -481,6 +490,14 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
     derivative and the sup error on the Chebyshev grid.  Errors are
     averaged over ``num_seeds`` repetitions; per-point noise seeds are
     seed + rep * delta_count + sweep_index.
+
+    The draws run on one helper thread, queued ``_DRAWS_AHEAD`` points
+    ahead of the method from before the first reference is built (see the
+    module docstring); the records do not depend on it.  With
+    ``config.timing``, a record's ``wall_ms`` is the main thread's time
+    at the point, from taking its draw to the end of its error step,
+    summed over the repetitions: it includes any wait for the draw, but
+    not the draw's own time once it was ready in advance.
     """
     problems = config.validate()
     if problems:
@@ -496,7 +513,20 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
     # loaded by the first study, not by ``import hcderiv``
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="hcderiv-draw") as pool:
+    count, total = len(plan), config.num_seeds * len(plan)
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hcderiv-draw")
+
+    def submit(n: int):
+        """Queue draw n of the flat sequence over (repetition, point)."""
+        i = n % count
+        return pool.submit(
+            _point_noise, plan[i][1], config.noise_mode, config.p, float(deltas[i]),
+            (config.seed + n) % 2**64, support, cls,
+        )
+
+    try:
+        # the first draws run while the main thread builds the reference
+        draws = deque(submit(n) for n in range(min(_DRAWS_AHEAD, total)))
         for rep in range(config.num_seeds):
             ref = _registry_grid(
                 config.function_id, config.k_ref, _FUNCTION_STREAM_OFFSET + config.seed + rep,
@@ -505,26 +535,21 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
             reference = _ErrorReference(
                 mixed_derivative_coeffs(ref, config.r1, config.r2), config.sup_resolution
             )
-            draws = [
-                partial(
-                    _point_noise, cross, config.noise_mode, config.p, float(delta),
-                    (config.seed + rep * config.delta_count + i) % 2**64, support, cls,
-                )
-                for i, (delta, (_, cross)) in enumerate(zip(deltas, plan))
-            ]
-            draw = pool.submit(draws[0])
             for i, (_, cross) in enumerate(plan):
                 start = time.perf_counter() if config.timing else 0.0
-                xi, noise_norm = draw.result()
-                if i + 1 < len(plan):
-                    # the next point's draw runs while this point runs the method and the error step
-                    draw = pool.submit(draws[i + 1])
-                err_l2, err_c = reference.errors(_noisy_method(ref, cross, xi))
+                xi, noise_norm = draws.popleft().result()
+                approx = _noisy_method(ref, cross, xi)
+                if (n := rep * count + i + _DRAWS_AHEAD) < total:
+                    draws.append(submit(n))
+                err_l2, err_c = reference.errors(approx)
                 sum_l2[i] += err_l2
                 sum_c[i] += err_c
                 sum_noise[i] += 0.0 if noise_norm is None else noise_norm
                 if config.timing:
                     wall[i] += (time.perf_counter() - start) * 1000.0
+    finally:
+        # on any exit the queued draws are dropped and the one in flight is joined
+        pool.shutdown(cancel_futures=True)
     reps = config.num_seeds
     records = [
         SweepRecord(

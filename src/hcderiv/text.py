@@ -449,8 +449,8 @@ def load_table(text: str, start: int = 0) -> np.ndarray | None:
     """
     if not text.isascii():
         return None
-    table = np.empty(text.count("\n", start), ENTRY)
-    lo, row = start, 0
+    # one table per block, sized by the block's own scan, joined once at the end
+    tables, lo = [np.empty(0, ENTRY)], start
     while lo < len(text):
         hi = text.find("\n", lo + _READ) + 1 or len(text)
         buf = np.frombuffer(b"\0" * _PAD + text[lo:hi].encode("ascii"), np.uint8)
@@ -459,9 +459,10 @@ def load_table(text: str, start: int = 0) -> np.ndarray | None:
             return None
         k, j, w, q, exact, neg, starts, ends = block
         bits, decided = _eisel_lemire(w, q)
-        rows = table[row : row + len(k)]
+        rows = np.empty(len(k), ENTRY)
         rows["k"], rows["j"], rows["v"] = k, j, (bits | (neg.astype(_U) << _S63)).view(np.float64)
         for i in np.flatnonzero(~(decided & exact)).tolist():
             rows["v"][i] = float(buf[starts[i] : ends[i]].tobytes())
-        lo, row = hi, row + len(k)
-    return table
+        tables.append(rows)
+        lo = hi
+    return np.concatenate(tables)

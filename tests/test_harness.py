@@ -320,10 +320,12 @@ def test_one_derivative_per_witness_and_method_run(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# noise drawn one point ahead on a helper thread
+# noise queued a few points ahead on a helper thread
 
 _SMALL = ExperimentConfig(delta_start=1e-2, delta_stop=1e-4, delta_count=5, k_ref=16,
                           sup_resolution=33, num_seeds=2)
+# long enough that a queue without a bound would run far past its window
+_LONG = dataclasses.replace(_SMALL, delta_count=24)
 
 
 def _sequential_sums(config):
@@ -415,10 +417,11 @@ def test_a_failing_draw_raises_at_its_point_and_leaves_no_thread(monkeypatch, er
     monkeypatch.setattr(harness, "apply_method", counting_method)
     before = set(threading.enumerate())
     with pytest.raises(error, match="^draw 3 failed$"):
-        run_convergence_study(_SMALL)
+        run_convergence_study(_LONG)
     assert set(threading.enumerate()) == before
-    # as in a sequential loop: points 0-2 ran their method, and no later draw started
-    assert len(methods) == 3 and len(draws) == 4
+    # as in a sequential loop, points 0-2 ran their method; the draws they queued may have
+    # started, but none past the window of the last of them
+    assert len(methods) == 3 and 4 <= len(draws) <= 3 + harness._DRAWS_AHEAD
 
 
 def test_a_failing_point_joins_the_draw_in_flight(monkeypatch):
@@ -440,8 +443,52 @@ def test_a_failing_point_joins_the_draw_in_flight(monkeypatch):
     with pytest.raises(RuntimeError, match="^method failed$"):
         run_convergence_study(_SMALL)
     assert set(threading.enumerate()) == before
-    # point 0 took its draw and started draw 1, which ran to its end before the study raised
+    # point 0 took its draw; draw 1, in flight, ran to its end before the study raised, and
+    # the draws queued behind it were dropped
     assert len(finished) == 2
+
+
+def test_draws_run_at_most_the_window_ahead_of_the_methods(monkeypatch):
+    draw = harness._draw
+    lock = threading.Lock()
+    state = {"started": 0, "methods": 0, "ahead": []}
+
+    def counting_draw(*args):
+        with lock:
+            state["started"] += 1
+            state["ahead"].append(state["started"] - state["methods"])
+        return draw(*args)
+
+    def slow_method(c, cross):
+        time.sleep(0.002)  # the worker runs as far ahead as the queue lets it
+        approx = truncation.apply_method(c, cross)
+        with lock:
+            state["methods"] += 1
+        return approx
+
+    monkeypatch.setattr(harness, "_draw", counting_draw)
+    monkeypatch.setattr(harness, "apply_method", slow_method)
+    result = run_convergence_study(_LONG)
+    assert state["started"] == _LONG.num_seeds * len(result.records) >= 20
+    assert max(state["ahead"]) == harness._DRAWS_AHEAD
+
+
+def test_the_first_draw_starts_before_the_reference_is_built(monkeypatch):
+    draw, registry_grid = harness._draw, harness._registry_grid
+    drawn, waits = threading.Event(), []
+
+    def signalling_draw(*args):
+        drawn.set()
+        return draw(*args)
+
+    def waiting_registry_grid(*args):
+        waits.append(drawn.wait(timeout=5.0))
+        return registry_grid(*args)
+
+    monkeypatch.setattr(harness, "_draw", signalling_draw)
+    monkeypatch.setattr(harness, "_registry_grid", waiting_registry_grid)
+    run_convergence_study(_SMALL)
+    assert waits == [True] * _SMALL.num_seeds
 
 
 def test_a_study_leaves_no_thread_alive():
