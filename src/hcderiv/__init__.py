@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .spectral import (
     CoeffGrid,
     ClassParams,
-    class_norm,
     parseval_l2_norm,
     synth_eval,
     mixed_derivative_coeffs,
@@ -24,21 +23,13 @@ from .spectral import (
     save_grid,
     load_grid,
 )
-from .legendre import (
-    eval_phi,
-    eval_phi_derivative,
-    muller_differentiate,
-    muller_differentiate_iterated,
-    clenshaw_eval,
-)
-from .quadrature import QuadratureRule, gauss_legendre_rule, compute_coeff_grid, l2_norm_quadrature
+from .quadrature import gauss_legendre_rule, compute_coeff_grid, l2_norm_quadrature
 from .cross import HyperbolicCross, build_cross
 from .noise import NoiseSpec, RNG_ALGORITHM, lp_norm, perturb
 from .truncation import (
     AdmissibilityError,
     SelectionInput,
     apply_method,
-    gamma_intervals,
     select_parameters,
     theoretical_error_exponent,
 )
@@ -64,7 +55,6 @@ __all__ = [
     "__version__",
     "CoeffGrid",
     "ClassParams",
-    "class_norm",
     "parseval_l2_norm",
     "synth_eval",
     "mixed_derivative_coeffs",
@@ -72,12 +62,6 @@ __all__ = [
     "restrict_to_cross",
     "save_grid",
     "load_grid",
-    "eval_phi",
-    "eval_phi_derivative",
-    "muller_differentiate",
-    "muller_differentiate_iterated",
-    "clenshaw_eval",
-    "QuadratureRule",
     "gauss_legendre_rule",
     "compute_coeff_grid",
     "l2_norm_quadrature",
@@ -90,7 +74,6 @@ __all__ = [
     "AdmissibilityError",
     "SelectionInput",
     "apply_method",
-    "gamma_intervals",
     "select_parameters",
     "theoretical_error_exponent",
     "WitnessInfeasibleError",

@@ -102,7 +102,9 @@ def _load_input(path: str):
     """The grid in a file, and the sha256 of the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return parse_grid(data.decode("ascii")), hashlib.sha256(data).hexdigest()
+    digest, text = hashlib.sha256(data).hexdigest(), data.decode("ascii")
+    del data  # the bytes are not held through the parse
+    return parse_grid(text), digest
 
 
 def _emit(command: str, echo: dict, outputs: list[tuple[str, Callable[[str], str]]]) -> None:
@@ -161,7 +163,7 @@ def _cmd_diff(args) -> int:
     support = _noise_support([cross])
     xi, noise_norm = _point_noise(cross, args.noise, args.p, args.delta, args.seed, support, cls)
     deriv = _noisy_method(grid, cross, xi)
-    noise_meta = {"mode": args.noise} if noise_norm is None else {
+    noise_meta = {"mode": args.noise} if args.noise == "off" else {
         "mode": _NOISE_MODES[args.noise],
         "p": _json_safe(args.p),
         "delta": args.delta,

@@ -61,6 +61,7 @@ from .spectral import (
     CoeffGrid,
     _ErrorReference,
     _MAX_RESOLUTION,
+    _MIN_RESOLUTION,
     _check_cells,
     mixed_derivative_coeffs,
     restrict_to_cross,
@@ -88,7 +89,6 @@ __all__ = [
     "DecayProfile",
     "REGISTRY",
     "synthesize_class_function",
-    "single_term_class_function",
     "ExperimentConfig",
     "SweepRecord",
     "ExperimentResult",
@@ -242,19 +242,19 @@ def _noise_support(crosses) -> int:
 def _point_noise(
     cross: HyperbolicCross, mode: str, p: float, delta: float, seed: int, support: int,
     cls: ClassParams,
-) -> tuple[CoeffGrid | None, float | None]:
+) -> tuple[CoeffGrid, float]:
     """The noise of one sweep point on ``cross``, and the l_p norm of the whole draw.
 
     The draw xi has l_p budget ``delta`` on indices up to ``support``
     (see :func:`perturb`); the witness mode takes xi from the witness
     pair that ``cross`` cannot see.  Only xi's entries on the cross are
     returned, since the method reads no other: a study runs this on its
-    helper thread, so the full draw never leaves it.  Mode "off" gives
-    (None, None).
+    helper thread, so the full draw never leaves it.  Mode "off" draws
+    xi = 0: an empty grid and the norm 0.0.
     """
     spec_mode = _NOISE_MODES[mode]
     if spec_mode is None:
-        return None, None
+        return CoeffGrid(), 0.0
     spec = NoiseSpec(p=p, delta=delta, mode=spec_mode, seed=seed, support=support)
     witness = witness_for_cross(cross, delta, p, cls) if mode == "witness" else None
     xi = _draw(spec, witness)
@@ -263,9 +263,9 @@ def _point_noise(
     return restrict_to_cross(xi, cross), norm
 
 
-def _noisy_method(c: CoeffGrid, cross: HyperbolicCross, xi: CoeffGrid | None) -> CoeffGrid:
-    """The method's derivative on ``cross`` from ``c`` - ``xi``, or from ``c`` when xi is None."""
-    return apply_method(c if xi is None else restrict_to_cross(c, cross) - xi, cross)
+def _noisy_method(c: CoeffGrid, cross: HyperbolicCross, xi: CoeffGrid) -> CoeffGrid:
+    """The method's derivative on ``cross`` from ``c`` - ``xi``, the empty grid for mode "off"."""
+    return apply_method(restrict_to_cross(c, cross) - xi, cross)
 
 
 # the most deltas a sweep may have: validation builds and keeps the selection
@@ -351,8 +351,10 @@ class ExperimentConfig:
                     f"quadrature order k_ref + {_ORDER_MARGIN} is at most {_MAX_ORDER}, "
                     f"got {self.k_ref}"
                 )
-        if self.sup_resolution < 2:
-            problems.append(f"sup_resolution: must be >= 2, got {self.sup_resolution}")
+        if self.sup_resolution < _MIN_RESOLUTION:
+            problems.append(
+                f"sup_resolution: must be >= {_MIN_RESOLUTION}, got {self.sup_resolution}"
+            )
         elif self.sup_resolution > _MAX_RESOLUTION:
             problems.append(
                 f"sup_resolution: must be <= {_MAX_RESOLUTION}, got {self.sup_resolution}"
@@ -544,7 +546,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
                 err_l2, err_c = reference.errors(approx)
                 sum_l2[i] += err_l2
                 sum_c[i] += err_c
-                sum_noise[i] += 0.0 if noise_norm is None else noise_norm
+                sum_noise[i] += noise_norm
                 if config.timing:
                     wall[i] += (time.perf_counter() - start) * 1000.0
     finally:

@@ -10,8 +10,8 @@ phi_k' expands over the lower-index phi_l of opposite parity,
 
 which turns d/dt into a sparse linear map on coefficient sequences.
 
-One-dimensional coefficient sequences stay plain ``{index: value}``
-dicts (``Coeffs1D``) in the public API, with non-negative integer keys
+The 1-D functions, which the module does not export, take plain
+``{index: value}`` dicts (``Coeffs1D``), with non-negative integer keys
 and finite float values; zero entries may be present or omitted
 interchangeably.  Internally each dict becomes a dense float64 array,
 and the array kernels :func:`differentiate_coeffs` and
@@ -27,12 +27,6 @@ import numpy as np
 Coeffs1D = dict[int, float]
 
 __all__ = [
-    "Coeffs1D",
-    "eval_phi",
-    "eval_phi_derivative",
-    "muller_differentiate",
-    "muller_differentiate_iterated",
-    "clenshaw_eval",
     "clenshaw_rows",
     "differentiate_coeffs",
     "phi_vandermonde",

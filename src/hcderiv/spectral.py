@@ -35,7 +35,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CoeffGrid",
     "ClassParams",
-    "class_norm",
     "parseval_l2_norm",
     "synth_eval",
     "mixed_derivative_coeffs",
@@ -391,9 +390,9 @@ class _ErrorReference:
 
     @staticmethod
     def check_resolution(resolution: int) -> None:
-        """Refuse a sample grid of ``resolution`` points per axis outside [2, _MAX_RESOLUTION]."""
-        if resolution < 2:
-            raise ValueError("resolution must be >= 2")
+        """Refuse ``resolution`` points per axis outside [_MIN_RESOLUTION, _MAX_RESOLUTION]."""
+        if resolution < _MIN_RESOLUTION:
+            raise ValueError(f"resolution must be >= {_MIN_RESOLUTION}")
         if resolution > _MAX_RESOLUTION:
             raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
 
@@ -467,8 +466,10 @@ def _line_table(text: str) -> np.ndarray:
     """The entries of any text in the format, read line by line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     # tolerate decoration comments (e.g. a manifest reference) above the header
-    while lines and lines[0].startswith("#") and lines[0].strip() != GRID_HEADER:
-        lines.pop(0)
+    at = 0
+    while at < len(lines) and lines[at].startswith("#") and lines[at].strip() != GRID_HEADER:
+        at += 1
+    del lines[:at]
     if not lines or lines[0].strip() != GRID_HEADER:
         raise ValueError(f"missing grid header {GRID_HEADER!r}")
     try:
@@ -482,8 +483,9 @@ def _line_table(text: str) -> np.ndarray:
 # (4097, 4097) array of a K = 4096 projection: one number or line of input must
 # not be able to ask for any amount of memory
 _MAX_GRID_CELLS = 2**26
-# sup-norm sample grids are resolution x resolution, within the same limit
-_MAX_RESOLUTION = 2**13
+# sup-norm sample grids are resolution x resolution, within the same limit, and
+# take both ends +-1 of each axis
+_MIN_RESOLUTION, _MAX_RESOLUTION = 2, 2**13
 
 
 def _check_cells(shape: tuple[int, int]) -> None:

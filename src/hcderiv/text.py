@@ -445,7 +445,8 @@ def load_table(text: str, start: int = 0) -> np.ndarray | None:
 
     The inverse of ``dump_table`` for a grid body: each line must be
     ``[0-9]{1,18}\\t[0-9]{1,18}\\t-?[0-9]+(\\.[0-9]+)?(e[-+][0-9]+)?\\n``, as every
-    ``repr`` of a float is, and is read as ``int()`` and ``float()`` read it.
+    ``repr`` of a float is, the last line's newline optional, and is read as ``int()``
+    and ``float()`` read it.
     """
     if not text.isascii():
         return None
@@ -453,7 +454,9 @@ def load_table(text: str, start: int = 0) -> np.ndarray | None:
     tables, lo = [np.empty(0, ENTRY)], start
     while lo < len(text):
         hi = text.find("\n", lo + _READ) + 1 or len(text)
-        buf = np.frombuffer(b"\0" * _PAD + text[lo:hi].encode("ascii"), np.uint8)
+        # the last line is read as if it ended in a newline, as the line reader reads it
+        chunk = text[lo:hi].encode("ascii") + b"\n" * (text[hi - 1] != "\n")
+        buf = np.frombuffer(b"\0" * _PAD + chunk, np.uint8)
         u = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # the 8 bytes at each offset
         if (block := _read_block(buf, u, _PAD, len(buf))) is None:
             return None

@@ -34,10 +34,8 @@ __all__ = [
     "METRIC_C",
     "AdmissibilityError",
     "SelectionInput",
-    "GammaRegion",
     "ParameterSelection",
     "apply_method",
-    "gamma_intervals",
     "select_parameters",
     "theoretical_error_exponent",
 ]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -257,6 +258,24 @@ def test_diff_gives_the_same_results_from_both_grid_readers(tmp_path):
         outputs.append(((d / "d.grid").read_text().split("\n", 1)[1], sidecar))
     assert outputs[0] == outputs[1]
     assert outputs[0][1]["error_l2"] > 0 and len(outputs[0][0].splitlines()) > 5
+
+
+def test_diff_reads_a_grid_file_without_holding_its_bytes_through_the_parse(tmp_path):
+    # project-diff's exact derivative grid of |t-a|^2.5 |u-b|^2.5, about 2 MB of text
+    a, b = 0.123, -0.321
+    grid = compute_coeff_grid(lambda t, u: abs(t - a) ** 2.5 * abs(u - b) ** 2.5, 512, 522)
+    path = tmp_path / "exact.grid"
+    save_grid(spectral.mixed_derivative_coeffs(grid, 2, 1), path)
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        loaded, digest = cli._load_input(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == spectral.parse_grid(data.decode("ascii"))
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < 4.5 * len(data)
 
 
 @pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])

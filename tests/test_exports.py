@@ -1,9 +1,11 @@
-"""Every name a module exports through ``__all__`` exists, no module defines a name twice,
-and every private top-level name of the package is used in the package."""
+"""Every name a module exports through ``__all__`` exists, the package exports exactly the
+README's library API, no module defines a name twice, and every private top-level name of
+the package is used in the package."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,23 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported))
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _readme_api():
+    """The README's "Library API" list: each module with the names listed for it."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library API\n")[1]
+    items = section.split("\n## ")[0].split("\n- ")[1:]
+    return [re.findall(r"`([^`]+)`", item) for item in items]
+
+
+def test_the_package_exports_exactly_the_library_api_of_the_readme():
+    listed = _readme_api()
+    names = [name for _, *names in listed for name in names]
+    assert len(names) == len(set(names))
+    assert set(hcderiv.__all__) - {"__version__"} == set(names)
+    for module, *names in listed:
+        defined = importlib.import_module(module)
+        assert [n for n in names if getattr(defined, n) is not getattr(hcderiv, n)] == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))

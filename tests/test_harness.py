@@ -346,12 +346,16 @@ def _sequential_sums(config):
                 cross, config.noise_mode, config.p, float(delta), seed, support, cls
             )
             # only the noise on the cross is handed on: a grid inside its bounding box
-            if xi is not None:
-                rows, cols = xi.array.shape
-                assert rows <= cross.k_extent() + 1 and cols <= cross.j_extent() + 1
+            rows, cols = xi.array.shape
+            assert rows <= cross.k_extent() + 1 and cols <= cross.j_extent() + 1
             approx = harness._noisy_method(ref, cross, xi)
-            sums[i] += (*reference.errors(approx), 0.0 if norm is None else norm)
+            sums[i] += (*reference.errors(approx), norm)
     return sums
+
+
+def test_noise_off_is_the_zero_draw():
+    cross = build_cross(40.0, 1.5, 1, 1)
+    assert harness._point_noise(cross, "off", 2.0, 1e-3, 0, 12, CLS) == (CoeffGrid(), 0.0)
 
 
 @pytest.mark.parametrize("mode", ["sphere", "single", "witness", "off"])
