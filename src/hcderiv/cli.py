@@ -19,9 +19,10 @@ be traced back to the invocation that produced them; the hash excludes
 timestamps, keeping repeated runs byte-identical.  Every subcommand
 hands its outputs to one step, ``_emit``, which renders all the texts
 before it writes any file, so a run whose work or rendering fails
-writes nothing; the manifest goes beside the first output.  File
-writes go through a temp-file rename, so interrupted runs never leave
-half files.
+writes nothing; the manifest goes beside the first output.  Each file
+is written by ``text.write_text``, which renames a whole temp file over
+the target, so an interrupted run never leaves a half file; the file
+gets the mode and link handling that ``open`` would give it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -59,6 +59,7 @@ from .harness import (
 from .lowerbound import WitnessInfeasibleError
 from .noise import RNG_ALGORITHM
 from .spectral import ClassParams, _ErrorReference, dump_grid, parse_grid
+from .text import write_text
 from .truncation import AdmissibilityError
 
 EXIT_OK = 0
@@ -85,19 +86,6 @@ def _json_safe(value):
     return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _load_input(path: str):
     """The grid in a file, and the sha256 of the file's bytes."""
     with open(path, "rb") as fh:
@@ -121,9 +109,9 @@ def _emit(command: str, echo: dict, outputs: list[tuple[str, Callable[[str], str
     texts = [(path, render(digest)) for path, render in outputs]
     paths = [path for path, _ in texts]
     manifest.update(hash=digest, timestamp=datetime.now(timezone.utc).isoformat(), outputs=paths)
-    _atomic_write(paths[0] + ".manifest.json", _json_text(manifest))
+    write_text(paths[0] + ".manifest.json", _json_text(manifest))
     for path, text in texts:
-        _atomic_write(path, text)
+        write_text(path, text)
 
 
 def _json_text(payload: dict) -> str:
@@ -293,8 +281,8 @@ def _result_to_json(result: ExperimentResult, config: dict, digest: str) -> str:
     return _json_text(payload)
 
 
-def _result_to_csv(result: ExperimentResult, digest: str) -> str:
-    lines = [f"# manifest sha256={digest}", CSV_HEADER]
+def _result_to_csv(result: ExperimentResult) -> str:
+    lines = [CSV_HEADER]
     lines.extend(",".join(map(repr, dataclasses.astuple(r))) for r in result.records)
     return "\n".join(lines) + "\n"
 
@@ -373,7 +361,7 @@ def _cmd_experiment(args) -> int:
     config_json = _json_config(config)
     echo = {"config": os.path.basename(args.config), **config_json}
     renders = [
-        (args.out_csv, lambda digest: _result_to_csv(result, digest)),
+        (args.out_csv, _stamped(_result_to_csv(result))),
         (args.out_json, lambda digest: _result_to_json(result, config_json, digest)),
         (args.out_svg, lambda digest: _svg_rate_plot(result, config, digest)),
     ]

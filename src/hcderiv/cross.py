@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import _MAX_GRID_CELLS
-from .text import dump_table
+from .text import dump_table, write_text
 
 __all__ = ["HyperbolicCross", "build_cross", "dump_cross"]
 
@@ -142,5 +142,4 @@ def dump_cross(cross: HyperbolicCross) -> str:
 
 def save_cross(cross: HyperbolicCross, path) -> None:
     # no caller; kept while the benchmark's trace spec still wraps it
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_cross(cross))
+    write_text(path, dump_cross(cross))

@@ -455,7 +455,7 @@ def _fit_with_drop(points: list[tuple[float, float]]) -> RateFit | None:
     if len(usable) < _FIT_MIN_POINTS:
         return None
     fit = fit_rate(usable)
-    if fit.residual > _FIT_RESIDUAL_LIMIT and len(usable) - 2 >= 2:
+    if fit.residual > _FIT_RESIDUAL_LIMIT:
         refit = fit_rate(usable[2:])
         return RateFit(refit.slope, refit.intercept, refit.residual, dropped=2)
     return fit
@@ -538,7 +538,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
                 mixed_derivative_coeffs(ref, config.r1, config.r2), config.sup_resolution
             )
             for i, (_, cross) in enumerate(plan):
-                start = time.perf_counter() if config.timing else 0.0
+                start = time.perf_counter()
                 xi, noise_norm = draws.popleft().result()
                 approx = _noisy_method(ref, cross, xi)
                 if (n := rep * count + i + _DRAWS_AHEAD) < total:
@@ -547,8 +547,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
                 sum_l2[i] += err_l2
                 sum_c[i] += err_c
                 sum_noise[i] += noise_norm
-                if config.timing:
-                    wall[i] += (time.perf_counter() - start) * 1000.0
+                wall[i] += (time.perf_counter() - start) * 1000.0
     finally:
         # on any exit the queued draws are dropped and the one in flight is joined
         pool.shutdown(cancel_futures=True)
@@ -562,7 +561,7 @@ def run_convergence_study(config: ExperimentConfig) -> ExperimentResult:
             error_l2=float(sum_l2[i] / reps),
             error_c=float(sum_c[i] / reps),
             noise_norm=float(sum_noise[i] / reps),
-            wall_ms=float(wall[i]),
+            wall_ms=float(wall[i]) if config.timing else 0.0,
         )
         for i, (sel, cross) in enumerate(plan)
     ]

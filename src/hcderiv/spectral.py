@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .legendre import clenshaw_rows, differentiate_coeffs, phi_vandermonde
-from .text import ENTRY, dump_table, load_table
+from .text import ENTRY, dump_table, load_table, write_text
 
 if TYPE_CHECKING:
     from .cross import HyperbolicCross
@@ -542,8 +542,7 @@ def parse_grid(text: str) -> CoeffGrid:
 
 
 def save_grid(c: CoeffGrid, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_grid(c))
+    write_text(path, dump_grid(c))
 
 
 def load_grid(path) -> CoeffGrid:

@@ -29,16 +29,22 @@ leaves the value to ``float()``.
 
 Every uint64 operand is uint64, scalars as ``np.uint64``: numpy 1.x
 promotes uint64 mixed with int64 to float64, which loses digits.
+
+``write_text`` is the package's one file writer: ``save_grid``,
+``save_cross`` and every CLI output replace their file through it, by
+writing a temp file beside the target and renaming it over the target.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["dump_table", "load_table"]
+__all__ = ["dump_table", "load_table", "write_text"]
 
 _U = np.uint64
 _M32 = _U(2**32 - 1)
@@ -469,3 +475,28 @@ def load_table(text: str, start: int = 0) -> np.ndarray | None:
         tables.append(rows)
         lo = hi
     return np.concatenate(tables)
+
+
+def write_text(path, text: str) -> None:
+    """Replace the file at ``path`` with the ASCII ``text``, whole or not at all.
+
+    The text goes to a new file beside the target, ``.<name>.<12 hex>.tmp``,
+    which is renamed over the target once written; on any error it is
+    removed and the target keeps its old content.  The target is where
+    ``open(path, "w")`` would write, through symbolic links, and gets the
+    mode ``open`` would leave: 0o666 less the umask when new, its old mode
+    otherwise.  A hard link at the target is replaced, not written through.
+    """
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            fh.write(text)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise

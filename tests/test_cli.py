@@ -334,6 +334,68 @@ def test_diff_rejects_a_cross_with_too_many_rows(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# every file is written as open(path, "w") would leave it, but whole
+
+# each subcommand's arguments, run in a directory holding "in.grid" and "ref.grid",
+# and the files it writes there
+WRITES = {
+    "coeffs": (["coeffs", "poly", "--k", 8, "--out", "o.grid"], ["o.grid"]),
+    "diff": (
+        ["diff", "in.grid", "--r1", 1, "--r2", 1, "--delta", 1e-6, "--mu", 4,
+         "--reference", "ref.grid", "--out", "d.grid"],
+        ["d.grid", "d.grid.json"],
+    ),
+    "cross": (["cross", "--n", 6, "--out", "c.txt"], ["c.txt"]),
+    "experiment": (
+        ["experiment", "--config", DEFAULT_CONFIG, "--out-csv", "e.csv", "--out-json", "e.json",
+         "--out-svg", "e.svg"],
+        ["e.csv", "e.json", "e.svg"],
+    ),
+    "radius": (["radius", "--n-values", "8,16,32,64", "--out-json", "r.json"], ["r.json"]),
+}
+
+
+@pytest.fixture()
+def umask_027():
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_every_written_file_gets_the_mode_of_a_new_file(command, tmp_path, monkeypatch, umask_027):
+    argv, outputs = WRITES[command]
+    monkeypatch.chdir(tmp_path)
+    save_grid(compute_coeff_grid(REGISTRY["poly"], 8), "in.grid")
+    save_grid(compute_coeff_grid(oracle.exact_derivative("poly", 1, 1), 8), "ref.grid")
+    assert run(*argv) == 0
+    written = ["in.grid", "ref.grid", *outputs, outputs[0] + ".manifest.json"]
+    assert sorted(os.listdir(tmp_path)) == sorted(written)
+    assert {name: os.stat(name).st_mode & 0o777 for name in written} == dict.fromkeys(written, 0o640)
+
+
+def test_coeffs_over_a_file_keeps_its_mode(tmp_path):
+    out = tmp_path / "o.grid"
+    out.write_text("old\n")
+    out.chmod(0o644)
+    assert run("coeffs", "poly", "--k", 8, "--out", out) == 0
+    assert out.stat().st_mode & 0o777 == 0o644
+    assert load_grid(out) == compute_coeff_grid(REGISTRY["poly"], 8)
+
+
+def test_coeffs_writes_through_a_symbolic_link(tmp_path):
+    target, link, direct = tmp_path / "target.grid", tmp_path / "link.grid", tmp_path / "direct.grid"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    assert run("coeffs", "poly", "--k", 8, "--out", link) == 0
+    assert run("coeffs", "poly", "--k", 8, "--out", direct) == 0
+    assert link.is_symlink() and target.read_bytes() == direct.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")) == [
+        "direct.grid", "link.grid", "target.grid",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # every subcommand renders its texts before it writes a file
 
 # each subcommand's arguments, and a call that renders its text

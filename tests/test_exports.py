@@ -1,6 +1,6 @@
 """Every name a module exports through ``__all__`` exists, the package exports exactly the
-README's library API, no module defines a name twice, and every private top-level name of
-the package is used in the package."""
+README's library API, no module defines a name twice, every private top-level name of
+the package is used in the package, and only ``text.write_text`` writes files."""
 
 import ast
 import importlib
@@ -75,3 +75,79 @@ def test_every_private_top_level_name_is_loaded_somewhere_in_the_package():
                 loaded.add(node.attr)
     assert private
     assert [(module, name) for module, name in private if name not in loaded] == []
+
+
+# the one function of the package that may open a file for writing
+WRITER = ("text.py", "write_text")
+_WRITE_MODE = re.compile(r"[rwxabt+]*[wax+][rwxabt+]*")
+_OS_WRITES = {"open", "fdopen", "replace"}
+
+
+def _write_sites(tree: ast.AST, exempt: str | None = None) -> list[tuple[int, str]]:
+    """The lines of ``tree`` that open, replace or stage a file for writing, outside ``exempt``.
+
+    Those are an ``open`` call with a mode that writes (or a mode that is
+    not a literal), ``os.open``, ``os.fdopen`` and ``os.replace``, and any
+    use of ``tempfile``.
+    """
+    skip = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == exempt
+        for inner in ast.walk(node)
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(
+                not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                or _WRITE_MODE.fullmatch(m.value)
+                for m in modes
+            ):
+                sites.append((node.lineno, "open for writing"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in _OS_WRITES:
+                sites.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "tempfile"):
+            if node.module == "tempfile" or _OS_WRITES & {a.name for a in node.names}:
+                sites.append((node.lineno, f"from {node.module} import"))
+        elif isinstance(node, ast.Import) and any(a.name == "tempfile" for a in node.names):
+            sites.append((node.lineno, "import tempfile"))
+        elif isinstance(node, ast.Name) and node.id == "tempfile":
+            sites.append((node.lineno, "tempfile"))
+    return sites
+
+
+def test_the_package_writes_files_only_in_text_write_text():
+    found = []
+    for path in PACKAGE:
+        exempt = WRITER[1] if path.name == WRITER[0] else None
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, line, what) for line, what in _write_sites(tree, exempt)]
+    assert found == []
+    writer = ast.parse((ROOT / "src" / "hcderiv" / WRITER[0]).read_text(encoding="utf-8"))
+    assert {what for _, what in _write_sites(writer)} >= {"open for writing", "os.open", "os.replace"}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("open(p, 'w')", [(1, "open for writing")]),
+        ("open(p, mode='ab')", [(1, "open for writing")]),
+        ("open(p, 'r+')", [(1, "open for writing")]),
+        ("open(p, m)", [(1, "open for writing")]),
+        ("open(p)\nopen(p, 'rb')\nopen(p, 'r', encoding='ascii')", []),
+        ("os.fdopen(fd, 'w')", [(1, "os.fdopen")]),
+        ("f = os.replace", [(1, "os.replace")]),
+        ("import tempfile", [(1, "import tempfile")]),
+        ("from tempfile import mkstemp", [(1, "from tempfile import")]),
+        ("from os import replace", [(1, "from os import")]),
+        ("x = tempfile.mkstemp()", [(1, "tempfile")]),
+        ("def write_text(p):\n    open(p, 'w')\ndef g(p):\n    open(p, 'x')", [(4, "open for writing")]),
+    ],
+)
+def test_the_write_guard_finds_each_kind_of_write(source, found):
+    assert _write_sites(ast.parse(source), exempt="write_text") == found

@@ -472,6 +472,38 @@ def test_round_trip_exact(tmp_path):
     assert load_grid(path) == g
 
 
+def test_save_grid_over_a_file_keeps_its_mode(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    save_grid(_random_grid(seed=42), path)
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert load_grid(path) == _random_grid(seed=42)
+
+
+def test_a_failed_save_grid_leaves_the_old_file(tmp_path, monkeypatch):
+    def fail(grid):
+        raise ValueError("render failed")
+
+    path = tmp_path / "grid.txt"
+    save_grid(_random_grid(seed=43), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(spectral, "dump_grid", fail)
+    with pytest.raises(ValueError, match="render failed"):
+        save_grid(_random_grid(seed=44), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.txt"]
+
+
+def test_save_grid_writes_through_a_symbolic_link(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    save_grid(_random_grid(seed=45), link)
+    assert link.is_symlink() and load_grid(target) == _random_grid(seed=45)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_grid("0\t0\t1.0\n")

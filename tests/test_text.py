@@ -231,3 +231,23 @@ def test_reader_refuses_text_in_any_other_form(line):
     for body in (line + "\n", valid + line + "\n" + valid, *ends):
         assert text.load_table(body) is None, body[-40:]
     assert text.load_table(valid)["k"].tolist() == list(range(7000))
+
+
+# ---------------------------------------------------------------------------
+# the file writer
+
+def test_write_text_that_fails_to_encode_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    text.write_text(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        text.write_text(path, "new é\n")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_text_replaces_a_hard_link_at_the_target(tmp_path):
+    path, other = tmp_path / "out.txt", tmp_path / "other.txt"
+    text.write_text(path, "old\n")
+    os.link(path, other)
+    text.write_text(path, "new\n")
+    assert (path.read_text(), other.read_text()) == ("new\n", "old\n")
