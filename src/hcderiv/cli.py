@@ -19,10 +19,11 @@ be traced back to the invocation that produced them; the hash excludes
 timestamps, keeping repeated runs byte-identical.  Every subcommand
 hands its outputs to one step, ``_emit``, which renders all the texts
 before it writes any file, so a run whose work or rendering fails
-writes nothing; the manifest goes beside the first output.  Each file
-is written by ``text.write_text``, which renames a whole temp file over
-the target, so an interrupted run never leaves a half file; the file
-gets the mode and link handling that ``open`` would give it.
+writes nothing; the manifest, beside the first output, is written last.
+Each file is written by ``text.write_text``, which renames a whole temp
+file over the target, so an interrupted run never leaves a half file;
+the file gets the mode and link handling that ``open`` would give it.
+``diff`` reads grid files, ASCII text, through ``load_grid``'s reader.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from .harness import (
     _point_noise,
     _plan_point,
     _registry_grid,
+    _selection_metric,
     run_convergence_study,
     run_radius_study,
 )
 from .lowerbound import WitnessInfeasibleError
 from .noise import RNG_ALGORITHM
-from .spectral import ClassParams, _ErrorReference, dump_grid, parse_grid
+from .spectral import ClassParams, _ErrorReference, _read_grid, dump_grid
 from .text import write_text
 from .truncation import AdmissibilityError
 
@@ -86,21 +88,12 @@ def _json_safe(value):
     return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
-def _load_input(path: str):
-    """The grid in a file, and the sha256 of the file's bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest, text = hashlib.sha256(data).hexdigest(), data.decode("ascii")
-    del data  # the bytes are not held through the parse
-    return parse_grid(text), digest
-
-
 def _emit(command: str, echo: dict, outputs: list[tuple[str, Callable[[str], str]]]) -> None:
-    """Write ``outputs``, (path, render) pairs, and a manifest beside the first path.
+    """Write ``outputs``, (path, render) pairs, then a manifest beside the first path.
 
     Each render maps the manifest hash to the text of its file.  Every
     text is rendered before any file is written, so a failed render
-    writes nothing.
+    writes nothing; a manifest exists only if every output it lists does.
     """
     manifest = {
         "version": __version__, "command": command, "args": echo, "rng_algorithm": RNG_ALGORITHM,
@@ -109,9 +102,9 @@ def _emit(command: str, echo: dict, outputs: list[tuple[str, Callable[[str], str
     texts = [(path, render(digest)) for path, render in outputs]
     paths = [path for path, _ in texts]
     manifest.update(hash=digest, timestamp=datetime.now(timezone.utc).isoformat(), outputs=paths)
-    write_text(paths[0] + ".manifest.json", _json_text(manifest))
     for path, text in texts:
         write_text(path, text)
+    write_text(paths[0] + ".manifest.json", _json_text(manifest))
 
 
 def _json_text(payload: dict) -> str:
@@ -144,8 +137,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_diff(args) -> int:
     _ErrorReference.check_resolution(args.resolution)
-    grid, coeffs_sha256 = _load_input(args.coeffs)
-    ref, ref_sha256 = _load_input(args.reference) if args.reference else (None, None)
+    grid, coeffs_sha256 = _read_grid(args.coeffs)
+    ref, ref_sha256 = _read_grid(args.reference) if args.reference else (None, None)
     cls = ClassParams(s=args.s, mu=args.mu)
     sel, cross = _plan_point(args.delta, args.p, cls, args.r1, args.r2, args.metric, args.gamma)
     support = _noise_support([cross])
@@ -270,11 +263,6 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     return config
 
 
-def _json_config(config: ExperimentConfig) -> dict:
-    """The config's fields, with infinite values spelled "inf" for JSON."""
-    return {key: _json_safe(value) for key, value in dataclasses.asdict(config).items()}
-
-
 def _result_to_json(result: ExperimentResult, config: dict, digest: str) -> str:
     payload = dataclasses.asdict(result)
     payload.update(schema="experiment-result v1", manifest=digest, config=config)
@@ -294,7 +282,7 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
     polyline and the theoretical slope as a reference line through the
     last measured point; with no positive error it draws only the frame.
     """
-    metric = config.selection_metric()
+    metric = _selection_metric(config.metric)
     if metric == "c":
         errors = [r.error_c for r in result.records]
         theo, fitted = result.theoretical_exponent_c, result.fitted_exponent_c
@@ -358,7 +346,7 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
 def _cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
     result = run_convergence_study(config)
-    config_json = _json_config(config)
+    config_json = {key: _json_safe(value) for key, value in dataclasses.asdict(config).items()}
     echo = {"config": os.path.basename(args.config), **config_json}
     renders = [
         (args.out_csv, _stamped(_result_to_csv(result))),

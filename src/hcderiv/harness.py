@@ -303,9 +303,6 @@ class ExperimentConfig:
     def deltas(self) -> np.ndarray:
         return np.geomspace(self.delta_start, self.delta_stop, self.delta_count)
 
-    def selection_metric(self) -> str:
-        return _selection_metric(self.metric)
-
     def validate(self) -> list[str]:
         """Collect one message per bad field; empty means valid."""
         problems: list[str] = []

@@ -113,12 +113,7 @@ def _eval_on_rule(f: Callable, nodes: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         vals = None
     if vals is None or vals.shape != t.shape:
-        # scalar-only callback
-        vals = np.empty_like(t)
-        it = np.nditer(t, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            vals[idx] = f(float(t[idx]), float(u[idx]))
+        vals = np.vectorize(f, otypes=[float])(t, u)  # scalar-only callback
     finite = np.isfinite(vals)
     if not finite.all():
         i, l = np.unravel_index(np.argmin(finite), finite.shape)

@@ -20,6 +20,7 @@ was kept.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -463,7 +464,11 @@ def _grid_entry(line: str) -> tuple[int, int, float]:
 
 
 def _line_table(text: str) -> np.ndarray:
-    """The entries of any text in the format, read line by line."""
+    """The entries of any text in the format, read line by line; non-ASCII text, which
+    ``text.load_table`` leaves here, is an error naming its first non-ASCII character."""
+    if not text.isascii():
+        at = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ValueError(f"grid text is not ASCII: {text[at]!r} at offset {at}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     # tolerate decoration comments (e.g. a manifest reference) above the header
     at = 0
@@ -527,15 +532,15 @@ def _table_grid(table: np.ndarray) -> CoeffGrid:
 def parse_grid(text: str) -> CoeffGrid:
     """Read the text format into a grid.
 
-    Below the header every non-blank line is ``k<TAB>j<TAB>value``; the
-    indices must be unique non-negative integers that fit in 64 bits and
-    the values finite, and the nonzero entries must fit in an array of
-    at most 2**26 cells.  Text in dump_grid's form (see ``_fast_table``)
-    is read by ``text.load_table`` with integer numpy operations; any
-    other text is read line by line.  Both readers give the same entries,
-    or the same error, for the same text.  The entries go straight into
-    index and value arrays, and zero values are dropped before the grid
-    array is sized.
+    The text is ASCII.  Below the header every non-blank line is
+    ``k<TAB>j<TAB>value``; the indices must be unique non-negative
+    integers that fit in 64 bits and the values finite, and the nonzero
+    entries must fit in an array of at most 2**26 cells.  Text in
+    dump_grid's form (see ``_fast_table``) is read by ``text.load_table``
+    with integer numpy operations; any other text is read line by line.
+    Both readers give the same entries, or the same error, for the same
+    text.  The entries go straight into index and value arrays, and zero
+    values are dropped before the grid array is sized.
     """
     table = _fast_table(text)
     return _table_grid(_line_table(text) if table is None else table)
@@ -545,6 +550,15 @@ def save_grid(c: CoeffGrid, path) -> None:
     write_text(path, dump_grid(c))
 
 
+def _read_grid(path) -> tuple[CoeffGrid, str]:
+    """The grid in the file at ``path`` and the sha256 of its bytes, decoded without loss or
+    newline translation (UTF-8, other bytes as lone surrogates) and dropped before the parse."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest, text = hashlib.sha256(data).hexdigest(), data.decode("utf-8", "surrogateescape")
+    del data  # the bytes are not held through the parse
+    return parse_grid(text), digest
+
+
 def load_grid(path) -> CoeffGrid:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_grid(fh.read())
+    return _read_grid(path)[0]

@@ -490,13 +490,16 @@ def write_text(path, text: str) -> None:
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        if os.path.exists(target):
-            shutil.copymode(target, tmp)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="ascii") as fh:
+                fh.write(text)
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # named by the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None

@@ -269,13 +269,54 @@ def test_diff_reads_a_grid_file_without_holding_its_bytes_through_the_parse(tmp_
     data = path.read_bytes()
     tracemalloc.start()
     try:
-        loaded, digest = cli._load_input(str(path))
+        loaded, digest = spectral._read_grid(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert loaded == spectral.parse_grid(data.decode("ascii"))
     assert digest == hashlib.sha256(data).hexdigest()
     assert peak < 4.5 * len(data)
+
+
+# grid texts and what each of parse_grid, load_grid and diff reads from them: the
+# grid's entries, or the one error; a file holds the text's UTF-8 bytes, and a
+# lone surrogate \udcXX stands for the byte 0xXX that is not UTF-8
+GRID_TEXTS = {
+    "lf": ("# manifest sha256=0\n# coeffgrid v1\n0\t2\t-2.0\n3\t1\t1.5\n", {(0, 2): -2.0, (3, 1): 1.5}),
+    "crlf": ("# manifest sha256=0\r\n# coeffgrid v1\r\n0\t2\t-2.0\r\n3\t1\t1.5\r\n",
+             {(0, 2): -2.0, (3, 1): 1.5}),
+    "cr": ("# manifest sha256=0\r# coeffgrid v1\r0\t2\t-2.0\r3\t1\t1.5\r", {(0, 2): -2.0, (3, 1): 1.5}),
+    "arabic-indic-index": ("# coeffgrid v1\n\u0663\t\u0661\t\uff11.5\n",
+                           "grid text is not ASCII: '\u0663' at offset 15"),
+    "fullwidth-value": ("# coeffgrid v1\n3\t1\t\uff11.5\n", "grid text is not ASCII: '\uff11' at offset 19"),
+    "comment": ("# caf\u00e9\n# coeffgrid v1\n3\t1\t1.5\n", "grid text is not ASCII: '\u00e9' at offset 5"),
+    "byte-0xff": ("# coeffgrid v1\n3\t1\t1.5\udcff\n", "grid text is not ASCII: '\\udcff' at offset 22"),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_TEXTS))
+def test_parse_grid_load_grid_and_diff_read_grid_text_alike(case, tmp_path, capsys):
+    text, expected = GRID_TEXTS[case]
+    path = tmp_path / "in.grid"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    diff = ["diff", path, "--r1", 1, "--r2", 1, "--delta", 1e-3, "--mu", 5, "--out", tmp_path / "d.grid"]
+    if isinstance(expected, str):
+        for read in (lambda: spectral.parse_grid(text), lambda: load_grid(path)):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == expected
+        assert run(*diff) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert os.listdir(tmp_path) == ["in.grid"]
+        return
+    grid = hcderiv.CoeffGrid(oracle.scatter(expected))
+    assert spectral.parse_grid(text) == grid and load_grid(path) == grid
+    assert run(*diff) == 0
+    manifest = json.loads((tmp_path / "d.grid.manifest.json").read_text())
+    assert manifest["args"]["coeffs_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    save_grid(grid, tmp_path / "lf.grid")
+    assert run(*diff[:1], tmp_path / "lf.grid", *diff[2:-1], tmp_path / "lf.d.grid") == 0
+    assert load_grid(tmp_path / "d.grid") == load_grid(tmp_path / "lf.d.grid") != hcderiv.CoeffGrid()
 
 
 @pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])
@@ -393,6 +434,26 @@ def test_coeffs_writes_through_a_symbolic_link(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")) == [
         "direct.grid", "link.grid", "target.grid",
     ]
+
+
+@pytest.mark.parametrize("out", ["missing/o.grid", "adir"], ids=["missing-directory", "directory"])
+def test_a_failed_write_names_the_output_path(out, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("adir")
+    assert run("coeffs", "poly", "--k", 4, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": {out!r}\n") and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == ["adir"] and os.listdir("adir") == []
+
+
+def test_the_manifest_is_written_only_after_every_output(tmp_path, monkeypatch, capsys):
+    # the CSV and its manifest's place are fine; the JSON's target is a directory
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("adir")
+    assert run("experiment", "--config", DEFAULT_CONFIG, "--out-csv", "e.csv",
+               "--out-json", "adir") == 2
+    assert capsys.readouterr().err.endswith(": 'adir'\n")
+    assert sorted(os.listdir(tmp_path)) == ["adir", "e.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name a module exports through ``__all__`` exists, the package exports exactly the
 README's library API, no module defines a name twice, every private top-level name of
-the package is used in the package, and only ``text.write_text`` writes files."""
+the package is used in the package, only ``text.write_text`` writes files, and only it
+and the grid reader ``spectral._read_grid`` open one."""
 
 import ast
 import importlib
@@ -151,3 +152,53 @@ def test_the_package_writes_files_only_in_text_write_text():
 )
 def test_the_write_guard_finds_each_kind_of_write(source, found):
     assert _write_sites(ast.parse(source), exempt="write_text") == found
+
+
+# the functions of the package that may open a file: the writer, and the grid reader
+OPENERS = {("text.py", "write_text"), ("spectral.py", "_read_grid")}
+
+
+def _open_sites(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """The enclosing top-level function (None outside one) and line of each ``open`` call in
+    ``tree``: ``open(...)``, and any ``<x>.open(...)`` or ``<x>.fdopen(...)``."""
+    sites = []
+    for top in tree.body:
+        name = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "fdopen")
+            ):
+                sites.append((name, node.lineno))
+    return sites
+
+
+def test_the_package_opens_files_only_in_the_writer_and_the_grid_reader():
+    found = {
+        (path.name, name)
+        for path in PACKAGE
+        for name, _ in _open_sites(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == OPENERS
+    spectral = ast.parse((ROOT / "src" / "hcderiv" / "spectral.py").read_text(encoding="utf-8"))
+    reader = next(n for n in spectral.body if isinstance(n, ast.FunctionDef) and n.name == "_read_grid")
+    # the reader's one open reads bytes
+    assert [
+        call.args[1].value for call in ast.walk(reader)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "open"
+    ] == ["rb"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("open(p)", [(None, 1)]),
+        ("def f(p):\n    with open(p, 'rb') as fh:\n        return fh.read()", [("f", 2)]),
+        ("def g(p):\n    return os.open(p, 0)", [("g", 2)]),
+        ("def h(p):\n    return io.open(p)\ndef i(p):\n    return Path(p).open()", [("h", 2), ("i", 4)]),
+        ("class C:\n    def m(self, fd):\n        return os.fdopen(fd)", [(None, 3)]),
+        ("def j(p):\n    return p.read()", []),
+    ],
+)
+def test_the_open_guard_finds_each_kind_of_open(source, found):
+    assert _open_sites(ast.parse(source)) == found

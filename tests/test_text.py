@@ -251,3 +251,13 @@ def test_write_text_replaces_a_hard_link_at_the_target(tmp_path):
     os.link(path, other)
     text.write_text(path, "new\n")
     assert (path.read_text(), other.read_text()) == ("new\n", "old\n")
+
+
+@pytest.mark.parametrize("name", ["missing/out.txt", "adir"], ids=["missing-directory", "directory"])
+def test_write_text_names_the_path_it_was_given_when_it_fails(name, tmp_path):
+    (tmp_path / "adir").mkdir()
+    path = str(tmp_path / name)
+    with pytest.raises(OSError) as info:
+        text.write_text(path, "new\n")
+    assert info.value.filename == path and type(info.value) in (FileNotFoundError, IsADirectoryError)
+    assert os.listdir(tmp_path) == ["adir"] and os.listdir(tmp_path / "adir") == []
