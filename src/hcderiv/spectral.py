@@ -227,7 +227,11 @@ def synth_eval(c: CoeffGrid, t: float, tau: float) -> float:
     """Evaluate sum c_{k,j} phi_k(t) phi_j(tau) at a single point.
 
     Factors the double sum into one Clenshaw sum per row k, run over all
-    rows at once, and a final Clenshaw sum over k.
+    rows at once, and a final Clenshaw sum over k.  At t = +-1 the
+    recurrence's rounding error grows with the length: on the radius
+    witness derivatives at N = 4096 (8192 to 12288 terms) it is off by up
+    to 4.7e-11 relative, where the closed form at the corner
+    (``lowerbound.verify_lower_bound_C``) is within 2.6e-16.
     """
     for x in (t, tau):
         if not -1.0 <= x <= 1.0:

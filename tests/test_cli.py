@@ -644,10 +644,13 @@ def test_golden_repin_moved_only_the_last_bits_of_the_sup_values():
     assert _sha256(old_json) == PRE_REPIN_SHA256["json"]
 
 
-def _run_cli_with_blas_threads(argv, threads):
+def _run_cli_with_blas_threads(argv, threads, cpu_features_off=None):
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if cpu_features_off is not None:  # numpy's own switch for its SIMD-dispatched kernels
+        env["NPY_DISABLE_CPU_FEATURES"] = cpu_features_off
     src = str(Path(hcderiv.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -663,9 +666,12 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(command, tmp_path):
         coeffs, reference = tmp_path / "f.grid", tmp_path / "ref.grid"
         save_grid(compute_coeff_grid(REGISTRY["exp-sum"], 64), coeffs)
         save_grid(compute_coeff_grid(oracle.exact_derivative("exp-sum", 1, 1), 64), reference)
-    outputs = {}
-    for threads in (1, 2):
-        out = tmp_path / str(threads)
+    runs = [(1, None), (2, None)]
+    if command == "radius":  # also with numpy's AVX-512 and x86-64-v3 kernels off
+        runs += [(threads, "AVX512_SPR AVX512_ICL X86_V4 X86_V3") for threads in (1, 2)]
+    outputs = []
+    for i, (threads, cpu_features_off) in enumerate(runs):
+        out = tmp_path / str(i)
         out.mkdir()
         if command == "experiment":
             files = [out / "run.csv", out / "run.json"]
@@ -678,9 +684,11 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(command, tmp_path):
             files = [out / "d.grid", out / "d.grid.json"]
             argv = ["diff", coeffs, "--r1", 1, "--r2", 1, "--delta", "1e-4", "--mu", 5,
                     "--noise", "sphere", "--seed", 3, "--reference", reference, "--out", files[0]]
-        _run_cli_with_blas_threads(argv, threads)
-        outputs[threads] = [f.read_bytes() for f in files]
-    assert outputs[1] == outputs[2]
+        _run_cli_with_blas_threads(argv, threads, cpu_features_off)
+        outputs.append([f.read_bytes() for f in files])
+    assert all(o == outputs[0] for o in outputs[1:])
+    if command == "radius":  # each of the four runs writes the golden's bytes
+        assert outputs[0] == [(DATA / "golden_radius.json").read_bytes()]
 
 
 def test_experiment_bad_config(tmp_path, capsys):
