@@ -47,6 +47,7 @@ from .harness import (
     REGISTRY,
     ExperimentConfig,
     ExperimentResult,
+    RadiusRecord,
     RadiusStudy,
     SweepRecord,
     _noise_support,
@@ -360,12 +361,19 @@ def _cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 # radius
 
+def _radius_record_json(record: RadiusRecord) -> dict:
+    """A record's fields, its skew reports under "skew", read in place with no copy of a value."""
+    payload = {**vars(record), "verify_c": vars(record.verify_c),
+               "verify_l2": vars(record.verify_l2)}
+    payload["skew"] = {
+        skew: {"c": vars(c), "l2": vars(l2)}
+        for skew, (c, l2) in payload.pop("skew_reports").items()
+    }
+    return payload
+
+
 def _radius_to_json(study: RadiusStudy, params: dict, digest: str) -> str:
-    payload = dataclasses.asdict(study)
-    for record in payload["records"]:
-        record["skew"] = {
-            skew: dict(zip(("c", "l2"), pair)) for skew, pair in record.pop("skew_reports").items()
-        }
+    payload = {**vars(study), "records": [_radius_record_json(r) for r in study.records]}
     payload.update(
         schema="radius-study v1",
         manifest=digest,
@@ -396,16 +404,7 @@ def _cmd_radius(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hcderiv",
-        description="Mixed-derivative recovery from noisy Fourier-Legendre "
-        "coefficients by hyperbolic-cross truncation.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("coeffs", help="project a registry function onto the basis")
+def _coeffs_arguments(c: argparse.ArgumentParser) -> None:
     c.add_argument("function", help="registry function id")
     c.add_argument("--k", type=int, required=True, help="largest index per axis")
     c.add_argument("--m", type=int, default=None, help="quadrature order (default K + 10)")
@@ -414,9 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--epsilon", type=float, default=0.01)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
-    c.set_defaults(func=_cmd_coeffs)
 
-    d = sub.add_parser("diff", help="run the truncation differentiator on a coefficient file")
+
+def _diff_arguments(d: argparse.ArgumentParser) -> None:
     d.add_argument("coeffs", help="input coefficient grid file")
     d.add_argument("--r1", type=int, required=True)
     d.add_argument("--r2", type=int, required=True)
@@ -431,24 +430,24 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--reference", default=None, help="exact derivative grid for error reporting")
     d.add_argument("--resolution", type=int, default=257)
     d.add_argument("--out", required=True)
-    d.set_defaults(func=_cmd_diff)
 
-    x = sub.add_parser("cross", help="dump a hyperbolic-cross index set")
+
+def _cross_arguments(x: argparse.ArgumentParser) -> None:
     x.add_argument("--n", type=float, required=True)
     x.add_argument("--gamma", type=float, default=1.0)
     x.add_argument("--r1", type=int, default=1)
     x.add_argument("--r2", type=int, default=1)
     x.add_argument("--out", required=True)
-    x.set_defaults(func=_cmd_cross)
 
-    e = sub.add_parser("experiment", help="run a convergence study from a config file")
+
+def _experiment_arguments(e: argparse.ArgumentParser) -> None:
     e.add_argument("--config", required=True)
     e.add_argument("--out-csv", default=None)
     e.add_argument("--out-json", default=None)
     e.add_argument("--out-svg", default=None)
-    e.set_defaults(func=_cmd_experiment)
 
-    r = sub.add_parser("radius", help="witness lower-bound study over band sizes")
+
+def _radius_arguments(r: argparse.ArgumentParser) -> None:
     r.add_argument("--n-values", required=True, help="comma-separated band sizes, e.g. 8,16,32,64")
     r.add_argument("--r1", type=int, default=1)
     r.add_argument("--r2", type=int, default=1)
@@ -457,12 +456,47 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--p", type=_parse_p, default=2.0)
     r.add_argument("--resolution", type=int, default=257)
     r.add_argument("--out-json", required=True)
-    r.set_defaults(func=_cmd_radius)
+
+
+# subcommand -> (help, handler, the step that adds its arguments)
+_COMMANDS = {
+    "coeffs": ("project a registry function onto the basis", _cmd_coeffs, _coeffs_arguments),
+    "diff": ("run the truncation differentiator on a coefficient file", _cmd_diff,
+             _diff_arguments),
+    "cross": ("dump a hyperbolic-cross index set", _cmd_cross, _cross_arguments),
+    "experiment": ("run a convergence study from a config file", _cmd_experiment,
+                   _experiment_arguments),
+    "radius": ("witness lower-bound study over band sizes", _cmd_radius, _radius_arguments),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of ``command`` alone if one is named.
+
+    Each subcommand is registered either way, so the top-level usage,
+    help and errors read the same.  The arguments of the subcommands
+    that will not run are about 40% of the cost of a parser, so ``main``
+    leaves them out when the subcommand is known up front.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hcderiv",
+        description="Mixed-derivative recovery from noisy Fourier-Legendre "
+        "coefficients by hyperbolic-cross truncation.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(command_parser)
+        command_parser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argv led by an option or by no known subcommand gets every subcommand's arguments
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "experiment" and not (args.out_csv or args.out_json or args.out_svg):
         print("error: experiment needs at least one of --out-csv/--out-json/--out-svg",

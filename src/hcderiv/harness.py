@@ -11,9 +11,10 @@ compares the decay of the method error with the lower bound.
 Each sweep point runs in three stages.  ``_plan_point`` selects
 (n, gamma) and builds the cross.  The noisy method runs in two steps:
 ``_point_noise`` draws the point's noise xi over the support rectangle,
-takes its l_p norm and keeps only its entries on the cross, and
-``_noisy_method`` restricts the reference coefficients to the cross,
-subtracts that noise and applies the method.  The error step,
+takes its l_p norm and keeps only its values on the cross, in (k, j)
+order, and ``_noisy_method`` subtracts them from the reference
+coefficients on the cross, places the difference in the cross's
+bounding box and applies the method.  The error step,
 ``_ErrorReference.errors``, subtracts the reference derivative once for
 the Parseval norm and the fixed-order sup norm, and screens the sup
 norm's samples with a product over the method output's box alone: the
@@ -28,12 +29,12 @@ the references and runs the methods and error steps.  The first
 ``_DRAWS_AHEAD`` draws are queued before the first reference is built,
 and each point that has run its method queues the draw that many places
 further on, across repetitions too.  So the worker runs at most
-``_DRAWS_AHEAD`` draws ahead of the methods, at most that many box-sized
-results wait, and the one worker holds at most one full-size draw: only
-the noise on the cross and its norm cross the thread.  Each draw seeds
-its own generator, so no output depends on the thread or on timing.  On
-any exit the queued draws are cancelled and the worker is joined before
-the study returns or raises.
+``_DRAWS_AHEAD`` draws ahead of the methods, at most that many results
+of ``len(cross)`` values wait, and the one worker holds at most one
+full-size draw: only the noise's values on the cross and its norm cross
+the thread.  Each draw seeds its own generator, so no output depends on
+the thread or on timing.  On any exit the queued draws are cancelled and
+the worker is joined before the study returns or raises.
 
 Reference functions come from a small registry, a table from each id
 to its array function f(t, u): two exact bivariate polynomials and a
@@ -63,8 +64,8 @@ from .spectral import (
     _MAX_RESOLUTION,
     _MIN_RESOLUTION,
     _check_cells,
+    _cross_mask,
     mixed_derivative_coeffs,
-    restrict_to_cross,
 )
 from .lowerbound import (
     BoundReport,
@@ -242,30 +243,51 @@ def _noise_support(crosses) -> int:
 def _point_noise(
     cross: HyperbolicCross, mode: str, p: float, delta: float, seed: int, support: int,
     cls: ClassParams,
-) -> tuple[CoeffGrid, float]:
+) -> tuple[np.ndarray, float]:
     """The noise of one sweep point on ``cross``, and the l_p norm of the whole draw.
 
     The draw xi has l_p budget ``delta`` on indices up to ``support``
     (see :func:`perturb`); the witness mode takes xi from the witness
     pair that ``cross`` cannot see.  Only xi's entries on the cross are
-    returned, since the method reads no other: a study runs this on its
-    helper thread, so the full draw never leaves it.  Mode "off" draws
-    xi = 0: an empty grid and the norm 0.0.
+    returned, ``len(cross)`` values in (k, j) order, since the method
+    reads no other: a study runs this on its helper thread, so neither
+    the full draw nor its box on the cross leaves it.  Mode "off" draws
+    xi = 0: ``len(cross)`` zeros and the norm 0.0.
     """
     spec_mode = _NOISE_MODES[mode]
     if spec_mode is None:
-        return CoeffGrid(), 0.0
+        return np.zeros(len(cross)), 0.0
     spec = NoiseSpec(p=p, delta=delta, mode=spec_mode, seed=seed, support=support)
     witness = witness_for_cross(cross, delta, p, cls) if mode == "witness" else None
     xi = _draw(spec, witness)
-    # the norm first: its full-size temporary is freed before the restricted copy is made
+    # the norm first: its full-size temporary is freed before the values are gathered
     norm = lp_norm(xi, p)
-    return restrict_to_cross(xi, cross), norm
+    return _on_cross(xi, _cross_mask(cross)), norm
 
 
-def _noisy_method(c: CoeffGrid, cross: HyperbolicCross, xi: CoeffGrid) -> CoeffGrid:
-    """The method's derivative on ``cross`` from ``c`` - ``xi``, the empty grid for mode "off"."""
-    return apply_method(restrict_to_cross(c, cross) - xi, cross)
+def _on_cross(c: CoeffGrid, mask: np.ndarray) -> np.ndarray:
+    """The entries of ``c`` where the bounding-box ``mask`` is True, in (k, j) order.
+
+    Places past the extent of ``c`` read 0.0.
+    """
+    box = c.array[: mask.shape[0], : mask.shape[1]]
+    if box.shape != mask.shape:
+        padded = np.zeros(mask.shape)
+        padded[: box.shape[0], : box.shape[1]] = box
+        box = padded
+    return box[mask]
+
+
+def _noisy_method(c: CoeffGrid, cross: HyperbolicCross, xi: np.ndarray) -> CoeffGrid:
+    """The method's derivative on ``cross`` from ``c`` - xi, with xi's values on the cross.
+
+    ``xi`` is what :func:`_point_noise` returns; each entry of the cross
+    becomes c_kj - xi_kj, with 0.0 for c_kj past the extent of ``c``.
+    """
+    mask = _cross_mask(cross)
+    noisy = np.zeros(mask.shape)
+    noisy[mask] = _on_cross(c, mask) - xi
+    return apply_method(CoeffGrid._adopt(noisy), cross)
 
 
 # the most deltas a sweep may have: validation builds and keeps the selection
@@ -462,7 +484,7 @@ def _fit_with_drop(points: list[tuple[float, float]]) -> RateFit | None:
 # disjoint from the small per-point noise seeds
 _FUNCTION_STREAM_OFFSET = 2**63
 # the most draws a study queues on its worker: each point's draw is queued this many
-# points ahead, so at most this many box-sized results wait.  On the convergence
+# points ahead, so at most this many results of len(cross) values wait.  On the convergence
 # workload (k_ref 400, 13 deltas, 2 vCPUs) windows of 1, 2, 4 and 8 changed a study's
 # wall time by +2, -13, -18 and -14% against one draw queued after the reference
 _DRAWS_AHEAD = 4

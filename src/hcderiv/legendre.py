@@ -91,7 +91,7 @@ def eval_phi_derivative(k: int, r: int, t: float) -> float:
 
 def _weights(n: int) -> np.ndarray:
     """sqrt(k + 1/2) for 0 <= k < n."""
-    return np.sqrt(np.arange(n) + 0.5)
+    return np.sqrt(np.arange(0.5, n))
 
 
 def differentiate_coeffs(a: np.ndarray, r: int = 1) -> np.ndarray:

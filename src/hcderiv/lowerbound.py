@@ -129,9 +129,11 @@ def build_witness_pair(
             f"only {admissible.size} admissible band indices for N={N} "
             f"(band [{N + r1}, {3 * N + r1}], {2 * N + 1 - admissible.size} excluded)"
         )
-    # rank 0 for the preferred parity; a stable sort on the rank keeps each rank in k order
-    rank = {"any": np.zeros_like(admissible), "even": admissible % 2, "odd": 1 - admissible % 2}
-    selected = np.sort(admissible[np.argsort(rank[parity], kind="stable")[:N]])
+    if parity == "any":
+        selected = admissible[:N]
+    else:  # the preferred parity in k order, topped up with the other, then back in k order
+        preferred = admissible % 2 == (parity == "odd")
+        selected = np.sort(np.concatenate((admissible[preferred], admissible[~preferred]))[:N])
     c_tilde = _c_tilde(cls)
     value = c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu
     f2 = CoeffGrid._adopt(np.full((1, 1), c_tilde))

@@ -33,6 +33,8 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 # relative size below which a projected coefficient counts as quadrature noise
 _DROP_TOL = 1e-14
+# quadrature rows per block of the integrand: 64 rows of the 522-point rule are 267 kB
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -101,13 +103,13 @@ def _kept_rule(m: int) -> QuadratureRule:
     return gauss_legendre_rule(m)
 
 
-def _eval_on_rule(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """f at the tensor nodes (t, u) = (nodes[i], nodes[l]), checked finite.
+def _eval_on_rule(f: Callable, t_nodes: np.ndarray, u_nodes: np.ndarray) -> np.ndarray:
+    """f at the tensor nodes (t, u) = (t_nodes[i], u_nodes[l]), checked finite.
 
     A non-finite value raises ValueError naming the first such node in
     row-major order.
     """
-    t, u = np.meshgrid(nodes, nodes, indexing="ij")
+    t, u = np.meshgrid(t_nodes, u_nodes, indexing="ij")
     try:
         vals = np.asarray(f(t, u), dtype=float)
     except (TypeError, ValueError):
@@ -154,17 +156,20 @@ def compute_coeff_grid(
     if m < kmax + 2:
         raise ValueError(f"quadrature order m={m} must be >= kmax + 2 = {kmax + 2}")
     rule = _kept_rule(m)
-    weighted = np.outer(rule.weights, rule.weights)
-    weighted *= _eval_on_rule(f, rule.nodes)
-    v = phi_vandermonde(kmax, rule.nodes)
+    w, nodes = rule.weights, rule.nodes
+    # the weighted integrand, a block of rows at a time, so its temporaries stay block-sized
+    weighted = np.empty((m, m))
+    for lo in range(0, m, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        np.multiply(np.outer(w[rows], w), _eval_on_rule(f, nodes[rows], nodes), out=weighted[rows])
+    v = phi_vandermonde(kmax, nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         c = v.T @ weighted @ v
-    magnitude = np.abs(c)
-    largest = float(magnitude.max())
+    largest = float(max(c.max(), -c.min()))
     if not np.isfinite(largest):
         raise ValueError(f"the projection of the integrand overflowed: max |c| is {largest!r}")
     cut = _DROP_TOL * max(1.0, largest)
-    c[magnitude <= cut] = 0.0
+    c[(c <= cut) & (c >= -cut)] = 0.0
     return CoeffGrid._adopt(c)
 
 
@@ -178,5 +183,5 @@ def l2_norm_quadrature(g: Callable, m: int) -> float:
     if m < 2:
         raise ValueError("quadrature order m must be >= 2")
     rule = _kept_rule(m)
-    vals = _eval_on_rule(g, rule.nodes)
+    vals = _eval_on_rule(g, rule.nodes, rule.nodes)
     return float(np.sqrt(np.sum(np.outer(rule.weights, rule.weights) * vals * vals)))

@@ -247,10 +247,12 @@ def mixed_derivative_coeffs(c: CoeffGrid, r1: int, r2: int) -> CoeffGrid:
     Differentiates r1 times along the k axis (each fixed-j column) and
     then r2 times along the j axis (each fixed-k row), both in
     coefficient space; source entries with k < r1 or j < r2 contribute
-    nothing.
+    nothing.  The empty grid is returned as its own derivative.
     """
     if r1 < 1 or r2 < 1:
         raise ValueError("derivative orders r1, r2 must be >= 1")
+    if not c.array.size:
+        return c
     along_k = differentiate_coeffs(c.array.T, r1).T
     return CoeffGrid._adopt(differentiate_coeffs(along_k, r2))
 
@@ -429,11 +431,20 @@ def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:
     with its per-row limits, so the work is bounded by the smaller of
     the grid and that box.
     """
-    limits = cross.jmax[: c.array.shape[0], None]
-    box = c.array[: len(limits), : int(limits.max(initial=-1)) + 1]
-    j = np.arange(box.shape[1])
-    keep = (j >= cross.r2) & (j <= limits)
-    return CoeffGrid._adopt(np.where(keep, box, 0.0))
+    keep = _cross_mask(cross, c.array.shape[0])
+    box = c.array[: keep.shape[0], : keep.shape[1]]
+    return CoeffGrid._adopt(np.where(keep[:, : box.shape[1]], box, 0.0))
+
+
+def _cross_mask(cross: "HyperbolicCross", rows: int | None = None) -> np.ndarray:
+    """True at each (k, j) of the cross, over its first ``rows`` rows (default all).
+
+    The mask is as wide as the cross's widest row among them, so over
+    every row it is the cross's bounding box.
+    """
+    limits = cross.jmax[:rows, None]
+    j = np.arange(int(limits.max(initial=-1)) + 1)
+    return (j >= cross.r2) & (j <= limits)
 
 
 def dump_grid(c: CoeffGrid) -> str:

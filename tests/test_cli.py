@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -459,13 +458,13 @@ def test_the_manifest_is_written_only_after_every_output(tmp_path, monkeypatch, 
 # ---------------------------------------------------------------------------
 # every subcommand renders its texts before it writes a file
 
-# each subcommand's arguments, and a call that renders its text
+# each subcommand's call that renders the text of its last output
 RENDERS = {
-    "coeffs": (["coeffs", "poly", "--k", 8, "--out", "o.grid"], cli, "dump_grid"),
-    "cross": (["cross", "--n", 6, "--out", "c.txt"], cli, "dump_cross"),
-    "radius": (
-        ["radius", "--n-values", "8,16,32,64", "--out-json", "r.json"], dataclasses, "asdict"
-    ),
+    "coeffs": "dump_grid",
+    "diff": "_json_text",
+    "cross": "dump_cross",
+    "experiment": "_svg_rate_plot",
+    "radius": "_radius_to_json",
 }
 
 
@@ -474,12 +473,14 @@ def test_a_failed_render_writes_nothing(command, tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ValueError("render failed")
 
-    argv, module, name = RENDERS[command]
-    monkeypatch.setattr(module, name, fail)
+    argv, _ = WRITES[command]
     monkeypatch.chdir(tmp_path)
+    save_grid(compute_coeff_grid(REGISTRY["poly"], 8), "in.grid")
+    save_grid(compute_coeff_grid(oracle.exact_derivative("poly", 1, 1), 8), "ref.grid")
+    monkeypatch.setattr(cli, RENDERS[command], fail)
     assert run(*argv) == 2
     assert capsys.readouterr().err == "error: render failed\n"
-    assert os.listdir(tmp_path) == []
+    assert sorted(os.listdir(tmp_path)) == ["in.grid", "ref.grid"]
 
 
 # ---------------------------------------------------------------------------
@@ -885,3 +886,34 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# main parses with the arguments of the invoked subcommand alone
+
+# argv that the parser answers itself, with help, the version or a usage error
+PARSER_EXITS = [["--help"], ["--version"], [], ["nope"], ["-h", "radius"], ["cross", "--nope"]]
+PARSER_EXITS += [[command, flag] for command in WRITES for flag in ("--help", "-h")]
+PARSER_EXITS += [[command] for command in WRITES]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_answers_as_the_parser_with_every_subcommands_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    expected = (full.value.code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == expected
+    assert expected[0] == (0 if {"-h", "--help", "--version"} & set(argv) else 2)
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_a_subcommand_parses_alike_with_its_arguments_alone(command):
+    argv = [str(a) for a in WRITES[command][0]]
+    alone, full = cli._build_parser(command), cli._build_parser()
+    assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv))
+    # the other subcommands are registered without their arguments, required ones too
+    for other in WRITES:
+        if other != command:
+            assert set(vars(alone.parse_args([other]))) == {"command", "func"}

@@ -345,9 +345,8 @@ def _sequential_sums(config):
             xi, norm = harness._point_noise(
                 cross, config.noise_mode, config.p, float(delta), seed, support, cls
             )
-            # only the noise on the cross is handed on: a grid inside its bounding box
-            rows, cols = xi.array.shape
-            assert rows <= cross.k_extent() + 1 and cols <= cross.j_extent() + 1
+            # only the noise on the cross is handed on: one value per index pair of the cross
+            assert xi.shape == (len(cross),)
             approx = harness._noisy_method(ref, cross, xi)
             sums[i] += (*reference.errors(approx), norm)
     return sums
@@ -355,7 +354,29 @@ def _sequential_sums(config):
 
 def test_noise_off_is_the_zero_draw():
     cross = build_cross(40.0, 1.5, 1, 1)
-    assert harness._point_noise(cross, "off", 2.0, 1e-3, 0, 12, CLS) == (CoeffGrid(), 0.0)
+    xi, norm = harness._point_noise(cross, "off", 2.0, 1e-3, 0, 12, CLS)
+    assert xi.tolist() == [0.0] * len(cross) and norm == 0.0
+
+
+@pytest.mark.parametrize("mode", ["sphere", "single", "witness", "off"])
+def test_the_noise_values_on_the_cross_give_the_bits_of_the_restricted_draw(mode, monkeypatch):
+    draws = [CoeffGrid()]  # mode "off" draws nothing: xi = 0
+    draw = harness._draw
+    monkeypatch.setattr(harness, "_draw", lambda *args: draws.append(draw(*args)) or draws[-1])
+    cross = build_cross(40.0, 1.5, 1, 1)
+    wide = np.zeros((3, 60))
+    wide[1:, ::2] = -0.0
+    wide[2, 1::7] = 0.25
+    grids = [
+        synthesize_class_function(CLS, DecayProfile(epsilon=0.01, kmax=kmax), 5) for kmax in (64, 6)
+    ] + [CoeffGrid(wide)]
+    for seed, c in enumerate(grids):
+        xi, _ = harness._point_noise(cross, mode, 2.0, 1e-3, seed, 42, CLS)
+        restricted = spectral.restrict_to_cross(draws[-1], cross)
+        expected = truncation.apply_method(spectral.restrict_to_cross(c, cross) - restricted, cross)
+        got = harness._noisy_method(c, cross, xi)
+        assert got.array.shape == expected.array.shape
+        assert got.array.tobytes() == expected.array.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["sphere", "single", "witness", "off"])
