@@ -32,11 +32,11 @@ from functools import cached_property
 import numpy as np
 
 from .cross import HyperbolicCross
-from .legendre import _weights
 from .spectral import (
     ClassParams,
     CoeffGrid,
     _check_cells,
+    _corner_sum,
     mixed_derivative_coeffs,
     parseval_l2_norm,
 )
@@ -196,16 +196,15 @@ def verify_lower_bound_C(w: WitnessPair) -> BoundReport:
     """Check |f1^(r1,r2)(1,1)| >= c_bar * N^(-mu + 2 r1 - 1/s + 3/2).
 
     The value is |sum_kj d_kj sqrt(k + 1/2) sqrt(j + 1/2)| over the
-    coefficients d of f1^(r1,r2), since phi_k(1) = sqrt(k + 1/2).  It is
-    summed in one fixed order with no BLAS call: np.sum row sums of
-    d_kj sqrt(j + 1/2) over the contiguous j axis, then one np.sum of
-    those row sums times sqrt(k + 1/2).  An empty grid gives 0.0.  This
-    is within a few units of roundoff of the exact sum, where a Clenshaw
-    recurrence at t = 1 loses digits as the band grows (``synth_eval``).
+    coefficients d of f1^(r1,r2), since phi_k(1) = sqrt(k + 1/2), summed
+    in the one fixed order of ``spectral._corner_sum`` with no BLAS
+    call.  An empty grid gives 0.0.  This is within a few units of
+    roundoff of the exact sum, where a Clenshaw recurrence at t = 1
+    loses digits as the band grows (``synth_eval``).  The coefficients
+    d are nonnegative, so it is also the exact sup of |f1^(r1,r2)|, bit
+    for bit the certified sup norm of ``spectral._corner_bound``.
     """
-    d = w.f1_derivative.array
-    rows = (d * _weights(d.shape[1])).sum(axis=1)
-    measured = abs(float(np.sum(rows * _weights(d.shape[0]))))
+    measured = abs(_corner_sum(w.f1_derivative.array))
     return _report(w, "c", measured, w.c_bar, 1.5)
 
 

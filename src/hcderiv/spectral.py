@@ -15,7 +15,10 @@ is its sup error against the zero grid.
 All operations are pure and grids are immutable after construction, so
 instances can be shared freely across threads.  The sup norm keeps its
 read-only sample basis between calls; no result depends on whether it
-was kept.
+was kept.  An ``_ErrorReference`` whose reference grid certifies a
+corner (see there) builds its sample screen only on the first call
+that needs it; that fill is idempotent, so a reference can be shared
+across threads too.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .legendre import clenshaw_rows, differentiate_coeffs, phi_vandermonde
+from .legendre import _weights, clenshaw_rows, differentiate_coeffs, phi_vandermonde
 from .text import ENTRY, dump_table, load_table, write_text
 
 if TYPE_CHECKING:
@@ -328,6 +331,74 @@ def _sample_screen(a: np.ndarray, resolution: int) -> tuple[np.ndarray, float]:
     return vt @ a @ vu.T, float(colmax[:k1] @ np.abs(a) @ colmax[:k2])
 
 
+def _corner_sum(d: np.ndarray) -> float:
+    """sum_kj d_kj sqrt(k + 1/2) sqrt(j + 1/2), the value at the corner (1, 1).
+
+    phi_k(1) = sqrt(k + 1/2) exactly.  The sum runs in one fixed order
+    with no BLAS call: np.sum row sums of d_kj sqrt(j + 1/2) over the
+    contiguous j axis, then one np.sum of those row sums times
+    sqrt(k + 1/2).  An empty array gives 0.0.
+    """
+    rows = (d * _weights(d.shape[1])).sum(axis=1)
+    return float(np.sum(rows * _weights(d.shape[0])))
+
+
+# the leading blocks of a difference whose signs are read before the whole array's: a
+# noisy difference fails every corner within the first, read as Python scalars, or
+# the second, and pays no pass over the whole array
+_LEAD, _SECOND = 4, 32
+# the parity classes 2 (k % 2) + (j % 2) whose entries must be negative, as a 4-bit mask,
+# for each corner (s1, s2) and each sign that d_kj s1^k s2^j may share
+_CORNER_MASKS = (0b0000, 0b1111, 0b1010, 0b0101, 0b1100, 0b0011, 0b0110, 0b1001)
+
+
+def _certifies(positive: int, negative: int) -> bool:
+    """Whether the signs of a block certify a corner: ``positive`` and ``negative`` are the
+    4-bit masks of the parity classes that hold a positive and a negative entry."""
+    return any(not (negative & ~mask or positive & mask) for mask in _CORNER_MASKS)
+
+
+def _lead_signs(lead: list[list[float]]) -> tuple[int, int]:
+    """The class masks of ``_certifies`` for a block given as Python scalars."""
+    positive = negative = 0
+    for k, row in enumerate(lead):
+        for j, x in enumerate(row):
+            if x > 0.0:
+                positive |= 1 << (2 * (k & 1) + (j & 1))
+            elif x < 0.0:
+                negative |= 1 << (2 * (k & 1) + (j & 1))
+    return positive, negative
+
+
+def _class_signs(d: np.ndarray) -> tuple[int, int]:
+    """The class masks of ``_certifies`` for an array, from the extremes of each class."""
+    positive = negative = 0
+    for c, (pk, pj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        part = d[pk::2, pj::2]
+        if part.size:
+            positive |= 1 << c if part.max() > 0.0 else 0
+            negative |= 1 << c if part.min() < 0.0 else 0
+    return positive, negative
+
+
+def _corner_bound(d: np.ndarray) -> float | None:
+    """The exact sup T = sum_kj |d_kj| sqrt(k + 1/2) sqrt(j + 1/2) of the grid ``d`` when its
+    signs certify a corner (see ``_ErrorReference``), and None otherwise.
+
+    The signs of the leading ``_LEAD`` x ``_LEAD`` block are read first, as
+    Python scalars, then those of the leading ``_SECOND`` x ``_SECOND``
+    block and of the whole array, each from the extremes of its four
+    (k, j) parity classes; the first block that certifies no corner
+    returns None.  T is ``_corner_sum`` of |d|.  Zeros of either sign
+    are absent entries.
+    """
+    if not _certifies(*_lead_signs(d[:_LEAD, :_LEAD].tolist())):
+        return None
+    if not all(_certifies(*_class_signs(block)) for block in (d[:_SECOND, :_SECOND], d)):
+        return None
+    return _corner_sum(np.abs(d))
+
+
 def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
     """Max of |synthesized function| over a Chebyshev-clustered tensor grid.
 
@@ -337,7 +408,10 @@ def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
 
     It is the sup error of ``c`` against the zero grid (see
     ``_ErrorReference``), summed in one fixed order without BLAS, so it
-    does not depend on the BLAS or its thread count.
+    does not depend on the BLAS or its thread count.  Where the signs of
+    ``c`` certify a corner it is the exact sup T = sum_kj |c_kj|
+    sqrt(k + 1/2) sqrt(j + 1/2), which the samples at that corner reach,
+    and no sample grid is built.
     """
     return _ErrorReference(CoeffGrid(), resolution).errors(c)[1]
 
@@ -352,10 +426,33 @@ class _ErrorReference:
     summing.  An empty E gives ``sup_norm_on_grid(A)``: S_E = 0, W_E = 0
     and D = A exactly.
 
+    The corner certificate.  |phi_k(t)| <= phi_k(1) = sqrt(k + 1/2) on
+    [-1, 1] and phi_k(-1) = (-1)^k phi_k(1), so |D(t, u)| <= T = sum_kj
+    |d_kj| sqrt(k + 1/2) sqrt(j + 1/2) everywhere, and at a corner
+    (s1, s2) in {-1, 1}^2, D = sum_kj d_kj s1^k s2^j sqrt(k + 1/2)
+    sqrt(j + 1/2).  When the products d_kj s1^k s2^j of the nonzero
+    entries all have one sign, that corner value is +-T, so T is the
+    exact sup.  The sample grid holds all four corners, and the
+    recurrence gives phi_k(+-1) there exactly, so the fixed-order sample
+    at that corner is +-T bit for bit: each of its products and partial
+    sums is the matching one of ``_corner_sum(|D|)``, negated or not.
+    Every other sample is a sum in the same order of products no larger
+    in magnitude (the recurrence's values inside (-1, 1) stay below
+    phi_k(1) by far more than its rounding), so rounding, being
+    monotone, keeps it at most T.  A certified D thus gives the
+    fixed-order maximum over every sample without sampling
+    (``_corner_bound``), and only an uncertified D takes the screened
+    path below.  An empty A makes D = -E, which reuses E's certificate.
+
+    When the screen is built.  It is built with the reference unless E
+    itself is certified; a certified E builds it on the first call whose
+    D is not certified.  That fill is idempotent: threads racing there
+    each store the same screen, as one attribute.
+
     The screen is linear, Vt (A - E) Vu^T = Vt A Vu^T - Vt E Vu^T, so the
     screen S_E = Vt E Vu^T and the weight W_E = sum m_t |E| m_u, with
-    m_t and m_u the column maxima of |Vt| and |Vu|, are formed here
-    once, and each call forms S_A and W_A over A's box alone and screens
+    m_t and m_u the column maxima of |Vt| and |Vu|, are formed once,
+    and each call forms S_A and W_A over A's box alone and screens
     with S = S_A - S_E.  A box larger than E's on either axis, an empty
     A or E and an axis of degree 0 all take this path: the screens
     broadcast against each other.
@@ -387,13 +484,15 @@ class _ErrorReference:
     u (M + 4B), and M <= 1.01 W).
     """
 
-    __slots__ = ("exact", "resolution", "_screen", "_weight")
+    __slots__ = ("exact", "resolution", "_corner", "_kept")
 
     def __init__(self, exact: CoeffGrid, resolution: int):
         self.check_resolution(resolution)
         self.exact = exact
         self.resolution = resolution
-        self._screen, self._weight = _sample_screen(exact.array, resolution)
+        self._corner = _corner_bound(exact.array)
+        # (S_E, W_E); built with the reference unless E's certificate may spare it
+        self._kept = None if self._corner is not None else _sample_screen(exact.array, resolution)
 
     @staticmethod
     def check_resolution(resolution: int) -> None:
@@ -404,21 +503,28 @@ class _ErrorReference:
             raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
 
     def errors(self, approx: CoeffGrid) -> tuple[float, float]:
-        """L2 (Parseval) and sup (sample grid) norms of ``approx - exact``."""
+        """L2 (Parseval) and sup norms of ``approx - exact``: the sup is T where the
+        difference certifies a corner, and otherwise its largest sample."""
         diff = approx - self.exact
         if diff.max_index() is None:
             return 0.0, 0.0
         error_l2 = parseval_l2_norm(diff)
+        corner = self._corner if not approx.array.size else _corner_bound(diff.array)
+        if corner is not None:
+            return error_l2, corner
+        if self._kept is None:
+            self._kept = _sample_screen(self.exact.array, self.resolution)
+        screen_e, weight_e = self._kept
         screen, weight = _sample_screen(approx.array, self.resolution)
         n1, n2 = map(max, approx.array.shape, self.exact.array.shape)
         n = n1 + n2 + 2
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
         colmax = _samples((n1, n2), self.resolution)[2]
         underflow = (n1 + 1) * (n2 + 1) * (1.0 + float(colmax.max())) * _TINY
-        bound = 1.01 * gamma * (weight + self._weight) + 2.0 * underflow
+        bound = 1.01 * gamma * (weight + weight_e) + 2.0 * underflow
         vt, vu, _ = _samples(diff.array.shape, self.resolution)
         # S_A is dropped once S_A - S_E exists, and |S| is taken in place
-        screen = (screen - self._screen)[: len(vt), : len(vu)]
+        screen = (screen - screen_e)[: len(vt), : len(vu)]
         np.abs(screen, out=screen)
         rows, cols = np.nonzero(screen >= screen.max() - 4.0 * bound)
         return error_l2, _fixed_order_abs_max(vt, diff.array, vu, rows, cols)

@@ -882,6 +882,19 @@ def test_radius_rejects_a_sup_resolution_over_the_limit(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("resolution, line", [
+    (1, "error: resolution must be >= 2\n"),
+    (8193, "error: resolution must be <= 8192, got 8193\n"),
+])
+def test_radius_rejects_a_sup_resolution_outside_the_limits(resolution, line, tmp_path, capsys):
+    # the radius study's sup errors are certified and sample nothing, yet the resolution is checked
+    code = run("radius", "--n-values", "4,8,16,32", "--resolution", resolution,
+               "--out-json", tmp_path / "r.json")
+    assert code == 2
+    assert capsys.readouterr().err == line
+    assert os.listdir(tmp_path) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

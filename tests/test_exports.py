@@ -1,7 +1,8 @@
 """Every name a module exports through ``__all__`` exists, the package exports exactly the
 README's library API, no module defines a name twice, every private top-level name of
-the package is used in the package, only ``text.write_text`` writes files, and only it
-and the grid reader ``spectral._read_grid`` open one."""
+the package is used in the package, only ``text.write_text`` writes files, only it
+and the grid reader ``spectral._read_grid`` open one, and only the error step reaches
+the sup norm's sample basis."""
 
 import ast
 import importlib
@@ -202,3 +203,51 @@ def test_the_package_opens_files_only_in_the_writer_and_the_grid_reader():
 )
 def test_the_open_guard_finds_each_kind_of_open(source, found):
     assert _open_sites(ast.parse(source)) == found
+
+
+# the top-level definitions of the package that may use each name which builds the kept
+# (resolution x (kmax + 1)) sample basis: only the error step, after a corner certificate
+# has failed, and the screen it calls
+SAMPLERS = {
+    "_sample_screen": {"_ErrorReference"},
+    "_samples": {"_sample_screen", "_ErrorReference"},
+}
+
+
+def _stray_samplers(tree: ast.Module) -> list[tuple[str, str | None, int]]:
+    """The name, enclosing top-level definition (None outside one) and line of each use of a
+    name in ``SAMPLERS`` outside the definitions it allows: a call, or any other reference."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in SAMPLERS and owner not in SAMPLERS[name]:
+                sites.append((name, owner, node.lineno))
+    return sites
+
+
+def test_the_sample_basis_is_built_only_by_the_error_step():
+    found = [
+        (path.name, *site)
+        for path in PACKAGE
+        for site in _stray_samplers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(a):\n    return _sample_screen(a, 9)", [("_sample_screen", "f", 2)]),
+        ("x = spectral._samples((3, 3), 9)", [("_samples", None, 1)]),
+        ("def g(a):\n    screen = _sample_screen\n    return screen(a, 9)", [("_sample_screen", "g", 2)]),
+        ("def _sample_screen(a, r):\n    return _sample_screen(a, r)",
+         [("_sample_screen", "_sample_screen", 2)]),
+        ("def _sample_screen(a, r):\n    return _samples(a.shape, r)", []),
+        ("class _ErrorReference:\n    def m(self, a):\n        return _sample_screen(a, 9), _samples(a, 9)",
+         []),
+    ],
+)
+def test_the_sampler_guard_finds_each_stray_use(source, found):
+    assert _stray_samplers(ast.parse(source)) == found

@@ -585,6 +585,24 @@ def test_c_metric_admissibility_reported_as_config_problem():
     assert any("selection" in p and "mu" in p for p in problems)
 
 
+@pytest.mark.parametrize("n_values, r1, r2, mu, p", [
+    ([256, 512, 1024, 2048, 4096], 1, 1, 3.0, 2.0),  # the benchmark's sweep
+    ([8, 16, 32, 64], 1, 1, 3.0, 2.0),  # the two golden radius configs
+    ([8, 16, 32, 64], 2, 1, 7.0, float("inf")),
+])
+def test_radius_study_takes_its_sup_from_the_corner_certificate(
+    n_values, r1, r2, mu, p, monkeypatch
+):
+    monkeypatch.setattr(spectral, "_SAMPLE_BASIS", {})
+    study = run_radius_study(n_values, ClassParams(2.0, mu), r1, r2, p)
+    # the witness derivative's signs certify the corner (1, 1): no sample grid is built,
+    # and the method's sup error against the empty output is the bound check's corner sum
+    assert spectral._SAMPLE_BASIS == {}
+    assert [rec.method_error_c for rec in study.records] == [
+        rec.verify_c.measured for rec in study.records
+    ]
+
+
 def test_radius_study_needs_enough_points():
     with pytest.raises(ValueError):
         run_radius_study([8, 16], ClassParams(2, 6), 2, 1, 2.0)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 import time
@@ -312,10 +313,11 @@ def test_sup_norm_monotone_in_resolution():
 
 
 def test_sup_norm_validation():
-    with pytest.raises(ValueError):
-        sup_norm_on_grid(CoeffGrid(), 1)
-    with pytest.raises(ValueError, match="resolution must be <= 8192, got 8193"):
-        sup_norm_on_grid(CoeffGrid(), 8193)
+    for grid in (CoeffGrid(), CoeffGrid(np.array([[1.0, 0.5]]))):  # the second certifies a corner
+        with pytest.raises(ValueError):
+            sup_norm_on_grid(grid, 1)
+        with pytest.raises(ValueError, match="resolution must be <= 8192, got 8193"):
+            sup_norm_on_grid(grid, 8193)
     assert sup_norm_on_grid(CoeffGrid(), 5) == 0.0
 
 
@@ -427,6 +429,120 @@ def test_kept_reference_errors_equal_the_one_shot_norms(case):
         vt, vu, _ = spectral._samples(diff.array.shape, resolution)
         rows, cols = np.divmod(np.arange(len(vt) * len(vu)), len(vu))
         assert error_c == spectral._fixed_order_abs_max(vt, diff.array, vu, rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# the corner certificate: an exact sup where the signs of d_kj s1^k s2^j agree
+
+_CORNERS = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+
+
+def _corner_grid(seed, shape, corner):
+    """A random array whose entries d_kj s1^k s2^j share one sign (negative for odd seeds),
+    with about a third of its entries zero, half of those -0.0, but not its last one."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    magnitude = rng.exponential(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    magnitude[rng.random(shape) < 0.35] = 0.0
+    magnitude[-1, -1] = 1.0
+    s1, s2 = corner
+    signs = np.outer(float(s1) ** np.arange(shape[0]), float(s2) ** np.arange(shape[1]))
+    d = (-1.0 if seed % 2 else 1.0) * magnitude * signs
+    d[d == 0.0] = np.where(rng.random(np.count_nonzero(d == 0.0)) < 0.5, 0.0, -0.0)
+    return d
+
+
+def _decimal_corner_sum(d):
+    """sum |d_kj| sqrt(k + 1/2) sqrt(j + 1/2) to 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        half = decimal.Decimal("0.5")
+        return sum(
+            (
+                abs(decimal.Decimal(x)) * (k + half).sqrt() * (j + half).sqrt()
+                for (k, j), x in np.ndenumerate(d)
+                if x
+            ),
+            decimal.Decimal(0),
+        )
+
+
+def _every_sample_max(a, resolution):
+    """The fixed-order max over every sample, screened by nothing."""
+    vt, vu, _ = spectral._samples(a.shape, resolution)
+    rows, cols = np.divmod(np.arange(len(vt) * len(vu)), len(vu))
+    return spectral._fixed_order_abs_max(vt, a, vu, rows, cols)
+
+
+@pytest.mark.parametrize("corner", _CORNERS)
+@pytest.mark.parametrize("shape", [(1, 1), (9, 1), (1, 11), (6, 6), (23, 17), (40, 33)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_certified_grid_has_the_exact_sup(corner, shape, seed, monkeypatch):
+    d = _corner_grid(seed, shape, corner)
+    grid = CoeffGrid(d)
+    bound = spectral._corner_bound(grid.array)
+    exact = _decimal_corner_sum(d)
+    assert abs(decimal.Decimal(bound) - exact) <= 4 * decimal.Decimal(math.ulp(bound))
+    # no sample grid is built, and the value is the fixed-order max over every sample
+    monkeypatch.setattr(spectral, "_SAMPLE_BASIS", {})
+    assert sup_norm_on_grid(grid, 17) == bound
+    assert spectral._SAMPLE_BASIS == {}
+    assert bound == _every_sample_max(grid.array, 17)
+    # the screened path, taken without the certificate, gives the same number
+    monkeypatch.setattr(spectral, "_corner_bound", lambda d: None)
+    assert sup_norm_on_grid(grid, 17) == bound
+
+
+def test_corner_certificates_of_edge_shapes():
+    assert spectral._corner_bound(np.zeros((0, 0))) == 0.0
+    assert sup_norm_on_grid(CoeffGrid(), 9) == 0.0
+    assert spectral._corner_bound(np.array([[-0.75]])) == 0.75 * math.sqrt(0.5) * math.sqrt(0.5)
+    # zeros of either sign are absent entries, in the leading block and past it
+    d = np.zeros((12, 10))
+    d[5, 7], d[9, 4], d[0, 3], d[2, 2] = 2.0, -3.0, -0.0, -0.0
+    assert spectral._corner_bound(d) == pytest.approx(
+        float(_decimal_corner_sum(d)), rel=1e-15
+    )
+    # every corner fails past the leading blocks: one entry breaks the one that held there
+    for at in [(7, 8), (39, 38)]:
+        d = np.ones((40, 40))
+        d[at] = -1e-300
+        assert spectral._corner_bound(d) is None
+        d[:, 1::2] *= -1.0
+        assert spectral._corner_bound(d[:, : at[1]]) is not None
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (5, 1), (1, 7), (2, 2), (30, 40)])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_mixed_signs_take_the_screened_path(shape, seed, monkeypatch):
+    d = np.random.Generator(np.random.Philox(key=seed)).standard_normal(shape)
+    if shape == (2, 2):  # each parity class holds one sign, but no corner's pattern
+        d = np.array([[1.0, 1.0], [1.0, -1.0]])
+    else:  # two entries of one parity class, of opposite signs
+        d[0, 0], d[(2, 0) if shape[0] > 2 else (0, 2)] = 1.0, -1.0
+    grid = CoeffGrid(d)
+    assert spectral._corner_bound(grid.array) is None
+    screens = []
+
+    def recording_screen(a, resolution):
+        screens.append(a.shape)
+        return sample_screen(a, resolution)
+
+    sample_screen = spectral._sample_screen
+    monkeypatch.setattr(spectral, "_sample_screen", recording_screen)
+    result = sup_norm_on_grid(grid, 17)
+    assert screens == [(0, 0), shape]  # the zero reference's screen, built on demand, then A's
+    assert result == _every_sample_max(grid.array, 17)
+
+
+def test_a_difference_that_is_minus_the_reference_reuses_its_certificate(monkeypatch):
+    exact = CoeffGrid(_corner_grid(5, (30, 20), (-1, 1)))
+    reference = spectral._ErrorReference(exact, 33)
+    calls = []
+    monkeypatch.setattr(spectral, "_corner_bound", lambda d: calls.append(d.shape))
+    error_l2, error_c = reference.errors(CoeffGrid())
+    assert calls == [] and error_c == reference._corner
+    assert error_l2 == parseval_l2_norm(exact)
+    assert error_c == _every_sample_max(exact.array, 33)
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
