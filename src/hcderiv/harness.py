@@ -46,7 +46,7 @@ are drawn directly on the unit sphere of the smoothness class.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -457,6 +457,8 @@ def fit_rate(points: list[tuple[float, float]]) -> RateFit:
     errors = np.array([e for _, e in points], dtype=float)
     if np.any(deltas <= 0) or np.any(errors <= 0):
         raise ValueError("rate fit needs strictly positive deltas and errors")
+    if np.all(deltas == deltas[0]):
+        raise ValueError("rate fit needs at least 2 distinct deltas")
     a = np.column_stack([np.log(deltas), np.ones(len(points))])
     y = np.log(errors)
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
@@ -654,13 +656,17 @@ def run_radius_study(
     with the selection rule's parameters on witness data perturbed to
     look exactly like f2, and the achieved error is compared against
     the explicit lower bound.  Order-optimality shows as matching decay
-    exponents of the two columns.
+    exponents of the two columns.  The sweep needs at least 4 distinct
+    band sizes, each at least 4, for its rate fits.
     """
     if len(n_values) < _FIT_MIN_POINTS or min(n_values) < _FIT_MIN_POINTS:
         raise ValueError(
             f"need at least {_FIT_MIN_POINTS} band sizes, each >= {_FIT_MIN_POINTS}; "
             "smaller sweeps are too small for rate fitting"
         )
+    repeated = sorted(n for n, count in Counter(n_values).items() if count > 1)
+    if repeated:
+        raise ValueError(f"band sizes must be distinct; repeated: {', '.join(map(str, repeated))}")
     records: list[RadiusRecord] = []
     base = None
     for N in sorted(n_values):

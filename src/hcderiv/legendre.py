@@ -165,34 +165,20 @@ def muller_differentiate_iterated(a: Coeffs1D, r: int) -> Coeffs1D:
     return _from_dense(differentiate_coeffs(_to_dense(a), r))
 
 
-# one slot: the Clenshaw factors for the largest size asked so far; see _recurrence
-_KEPT_FACTORS: list[tuple[np.ndarray, list[float]]] = [(np.empty(0), [])]
-
-
 def _recurrence(n: int) -> tuple[np.ndarray, list[float]]:
-    """Clenshaw factors alpha_k and c_k for 0 <= k < n, or for more k.
+    """Clenshaw factors alpha_k and c_k for 0 <= k < n, built on each call.
 
     alpha_k = (2k+1)/(k+1) w_{k+1}/w_k and c_k = k/(k+1) w_{k+1}/w_{k-1}
-    with w_k = sqrt(k + 1/2); c_0 is unused and set to 0.  alpha is a
-    read-only array (callers scale it by t) and c a list of Python floats.
-
-    The factors are kept between calls, built for the largest n asked.
-    Each is elementwise in k, so the first n entries of longer factors
-    equal the factors for n bit for bit, and no result depends on whether
-    they were kept.  The kept factors are dropped before larger ones are
-    built, so two sets are never held at once.
+    with w_k = sqrt(k + 1/2); c_0 is unused and set to 0.  alpha is an
+    array (callers scale it by t) and c a list of Python floats.  Both
+    are O(n), as is the Clenshaw loop that reads them.
     """
-    kept = _KEPT_FACTORS[0]
-    if len(kept[1]) < n:
-        kept = _KEPT_FACTORS[0] = (np.empty(0), [])  # drop the old factors first
-        k = np.arange(n)
-        w = _weights(n + 1)
-        alpha = (2 * k + 1) / (k + 1) * w[1:] / w[:-1]
-        alpha.flags.writeable = False
-        c = np.zeros(n)
-        c[1:] = k[1:] / (k[1:] + 1) * w[2:] / w[:-2]
-        kept = _KEPT_FACTORS[0] = (alpha, c.tolist())
-    return kept
+    k = np.arange(n)
+    w = _weights(n + 1)
+    alpha = (2 * k + 1) / (k + 1) * w[1:] / w[:-1]
+    c = np.zeros(n)
+    c[1:] = k[1:] / (k[1:] + 1) * w[2:] / w[:-2]
+    return alpha, c.tolist()
 
 
 def clenshaw_rows(a: np.ndarray, t: float):

@@ -15,10 +15,12 @@ is its sup error against the zero grid.
 All operations are pure and grids are immutable after construction, so
 instances can be shared freely across threads.  The sup norm keeps its
 read-only sample basis between calls; no result depends on whether it
-was kept.  An ``_ErrorReference`` whose reference grid certifies a
-corner (see there) builds its sample screen only on the first call
-that needs it; that fill is idempotent, so a reference can be shared
-across threads too.
+was kept.  Its one bound is phi_k(+-1) = +-sqrt(k + 1/2), the largest
+|phi_k| on [-1, 1]: it gives the corner certificate, the screen weight
+and the underflow allowance.  An ``_ErrorReference`` builds its sample
+screen on the first call whose difference certifies no corner (see
+there); that fill is idempotent, so a reference can be shared across
+threads too.
 """
 
 from __future__ import annotations
@@ -265,8 +267,8 @@ def mixed_derivative_coeffs(c: CoeffGrid, r1: int, r2: int) -> CoeffGrid:
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TINY = float(np.finfo(float).smallest_subnormal)
 
-# the one sample basis kept between calls: resolution -> (V, column maxima of |V|)
-_SAMPLE_BASIS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# the one sample basis kept between calls: resolution -> V
+_SAMPLE_BASIS: dict[int, np.ndarray] = {}
 
 
 def _fixed_order_abs_max(
@@ -290,45 +292,42 @@ def _fixed_order_abs_max(
     return best
 
 
-def _samples(shape: tuple[int, int], resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vt and Vu for an array of ``shape``, and the column maxima of |V| up to its larger extent.
+def _samples(shape: tuple[int, int], resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vt and Vu for an array of ``shape``: V[i, k] = phi_k(t_i) at the sample points t_i.
 
-    V[i, k] = phi_k(t_i) at the sample points t_i.  An axis with at most
-    one coefficient is sampled once: phi_0 is constant, so its samples
-    are equal.  One V is kept, built for the largest degree asked for at
-    the current resolution; a smaller degree gets a column slice of it,
-    equal bit for bit to the smaller matrix because the recurrence
-    builds each column from the ones before.  The kept matrix is dropped
-    before a larger one is built, so two are never held at once; threads
-    racing here at worst build it twice.
+    No sample exceeds phi_k(1) = sqrt(k + 1/2) in magnitude, the weight
+    w_k of the screen and of the corner certificate, and the samples at
+    t = +-1 reach it.  An axis with at most one coefficient is sampled
+    once: phi_0 is constant, so its samples are equal.  One V is kept,
+    built for the largest degree asked for at the current resolution; a
+    smaller degree gets a column slice of it, equal bit for bit to the
+    smaller matrix because the recurrence builds each column from the
+    ones before.  The kept matrix is dropped before a larger one is
+    built, so two are never held at once; threads racing here at worst
+    build it twice.
     """
     kmax = max(*shape, 1) - 1
-    kept = _SAMPLE_BASIS.get(resolution)
-    if kept is None or kept[0].shape[1] <= kmax:
+    v = _SAMPLE_BASIS.get(resolution)
+    if v is None or v.shape[1] <= kmax:
         _SAMPLE_BASIS.clear()
-        kept = None  # drop the old matrix before the new one exists
+        v = None  # drop the old matrix before the new one exists
         pts = np.cos(np.pi * np.arange(resolution) / (resolution - 1))
         v = phi_vandermonde(kmax, pts)
-        colmax = np.maximum(v.max(axis=0), -v.min(axis=0))
         v.flags.writeable = False
-        colmax.flags.writeable = False
-        kept = _SAMPLE_BASIS[resolution] = (v, colmax)
-    v, colmax = kept
-    vt, vu = (v[: 1 if k <= 1 else resolution, :k] for k in shape)
-    return vt, vu, colmax[: kmax + 1]
+        _SAMPLE_BASIS[resolution] = v
+    return tuple(v[: 1 if k <= 1 else resolution, :k] for k in shape)
 
 
 def _sample_screen(a: np.ndarray, resolution: int) -> tuple[np.ndarray, float]:
-    """The BLAS product Vt a Vu^T and the weight sum_kj m_t[k] |a_kj| m_u[j].
+    """The BLAS product Vt a Vu^T and the weight W = sum_kj |a_kj| w_k w_j.
 
-    m_t and m_u are the column maxima of |Vt| and |Vu|.  The product has
-    one row (column) for an axis of ``a`` with at most one coefficient
-    and ``resolution`` otherwise, so the screens of two arrays broadcast
-    against each other.
+    W is ``_abs_corner_sum(a)``, with w_k = sqrt(k + 1/2) >= max_i
+    |Vt[i, k]|; it needs no BLAS.  The product has one row (column) for
+    an axis of ``a`` with at most one coefficient and ``resolution``
+    otherwise, so the screens of two arrays broadcast against each other.
     """
-    vt, vu, colmax = _samples(a.shape, resolution)
-    k1, k2 = a.shape
-    return vt @ a @ vu.T, float(colmax[:k1] @ np.abs(a) @ colmax[:k2])
+    vt, vu = _samples(a.shape, resolution)
+    return vt @ a @ vu.T, _abs_corner_sum(a)
 
 
 def _corner_sum(d: np.ndarray) -> float:
@@ -343,10 +342,17 @@ def _corner_sum(d: np.ndarray) -> float:
     return float(np.sum(rows * _weights(d.shape[0])))
 
 
-# the leading blocks of a difference whose signs are read before the whole array's: a
-# noisy difference fails every corner within the first, read as Python scalars, or
-# the second, and pays no pass over the whole array
-_LEAD, _SECOND = 4, 32
+def _abs_corner_sum(d: np.ndarray) -> float:
+    """T = sum_kj |d_kj| sqrt(k + 1/2) sqrt(j + 1/2): ``_corner_sum`` of |d| bit for bit,
+    since |d_kj w_j| = |d_kj| w_j exactly, with one temporary the size of ``d``, not two."""
+    scaled = d * _weights(d.shape[1])
+    rows = np.abs(scaled, out=scaled).sum(axis=1)
+    return float(np.sum(rows * _weights(d.shape[0])))
+
+
+# the leading block of a difference whose signs are read, as Python scalars, before the
+# whole array's: a noisy difference fails every corner there and pays no pass over the array
+_LEAD = 4
 # the parity classes 2 (k % 2) + (j % 2) whose entries must be negative, as a 4-bit mask,
 # for each corner (s1, s2) and each sign that d_kj s1^k s2^j may share
 _CORNER_MASKS = (0b0000, 0b1111, 0b1010, 0b0101, 0b1100, 0b0011, 0b0110, 0b1001)
@@ -386,17 +392,14 @@ def _corner_bound(d: np.ndarray) -> float | None:
     signs certify a corner (see ``_ErrorReference``), and None otherwise.
 
     The signs of the leading ``_LEAD`` x ``_LEAD`` block are read first, as
-    Python scalars, then those of the leading ``_SECOND`` x ``_SECOND``
-    block and of the whole array, each from the extremes of its four
-    (k, j) parity classes; the first block that certifies no corner
-    returns None.  T is ``_corner_sum`` of |d|.  Zeros of either sign
+    Python scalars, then those of the whole array from the extremes of
+    its four (k, j) parity classes; a block that certifies no corner
+    returns None.  T is ``_abs_corner_sum(d)``.  Zeros of either sign
     are absent entries.
     """
-    if not _certifies(*_lead_signs(d[:_LEAD, :_LEAD].tolist())):
+    if not (_certifies(*_lead_signs(d[:_LEAD, :_LEAD].tolist())) and _certifies(*_class_signs(d))):
         return None
-    if not all(_certifies(*_class_signs(block)) for block in (d[:_SECOND, :_SECOND], d)):
-        return None
-    return _corner_sum(np.abs(d))
+    return _abs_corner_sum(d)
 
 
 def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
@@ -444,14 +447,14 @@ class _ErrorReference:
     (``_corner_bound``), and only an uncertified D takes the screened
     path below.  An empty A makes D = -E, which reuses E's certificate.
 
-    When the screen is built.  It is built with the reference unless E
-    itself is certified; a certified E builds it on the first call whose
-    D is not certified.  That fill is idempotent: threads racing there
-    each store the same screen, as one attribute.
+    When the screen is built.  Every reference builds it on the first
+    call whose D is not certified, and never before.  That fill is
+    idempotent: threads racing there each store the same screen, as one
+    attribute.
 
     The screen is linear, Vt (A - E) Vu^T = Vt A Vu^T - Vt E Vu^T, so the
-    screen S_E = Vt E Vu^T and the weight W_E = sum m_t |E| m_u, with
-    m_t and m_u the column maxima of |Vt| and |Vu|, are formed once,
+    screen S_E = Vt E Vu^T and the weight W_E = sum_kj |E_kj| w_k w_j,
+    with w_k = sqrt(k + 1/2) = phi_k(1) >= |phi_k(t)|, are formed once,
     and each call forms S_A and W_A over A's box alone and screens
     with S = S_A - S_E.  A box larger than E's on either axis, an empty
     A or E and an axis of degree 0 all take this path: the screens
@@ -491,8 +494,7 @@ class _ErrorReference:
         self.exact = exact
         self.resolution = resolution
         self._corner = _corner_bound(exact.array)
-        # (S_E, W_E); built with the reference unless E's certificate may spare it
-        self._kept = None if self._corner is not None else _sample_screen(exact.array, resolution)
+        self._kept = None  # (S_E, W_E), built by the first uncertified difference
 
     @staticmethod
     def check_resolution(resolution: int) -> None:
@@ -519,10 +521,9 @@ class _ErrorReference:
         n1, n2 = map(max, approx.array.shape, self.exact.array.shape)
         n = n1 + n2 + 2
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-        colmax = _samples((n1, n2), self.resolution)[2]
-        underflow = (n1 + 1) * (n2 + 1) * (1.0 + float(colmax.max())) * _TINY
+        underflow = (n1 + 1) * (n2 + 1) * (1.0 + float(np.sqrt(max(n1, n2) - 0.5))) * _TINY
         bound = 1.01 * gamma * (weight + weight_e) + 2.0 * underflow
-        vt, vu, _ = _samples(diff.array.shape, self.resolution)
+        vt, vu = _samples(diff.array.shape, self.resolution)
         # S_A is dropped once S_A - S_E exists, and |S| is taken in place
         screen = (screen - screen_e)[: len(vt), : len(vu)]
         np.abs(screen, out=screen)

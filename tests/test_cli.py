@@ -864,6 +864,14 @@ def test_radius_rejects_small_sweeps(tmp_path, capsys):
     assert capsys.readouterr().err == line
 
 
+@pytest.mark.parametrize("n_values, repeated", [("8,8,8,8", "8"), ("8,16,16,32", "16")])
+def test_radius_rejects_repeated_band_sizes(n_values, repeated, tmp_path, capsys):
+    # a slope fitted through repeated sizes would come from a rank-deficient system
+    assert run("radius", "--n-values", n_values, "--out-json", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == f"error: band sizes must be distinct; repeated: {repeated}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_radius_rejects_a_band_over_the_cell_limit(tmp_path, capsys):
     # N = 2**40 needs a (3N + 2) x 2 witness array
     code = run("radius", "--n-values", "4,8,16,1099511627776", "--out-json", tmp_path / "r.json")

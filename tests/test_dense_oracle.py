@@ -309,20 +309,15 @@ def _clenshaw_inputs(size):
 
 
 @pytest.mark.parametrize("descending", [False, True])
-def test_clenshaw_matches_whether_factors_are_kept_or_built(descending, monkeypatch):
-    # from no kept factors, each size asks for factors one longer than the
-    # size: ascending sizes build longer factors at every size, descending
-    # ones build them once and then read prefixes of them
-    monkeypatch.setattr(legendre, "_KEPT_FACTORS", [(np.empty(0), [])])
-    kept = []
+def test_clenshaw_matches_the_oracle_at_ascending_and_descending_sizes(descending):
+    # each call builds its own factors, one longer than the size, so no size
+    # can reuse or be spoiled by the factors of a size before it
     for size in sorted(CLENSHAW_SIZES, reverse=descending):
         a, rows = _clenshaw_inputs(size)
         for t in CLENSHAW_POINTS:
             assert legendre.clenshaw_rows(a, t) == oracle.clenshaw_eval(dict(enumerate(a)), t)
             got = legendre.clenshaw_rows(rows, t)
             assert got.tolist() == [oracle.clenshaw_eval(dict(enumerate(r)), t) for r in rows]
-        kept.append(legendre._KEPT_FACTORS[0])
-    assert len({id(factors) for factors in kept}) == (1 if descending else len(CLENSHAW_SIZES))
 
 
 @pytest.mark.parametrize("size", CLENSHAW_SIZES)

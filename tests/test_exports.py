@@ -1,8 +1,8 @@
 """Every name a module exports through ``__all__`` exists, the package exports exactly the
 README's library API, no module defines a name twice, every private top-level name of
 the package is used in the package, only ``text.write_text`` writes files, only it
-and the grid reader ``spectral._read_grid`` open one, and only the error step reaches
-the sup norm's sample basis."""
+and the grid reader ``spectral._read_grid`` open one, only the error step reaches
+the sup norm's sample basis, and every BLAS or LAPACK call has a stated reason."""
 
 import ast
 import importlib
@@ -251,3 +251,63 @@ def test_the_sample_basis_is_built_only_by_the_error_step():
 )
 def test_the_sampler_guard_finds_each_stray_use(source, found):
     assert _stray_samplers(ast.parse(source)) == found
+
+
+# every top-level definition of the package that calls BLAS or LAPACK, with the reason its
+# result may depend on the BLAS build and thread count, or why no output does
+BLAS_SITES = {
+    ("spectral.py", "_sample_screen"): "screen only: the bound in the _ErrorReference docstring",
+    ("quadrature.py", "compute_coeff_grid"): "known BLAS dependence of the grid, as the README says",
+    ("harness.py", "fit_rate"): "LAPACK lstsq, as the README says",
+}
+_BLAS_FUNCTIONS = {"dot", "matmul", "einsum", "linalg"}
+
+
+def _blas_sites(tree: ast.Module) -> list[tuple[str | None, int, str]]:
+    """The enclosing top-level definition (None outside one), line and kind of each BLAS or
+    LAPACK call in ``tree``: ``@`` and ``@=``, any attribute ``dot``, ``matmul``, ``einsum``
+    or ``linalg`` (``np.dot``, ``a.dot``, ``np.linalg.lstsq``), and an import of one of them
+    from numpy."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                sites.append((owner, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in _BLAS_FUNCTIONS:
+                sites.append((owner, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") and (
+                node.module.startswith("numpy.linalg")
+                or _BLAS_FUNCTIONS & {alias.name for alias in node.names}
+            ):
+                sites.append((owner, node.lineno, f"from {node.module} import"))
+    return sites
+
+
+def test_every_blas_call_of_the_package_has_a_reason():
+    found = {
+        (path.name, owner)
+        for path in PACKAGE
+        for owner, _, _ in _blas_sites(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set(BLAS_SITES)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("x = a @ b", [(None, 1, "@")]),
+        ("def f(a, b):\n    a @= b", [("f", 2, "@")]),
+        ("def g(a):\n    return np.dot(a, a)", [("g", 2, "dot")]),
+        ("y = numpy.matmul(a, b)", [(None, 1, "matmul")]),
+        ("def k(a):\n    return a.dot(a.T)", [("k", 2, "dot")]),
+        ("class C:\n    def m(self, a):\n        return np.einsum('ij->', a)", [("C", 3, "einsum")]),
+        ("def h(a, y):\n    return np.linalg.lstsq(a, y)[0]", [("h", 2, "linalg")]),
+        ("solve = np.linalg.solve", [(None, 1, "linalg")]),
+        ("from numpy.linalg import norm", [(None, 1, "from numpy.linalg import")]),
+        ("from numpy import dot, sum", [(None, 1, "from numpy import")]),
+        ("from numpy import sum\ndef q(a):\n    return a * a.T + np.sum(a ** 2)", []),
+    ],
+)
+def test_the_blas_guard_finds_each_kind_of_call(source, found):
+    assert _blas_sites(ast.parse(source)) == found

@@ -145,6 +145,14 @@ def test_fit_rejects_bad_input():
         fit_rate([(1e-2, 0.5), (-1e-3, 0.1)])
 
 
+def test_fit_rejects_points_that_share_one_delta():
+    # one delta gives a rank-1 system, whose least-squares slope is only the minimum-norm one
+    for points in ([(1e-3, 0.5), (1e-3, 0.1)], [(2.0, 1.0)] * 5):
+        with pytest.raises(ValueError, match="^rate fit needs at least 2 distinct deltas$"):
+            fit_rate(points)
+    assert fit_rate([(1e-3, 0.5), (1e-3, 0.1), (1e-4, 0.05)]).slope > 0
+
+
 # ---------------------------------------------------------------------------
 # convergence studies
 
@@ -608,3 +616,13 @@ def test_radius_study_needs_enough_points():
         run_radius_study([8, 16], ClassParams(2, 6), 2, 1, 2.0)
     with pytest.raises(ValueError):
         run_radius_study([2, 8, 16, 32], ClassParams(2, 6), 2, 1, 2.0)
+
+
+@pytest.mark.parametrize("n_values, repeated", [
+    ([8, 8, 8, 8], "8"),
+    ([8, 16, 16, 32], "16"),  # four sizes, but only three distinct ones
+    ([64, 8, 32, 8, 64], "8, 64"),
+])
+def test_radius_study_refuses_repeated_band_sizes(n_values, repeated):
+    with pytest.raises(ValueError, match=f"^band sizes must be distinct; repeated: {repeated}$"):
+        run_radius_study(n_values, ClassParams(2, 3), 1, 1, 2.0)

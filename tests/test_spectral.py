@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hcderiv.cross import build_cross
 from hcderiv import spectral
-from hcderiv.legendre import eval_phi, phi_vandermonde
+from hcderiv.legendre import _weights, eval_phi, phi_vandermonde
 from hcderiv.spectral import (
     ClassParams,
     CoeffGrid,
@@ -426,9 +426,40 @@ def test_kept_reference_errors_equal_the_one_shot_norms(case):
     assert error_c == sup_norm_on_grid(diff, resolution)
     if diff.max_index() is not None:
         # the fixed-order max over every sample, screened by nothing
-        vt, vu, _ = spectral._samples(diff.array.shape, resolution)
+        vt, vu = spectral._samples(diff.array.shape, resolution)
         rows, cols = np.divmod(np.arange(len(vt) * len(vu)), len(vu))
         assert error_c == spectral._fixed_order_abs_max(vt, diff.array, vu, rows, cols)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 17, 129, 257, 1025])
+def test_the_largest_sample_of_each_degree_is_its_weight(resolution, monkeypatch):
+    # max_i |phi_k(t_i)| = phi_k(1) = sqrt(k + 1/2) bit for bit, up to degree 4096: the
+    # screen's weight needs only >=, but equality keeps every screen's candidates the same
+    monkeypatch.setattr(spectral, "_SAMPLE_BASIS", {})  # keep no 4097-column basis after
+    vt, _ = spectral._samples((4097, 4097), resolution)
+    colmax = np.maximum(vt.max(axis=0), -vt.min(axis=0))
+    assert colmax.tobytes() == _weights(4097).tobytes()
+
+
+def test_a_reference_builds_its_screen_on_its_first_uncertified_difference(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=23))
+    exact = CoeffGrid(rng.standard_normal((12, 9)))
+    approx = CoeffGrid(exact.array + 1e-3 * rng.standard_normal((12, 9)))
+    assert spectral._corner_bound(exact.array) is None
+    screens = []
+
+    def recording_screen(a, resolution):
+        screens.append(a.shape)
+        return sample_screen(a, resolution)
+
+    sample_screen = spectral._sample_screen
+    monkeypatch.setattr(spectral, "_sample_screen", recording_screen)
+    reference = spectral._ErrorReference(exact, 17)
+    assert reference.errors(exact) == (0.0, 0.0)
+    assert screens == []  # neither the uncertified E nor an empty D builds it
+    first = reference.errors(approx)
+    assert screens == [(12, 9), (12, 9)]  # E's screen, then A's
+    assert reference.errors(approx) == first and len(screens) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +499,7 @@ def _decimal_corner_sum(d):
 
 def _every_sample_max(a, resolution):
     """The fixed-order max over every sample, screened by nothing."""
-    vt, vu, _ = spectral._samples(a.shape, resolution)
+    vt, vu = spectral._samples(a.shape, resolution)
     rows, cols = np.divmod(np.arange(len(vt) * len(vu)), len(vu))
     return spectral._fixed_order_abs_max(vt, a, vu, rows, cols)
 
@@ -502,7 +533,7 @@ def test_corner_certificates_of_edge_shapes():
     assert spectral._corner_bound(d) == pytest.approx(
         float(_decimal_corner_sum(d)), rel=1e-15
     )
-    # every corner fails past the leading blocks: one entry breaks the one that held there
+    # every corner fails past the leading block: one entry breaks the one that held there
     for at in [(7, 8), (39, 38)]:
         d = np.ones((40, 40))
         d[at] = -1e-300
@@ -521,6 +552,8 @@ def test_mixed_signs_take_the_screened_path(shape, seed, monkeypatch):
         d[0, 0], d[(2, 0) if shape[0] > 2 else (0, 2)] = 1.0, -1.0
     grid = CoeffGrid(d)
     assert spectral._corner_bound(grid.array) is None
+    # the screen weight, summed over |d| without a second temporary, is the corner sum of |d|
+    assert spectral._abs_corner_sum(d) == spectral._corner_sum(np.abs(d))
     screens = []
 
     def recording_screen(a, resolution):
