@@ -195,16 +195,17 @@ def _report(
 def verify_lower_bound_C(w: WitnessPair) -> BoundReport:
     """Check |f1^(r1,r2)(1,1)| >= c_bar * N^(-mu + 2 r1 - 1/s + 3/2).
 
-    The value is |sum_kj d_kj sqrt(k + 1/2) sqrt(j + 1/2)| over the
-    coefficients d of f1^(r1,r2), since phi_k(1) = sqrt(k + 1/2), summed
-    in the one fixed order of ``spectral._corner_sum`` with no BLAS
-    call.  An empty grid gives 0.0.  This is within a few units of
-    roundoff of the exact sum, where a Clenshaw recurrence at t = 1
-    loses digits as the band grows (``synth_eval``).  The coefficients
-    d are nonnegative, so it is also the exact sup of |f1^(r1,r2)|, bit
-    for bit the certified sup norm of ``spectral._corner_bound``.
+    The value is sum_kj d_kj sqrt(k + 1/2) sqrt(j + 1/2) over the
+    coefficients d of f1^(r1,r2), since phi_k(1) = sqrt(k + 1/2).  The
+    coefficients d are nonnegative, so it is ``spectral._corner_sum(d)``,
+    the sum of |d_kj| sqrt(k + 1/2) sqrt(j + 1/2) in one fixed order with
+    no BLAS call, and also the exact sup of |f1^(r1,r2)|, bit for bit the
+    certified sup norm of ``spectral._corner_bound``.  An empty grid
+    gives 0.0.  This is within a few units of roundoff of the exact sum,
+    where a Clenshaw recurrence at t = 1 loses digits as the band grows
+    (``synth_eval``).
     """
-    measured = abs(_corner_sum(w.f1_derivative.array))
+    measured = _corner_sum(w.f1_derivative.array)
     return _report(w, "c", measured, w.c_bar, 1.5)
 
 

@@ -321,30 +321,25 @@ def _samples(shape: tuple[int, int], resolution: int) -> tuple[np.ndarray, np.nd
 def _sample_screen(a: np.ndarray, resolution: int) -> tuple[np.ndarray, float]:
     """The BLAS product Vt a Vu^T and the weight W = sum_kj |a_kj| w_k w_j.
 
-    W is ``_abs_corner_sum(a)``, with w_k = sqrt(k + 1/2) >= max_i
+    W is ``_corner_sum(a)``, with w_k = sqrt(k + 1/2) >= max_i
     |Vt[i, k]|; it needs no BLAS.  The product has one row (column) for
     an axis of ``a`` with at most one coefficient and ``resolution``
     otherwise, so the screens of two arrays broadcast against each other.
     """
     vt, vu = _samples(a.shape, resolution)
-    return vt @ a @ vu.T, _abs_corner_sum(a)
+    return vt @ a @ vu.T, _corner_sum(a)
 
 
 def _corner_sum(d: np.ndarray) -> float:
-    """sum_kj d_kj sqrt(k + 1/2) sqrt(j + 1/2), the value at the corner (1, 1).
+    """T = sum_kj |d_kj| sqrt(k + 1/2) sqrt(j + 1/2), the value at the corner (1, 1) of |d|.
 
     phi_k(1) = sqrt(k + 1/2) exactly.  The sum runs in one fixed order
-    with no BLAS call: np.sum row sums of d_kj sqrt(j + 1/2) over the
+    with no BLAS call: np.sum row sums of |d_kj| sqrt(j + 1/2) over the
     contiguous j axis, then one np.sum of those row sums times
-    sqrt(k + 1/2).  An empty array gives 0.0.
+    sqrt(k + 1/2).  |d_kj w_j| = |d_kj| w_j exactly, so the magnitudes
+    are taken in place, in the one temporary d w.  An empty array gives
+    0.0.
     """
-    rows = (d * _weights(d.shape[1])).sum(axis=1)
-    return float(np.sum(rows * _weights(d.shape[0])))
-
-
-def _abs_corner_sum(d: np.ndarray) -> float:
-    """T = sum_kj |d_kj| sqrt(k + 1/2) sqrt(j + 1/2): ``_corner_sum`` of |d| bit for bit,
-    since |d_kj w_j| = |d_kj| w_j exactly, with one temporary the size of ``d``, not two."""
     scaled = d * _weights(d.shape[1])
     rows = np.abs(scaled, out=scaled).sum(axis=1)
     return float(np.sum(rows * _weights(d.shape[0])))
@@ -394,12 +389,12 @@ def _corner_bound(d: np.ndarray) -> float | None:
     The signs of the leading ``_LEAD`` x ``_LEAD`` block are read first, as
     Python scalars, then those of the whole array from the extremes of
     its four (k, j) parity classes; a block that certifies no corner
-    returns None.  T is ``_abs_corner_sum(d)``.  Zeros of either sign
+    returns None.  T is ``_corner_sum(d)``.  Zeros of either sign
     are absent entries.
     """
     if not (_certifies(*_lead_signs(d[:_LEAD, :_LEAD].tolist())) and _certifies(*_class_signs(d))):
         return None
-    return _abs_corner_sum(d)
+    return _corner_sum(d)
 
 
 def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
@@ -438,7 +433,7 @@ class _ErrorReference:
     exact sup.  The sample grid holds all four corners, and the
     recurrence gives phi_k(+-1) there exactly, so the fixed-order sample
     at that corner is +-T bit for bit: each of its products and partial
-    sums is the matching one of ``_corner_sum(|D|)``, negated or not.
+    sums is the matching one of ``_corner_sum(D)``, negated or not.
     Every other sample is a sum in the same order of products no larger
     in magnitude (the recurrence's values inside (-1, 1) stay below
     phi_k(1) by far more than its rounding), so rounding, being

@@ -106,6 +106,7 @@ def test_sup_measure_is_the_corner_sum_to_roundoff(N, parity, r1, r2):
     # t = 1 is off by up to 4.7e-11 relative at N = 4096
     w = build_witness_pair(N, r1, r2, CLS, parity=parity)
     d = w.f1_derivative.array
+    assert d.min() >= 0.0  # so the corner sum of |d| is the signed sum
     half = Decimal("0.5")
     with localcontext() as ctx:
         ctx.prec = 50

@@ -552,8 +552,6 @@ def test_mixed_signs_take_the_screened_path(shape, seed, monkeypatch):
         d[0, 0], d[(2, 0) if shape[0] > 2 else (0, 2)] = 1.0, -1.0
     grid = CoeffGrid(d)
     assert spectral._corner_bound(grid.array) is None
-    # the screen weight, summed over |d| without a second temporary, is the corner sum of |d|
-    assert spectral._abs_corner_sum(d) == spectral._corner_sum(np.abs(d))
     screens = []
 
     def recording_screen(a, resolution):
