@@ -159,10 +159,8 @@ def synthesize_class_function(cls: ClassParams, profile: DecayProfile, seed: int
     """
     rng = _rng(seed)
     kk = np.maximum(1, np.arange(profile.kmax + 1)).astype(float)
-    mags = np.outer(
-        kk ** (-(cls.mu + 1.0 / cls.s + profile.epsilon)),
-        kk ** (-(cls.mu + 1.0 / cls.s + profile.epsilon)),
-    )
+    decay = kk ** (-(cls.mu + 1.0 / cls.s + profile.epsilon))
+    mags = np.outer(decay, decay)
     mags = mags * (rng.integers(0, 2, size=mags.shape) * 2 - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.outer(kk, kk) ** (cls.s * cls.mu)

@@ -252,12 +252,10 @@ def mixed_derivative_coeffs(c: CoeffGrid, r1: int, r2: int) -> CoeffGrid:
     Differentiates r1 times along the k axis (each fixed-j column) and
     then r2 times along the j axis (each fixed-k row), both in
     coefficient space; source entries with k < r1 or j < r2 contribute
-    nothing.  The empty grid is returned as its own derivative.
+    nothing, so the derivative of the empty grid is empty.
     """
     if r1 < 1 or r2 < 1:
         raise ValueError("derivative orders r1, r2 must be >= 1")
-    if not c.array.size:
-        return c
     along_k = differentiate_coeffs(c.array.T, r1).T
     return CoeffGrid._adopt(differentiate_coeffs(along_k, r2))
 
@@ -271,24 +269,19 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 _SAMPLE_BASIS: dict[int, np.ndarray] = {}
 
 
-def _fixed_order_abs_max(
-    vt: np.ndarray, a: np.ndarray, vu: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> float:
-    """max |sum_k vt[i, k] sum_j a[k, j] vu[l, j]| over the pairs (i, l) = (rows[n], cols[n]).
+def _fixed_order_abs_max(vt: np.ndarray, a: np.ndarray, vu: np.ndarray, keep: np.ndarray) -> float:
+    """max |sum_k vt[i, k] sum_j a[k, j] vu[l, j]| over the samples (i, l) where keep[i, l].
 
     Every value is summed in one fixed order without BLAS: the products
     a[k, j] vu[l, j] are summed over j along each row k, then the
     products vt[i, k] times those row sums are summed over k, each sum
     a numpy np.sum over a contiguous axis.  The row sums are formed once
-    per sample column l.
+    per sample column l that holds a kept sample.
     """
-    t_of_u: dict[int, list[int]] = {}
-    for i, l in zip(rows.tolist(), cols.tolist()):
-        t_of_u.setdefault(l, []).append(i)
     best = 0.0
-    for l, ts in t_of_u.items():
+    for l in np.flatnonzero(keep.any(axis=0)):
         row_sums = (a * vu[l]).sum(axis=1)
-        best = max(best, float(np.max(np.abs((vt[ts] * row_sums).sum(axis=1)))))
+        best = max(best, float(np.max(np.abs((vt[keep[:, l]] * row_sums).sum(axis=1)))))
     return best
 
 
@@ -298,7 +291,10 @@ def _samples(shape: tuple[int, int], resolution: int) -> tuple[np.ndarray, np.nd
     No sample exceeds phi_k(1) = sqrt(k + 1/2) in magnitude, the weight
     w_k of the screen and of the corner certificate, and the samples at
     t = +-1 reach it.  An axis with at most one coefficient is sampled
-    once: phi_0 is constant, so its samples are equal.  One V is kept,
+    once: phi_0 is constant, so its samples are equal.  That keeps the
+    screen of the empty reference behind ``sup_norm_on_grid`` at 1 x 1:
+    with ``resolution`` rows and columns it would be a third full-size
+    array beside S_A and S_A - S_E in the error step.  One V is kept,
     built for the largest degree asked for at the current resolution; a
     smaller degree gets a column slice of it, equal bit for bit to the
     smaller matrix because the recurrence builds each column from the
@@ -345,8 +341,8 @@ def _corner_sum(d: np.ndarray) -> float:
     return float(np.sum(rows * _weights(d.shape[0])))
 
 
-# the leading block of a difference whose signs are read, as Python scalars, before the
-# whole array's: a noisy difference fails every corner there and pays no pass over the array
+# the leading block of a difference whose signs are read before the whole array's: a
+# noisy difference fails every corner there and pays no pass over the array
 _LEAD = 4
 # the parity classes 2 (k % 2) + (j % 2) whose entries must be negative, as a 4-bit mask,
 # for each corner (s1, s2) and each sign that d_kj s1^k s2^j may share
@@ -357,18 +353,6 @@ def _certifies(positive: int, negative: int) -> bool:
     """Whether the signs of a block certify a corner: ``positive`` and ``negative`` are the
     4-bit masks of the parity classes that hold a positive and a negative entry."""
     return any(not (negative & ~mask or positive & mask) for mask in _CORNER_MASKS)
-
-
-def _lead_signs(lead: list[list[float]]) -> tuple[int, int]:
-    """The class masks of ``_certifies`` for a block given as Python scalars."""
-    positive = negative = 0
-    for k, row in enumerate(lead):
-        for j, x in enumerate(row):
-            if x > 0.0:
-                positive |= 1 << (2 * (k & 1) + (j & 1))
-            elif x < 0.0:
-                negative |= 1 << (2 * (k & 1) + (j & 1))
-    return positive, negative
 
 
 def _class_signs(d: np.ndarray) -> tuple[int, int]:
@@ -386,13 +370,13 @@ def _corner_bound(d: np.ndarray) -> float | None:
     """The exact sup T = sum_kj |d_kj| sqrt(k + 1/2) sqrt(j + 1/2) of the grid ``d`` when its
     signs certify a corner (see ``_ErrorReference``), and None otherwise.
 
-    The signs of the leading ``_LEAD`` x ``_LEAD`` block are read first, as
-    Python scalars, then those of the whole array from the extremes of
-    its four (k, j) parity classes; a block that certifies no corner
-    returns None.  T is ``_corner_sum(d)``.  Zeros of either sign
-    are absent entries.
+    The signs of the leading ``_LEAD`` x ``_LEAD`` block are read first,
+    then those of the whole array, each from the extremes of its four
+    (k, j) parity classes; a block that certifies no corner returns
+    None.  T is ``_corner_sum(d)``.  Zeros of either sign are absent
+    entries.
     """
-    if not (_certifies(*_lead_signs(d[:_LEAD, :_LEAD].tolist())) and _certifies(*_class_signs(d))):
+    if not (_certifies(*_class_signs(d[:_LEAD, :_LEAD])) and _certifies(*_class_signs(d))):
         return None
     return _corner_sum(d)
 
@@ -440,7 +424,9 @@ class _ErrorReference:
     monotone, keeps it at most T.  A certified D thus gives the
     fixed-order maximum over every sample without sampling
     (``_corner_bound``), and only an uncertified D takes the screened
-    path below.  An empty A makes D = -E, which reuses E's certificate.
+    path below.  Every D is checked so, whatever A is: an empty D (A = E)
+    is certified with T = 0, and D = -E (an empty A) exactly when E is,
+    with E's T.
 
     When the screen is built.  Every reference builds it on the first
     call whose D is not certified, and never before.  That fill is
@@ -482,13 +468,12 @@ class _ErrorReference:
     u (M + 4B), and M <= 1.01 W).
     """
 
-    __slots__ = ("exact", "resolution", "_corner", "_kept")
+    __slots__ = ("exact", "resolution", "_kept")
 
     def __init__(self, exact: CoeffGrid, resolution: int):
         self.check_resolution(resolution)
         self.exact = exact
         self.resolution = resolution
-        self._corner = _corner_bound(exact.array)
         self._kept = None  # (S_E, W_E), built by the first uncertified difference
 
     @staticmethod
@@ -503,10 +488,8 @@ class _ErrorReference:
         """L2 (Parseval) and sup norms of ``approx - exact``: the sup is T where the
         difference certifies a corner, and otherwise its largest sample."""
         diff = approx - self.exact
-        if diff.max_index() is None:
-            return 0.0, 0.0
         error_l2 = parseval_l2_norm(diff)
-        corner = self._corner if not approx.array.size else _corner_bound(diff.array)
+        corner = _corner_bound(diff.array)
         if corner is not None:
             return error_l2, corner
         if self._kept is None:
@@ -519,11 +502,13 @@ class _ErrorReference:
         underflow = (n1 + 1) * (n2 + 1) * (1.0 + float(np.sqrt(max(n1, n2) - 0.5))) * _TINY
         bound = 1.01 * gamma * (weight + weight_e) + 2.0 * underflow
         vt, vu = _samples(diff.array.shape, self.resolution)
-        # S_A is dropped once S_A - S_E exists, and |S| is taken in place
+        # S_A is dropped once S_A - S_E exists, |S| is taken in place, and S is dropped
+        # once the candidates are marked, before the fixed-order sums form their temporaries
         screen = (screen - screen_e)[: len(vt), : len(vu)]
         np.abs(screen, out=screen)
-        rows, cols = np.nonzero(screen >= screen.max() - 4.0 * bound)
-        return error_l2, _fixed_order_abs_max(vt, diff.array, vu, rows, cols)
+        keep = screen >= screen.max() - 4.0 * bound
+        del screen
+        return error_l2, _fixed_order_abs_max(vt, diff.array, vu, keep)
 
 
 def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:

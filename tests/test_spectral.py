@@ -371,8 +371,8 @@ def test_sup_norm_within_its_bound_of_the_exact_sample_max(grid, resolution):
     assert abs(Fraction(result) - exact) <= bound
 
     # the screen changes nothing: the result is the fixed-order max over every sample
-    rows, cols = np.divmod(np.arange(resolution**2), resolution)
-    assert result == spectral._fixed_order_abs_max(vt, a, vu, rows, cols)
+    every = np.ones((resolution, resolution), dtype=bool)
+    assert result == spectral._fixed_order_abs_max(vt, a, vu, every)
 
 
 @st.composite
@@ -427,8 +427,8 @@ def test_kept_reference_errors_equal_the_one_shot_norms(case):
     if diff.max_index() is not None:
         # the fixed-order max over every sample, screened by nothing
         vt, vu = spectral._samples(diff.array.shape, resolution)
-        rows, cols = np.divmod(np.arange(len(vt) * len(vu)), len(vu))
-        assert error_c == spectral._fixed_order_abs_max(vt, diff.array, vu, rows, cols)
+        every = np.ones((len(vt), len(vu)), dtype=bool)
+        assert error_c == spectral._fixed_order_abs_max(vt, diff.array, vu, every)
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 17, 129, 257, 1025])
@@ -500,8 +500,7 @@ def _decimal_corner_sum(d):
 def _every_sample_max(a, resolution):
     """The fixed-order max over every sample, screened by nothing."""
     vt, vu = spectral._samples(a.shape, resolution)
-    rows, cols = np.divmod(np.arange(len(vt) * len(vu)), len(vu))
-    return spectral._fixed_order_abs_max(vt, a, vu, rows, cols)
+    return spectral._fixed_order_abs_max(vt, a, vu, np.ones((len(vt), len(vu)), dtype=bool))
 
 
 @pytest.mark.parametrize("corner", _CORNERS)
@@ -565,15 +564,48 @@ def test_mixed_signs_take_the_screened_path(shape, seed, monkeypatch):
     assert result == _every_sample_max(grid.array, 17)
 
 
-def test_a_difference_that_is_minus_the_reference_reuses_its_certificate(monkeypatch):
+def test_a_difference_that_is_minus_the_reference_has_the_norms_of_the_reference():
     exact = CoeffGrid(_corner_grid(5, (30, 20), (-1, 1)))
-    reference = spectral._ErrorReference(exact, 33)
-    calls = []
-    monkeypatch.setattr(spectral, "_corner_bound", lambda d: calls.append(d.shape))
-    error_l2, error_c = reference.errors(CoeffGrid())
-    assert calls == [] and error_c == reference._corner
+    error_l2, error_c = spectral._ErrorReference(exact, 33).errors(CoeffGrid())
     assert error_l2 == parseval_l2_norm(exact)
+    assert error_c == spectral._corner_bound(exact.array)
     assert error_c == _every_sample_max(exact.array, 33)
+
+
+_SIGNED_ENTRIES = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+
+
+@st.composite
+def _signed_block(draw):
+    """An array of up to 6 x 6 entries from ``_SIGNED_ENTRIES``: drawn freely, or with the
+    signs of one corner's pattern, of either sign, and then perhaps one entry negated."""
+    shape = draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    entries = st.lists(st.sampled_from(_SIGNED_ENTRIES), min_size=shape[0] * shape[1],
+                       max_size=shape[0] * shape[1])
+    d = np.array(draw(entries), dtype=float).reshape(shape)
+    if draw(st.booleans()):
+        s1, s2 = draw(st.sampled_from(_CORNERS))
+        pattern = np.outer(float(s1) ** np.arange(shape[0]), float(s2) ** np.arange(shape[1]))
+        d = np.abs(d) * pattern * draw(st.sampled_from([1.0, -1.0]))
+        if d.size and draw(st.booleans()):
+            at = np.unravel_index(draw(st.integers(0, d.size - 1)), shape)
+            d[at] = -d[at]
+    return d
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_signed_block())
+@example(np.zeros((0, 0)))
+@example(np.array([[-0.0, 0.0], [0.0, -0.0]]))
+@example(np.ones((6, 6)))
+def test_corner_bound_follows_the_four_corner_sign_rule(d):
+    # certified iff, at some corner (s1, s2), d_kj s1^k s2^j has one sign over every
+    # nonzero entry, inside the 4 x 4 leading block and past it
+    certified = any(
+        len({x * s1**k * s2**j > 0.0 for (k, j), x in np.ndenumerate(d) if x}) <= 1
+        for s1, s2 in _CORNERS
+    )
+    assert spectral._corner_bound(d) == (spectral._corner_sum(d) if certified else None)
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
