@@ -89,9 +89,25 @@ def eval_phi_derivative(k: int, r: int, t: float) -> float:
     return math.sqrt(k + 0.5) * cur[r]
 
 
+# the one weight vector kept between calls, sqrt(k + 1/2) for 0 <= k < its length, read-only
+_WEIGHTS: list[np.ndarray] = [np.empty(0)]
+_WEIGHTS[0].flags.writeable = False
+
+
 def _weights(n: int) -> np.ndarray:
-    """sqrt(k + 1/2) for 0 <= k < n."""
-    return np.sqrt(np.arange(0.5, n))
+    """sqrt(k + 1/2) for 0 <= k < n, a read-only slice of the kept vector.
+
+    The kept vector is rebuilt, at length n, only when a longer one is
+    asked for.  ``np.arange(0.5, n)`` holds the halves exactly and
+    ``np.sqrt`` rounds correctly, so every slice has the bits of
+    ``np.sqrt(np.arange(0.5, n))``.
+    """
+    w = _WEIGHTS[0]
+    if n > w.size:
+        w = np.sqrt(np.arange(0.5, n))
+        w.flags.writeable = False
+        _WEIGHTS[0] = w
+    return w[:n]
 
 
 def differentiate_coeffs(a: np.ndarray, r: int = 1) -> np.ndarray:
@@ -105,8 +121,11 @@ def differentiate_coeffs(a: np.ndarray, r: int = 1) -> np.ndarray:
 
     computed as a reverse cumulative sum over each parity class of k, so
     the tail sums accumulate from the top index down, one term at a time.
-    Each sum is written straight into the result and scaled there, so a
-    derivative holds one input-sized temporary besides its result.
+    A class that holds a single term is copied instead, since the sum of
+    one term is that term (-0.0 included), and numpy would run its
+    cumulative sum as one inner loop per row.  Each sum is written
+    straight into the result and scaled there, so a derivative holds one
+    input-sized temporary besides its result.
     """
     if r < 0:
         raise ValueError("derivative order r must be >= 0")
@@ -120,7 +139,11 @@ def differentiate_coeffs(a: np.ndarray, r: int = 1) -> np.ndarray:
         tails = np.empty(a.shape[:-1] + (size - 1,))
         # tails over odd k >= 1 feed even l = k - 1; tails over even k >= 2 feed odd l
         for first, out in ((1, tails[..., 0::2]), (2, tails[..., 1::2])):
-            np.cumsum(scaled[..., first::2][..., ::-1], axis=-1, out=out[..., ::-1])
+            terms = scaled[..., first::2][..., ::-1]
+            if terms.shape[-1] == 1:
+                out[...] = terms
+            else:
+                np.cumsum(terms, axis=-1, out=out[..., ::-1])
         del scaled
         tails *= 2.0 * w[:-1]
         a = tails

@@ -94,7 +94,19 @@ class BoundReport:
 
 
 def _c_tilde(cls: ClassParams) -> float:
-    return (1.0 + 4.0 ** (cls.s * cls.mu)) ** (-1.0 / cls.s)
+    """(1 + 4^(s mu))^(-1/s), with 4^mu factored out where 4^(s mu) overflows.
+
+    A value that underflows to 0.0 is refused: every bound and band
+    value is a multiple of it.
+    """
+    s, mu = cls.s, cls.mu
+    try:
+        c_tilde = (1.0 + 4.0 ** (s * mu)) ** (-1.0 / s)
+    except OverflowError:
+        c_tilde = 4.0**-mu * (1.0 + 4.0 ** -(s * mu)) ** (-1.0 / s)
+    if c_tilde == 0.0:
+        raise ValueError(f"c_tilde underflows to 0.0 at s={s!r}, mu={mu!r}")
+    return c_tilde
 
 
 def build_witness_pair(
@@ -109,9 +121,13 @@ def build_witness_pair(
 
     Selects the N smallest k in [N + r1, 3N + r1] whose (k, r2) is not
     in ``cross``, if one is given.  ``parity`` may prefer "even" or
-    "odd" band indices first (topping up with the other parity when
-    short); the default "any" takes the smallest indices outright.  An
-    f1 array, (3N + r1 + 1) x (r2 + 1), over 2**26 cells is refused first.
+    "odd" band indices first; the default "any" takes the smallest
+    indices outright.  A preferred parity takes its first N indices
+    as they stand, already in k order, and sorts only when it is short
+    and tops up with the other parity, which only a cross can make
+    happen: the band's 2N + 1 indices hold N or N + 1 of each parity.
+    An f1 array, (3N + r1 + 1) x (r2 + 1), over 2**26 cells is refused
+    first, and so is a band value that underflows to 0.0.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -131,11 +147,22 @@ def build_witness_pair(
         )
     if parity == "any":
         selected = admissible[:N]
-    else:  # the preferred parity in k order, topped up with the other, then back in k order
-        preferred = admissible % 2 == (parity == "odd")
-        selected = np.sort(np.concatenate((admissible[preferred], admissible[~preferred]))[:N])
+    else:
+        # compress reads an alternating mask faster than a boolean index does
+        preferred = (admissible & 1) == (parity == "odd")
+        selected = admissible.compress(preferred)[:N]
+        if selected.size < N:  # topped up with the other parity, then back in k order
+            other = admissible.compress(~preferred)[: N - selected.size]
+            selected = np.sort(np.concatenate((selected, other)))
     c_tilde = _c_tilde(cls)
-    value = c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu
+    try:
+        value = c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu
+    except OverflowError:  # r2^mu is past the double range, so the value is below it
+        value = 0.0
+    if value == 0.0:
+        raise ValueError(
+            f"the witness band value underflows to 0.0 at N={N}, s={cls.s!r}, mu={cls.mu!r}"
+        )
     f2 = CoeffGrid._adopt(np.full((1, 1), c_tilde))
     band_rows = np.zeros((selected[-1] + 1, r2 + 1))
     band_rows[0, 0] = c_tilde
@@ -182,6 +209,11 @@ def _report(
 ) -> BoundReport:
     """Compare ``measured`` with constant * N^(-mu + 2 r1 - 1/s + extra)."""
     bound = constant * w.N ** (-w.cls.mu + 2 * w.r1 - 1.0 / w.cls.s + extra)
+    if bound == 0.0:
+        raise ValueError(
+            f"the lower bound of metric {metric} underflows to 0.0 at N={w.N}, "
+            f"s={w.cls.s!r}, mu={w.cls.mu!r}"
+        )
     return BoundReport(
         metric=metric,
         N=w.N,
@@ -224,7 +256,11 @@ def min_N_for_delta(delta: float, p: float, cls: ClassParams, r2: int) -> float:
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return (r2**cls.mu * delta / _c_tilde(cls)) ** (-1.0 / (cls.mu + 1.0 / cls.s - _inv(p)))
+    c_tilde = _c_tilde(cls)
+    try:
+        return (r2**cls.mu * delta / c_tilde) ** (-1.0 / (cls.mu + 1.0 / cls.s - _inv(p)))
+    except OverflowError:  # r2^mu is past the double range: every band size fits
+        return 0.0
 
 
 def witness_for_cross(

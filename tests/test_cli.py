@@ -142,6 +142,34 @@ def test_diff_witness_noise(tmp_path, poly_grid):
     assert sidecar["noise"]["norm"] <= 1e-3 * (1 + 1e-12)
 
 
+def test_diff_witness_noise_where_4_to_the_s_mu_overflows(tmp_path, poly_grid):
+    # c_tilde = 4^-300 (1 + 4^-600)^(-1/2) = 2^-600, and the band of N = 1 is that far off
+    out = tmp_path / "w.grid"
+    code = run(
+        "diff", poly_grid, "--r1", 1, "--r2", 1, "--delta", "1e-3", "--mu", 300,
+        "--noise", "witness", "--out", out,
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "w.grid.json").read_text())["noise"]["norm"] == 2.0**-600
+
+
+@pytest.mark.parametrize("r, delta, mu, line", [
+    (1, "1e-300", 300, "error: the witness band value underflows to 0.0 at N=6, s=2.0, mu=300.0\n"),
+    (1, "1e-3", 600, "error: c_tilde underflows to 0.0 at s=2.0, mu=600.0\n"),
+    # r2^mu = 4^520 overflows, so the band value is below the double range
+    (4, "1e-3", 520, "error: the witness band value underflows to 0.0 at N=1, s=2.0, mu=520.0\n"),
+])
+def test_diff_rejects_witness_noise_below_the_double_range(r, delta, mu, line, tmp_path, poly_grid,
+                                                           capsys):
+    code = run(
+        "diff", poly_grid, "--r1", r, "--r2", r, "--delta", delta, "--mu", mu,
+        "--noise", "witness", "--out", tmp_path / "w.grid",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == line
+    assert sorted(os.listdir(tmp_path)) == ["poly.grid"]
+
+
 def test_diff_gamma_override(tmp_path, poly_grid):
     out = tmp_path / "g.grid"
     code = run(
@@ -887,6 +915,25 @@ def test_radius_rejects_a_sup_resolution_over_the_limit(tmp_path, capsys):
                "--out-json", tmp_path / "r.json")
     assert code == 2
     assert capsys.readouterr().err == "error: resolution must be <= 8192, got 1000000\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("options, line", [
+    # 4^(s mu) overflows; c_tilde = 2^-600 and the band value at N = 4 is 2^-1201
+    (["--n-values", "4,5,6,7", "--mu", 300],
+     "error: the witness band value underflows to 0.0 at N=4, s=2.0, mu=300.0\n"),
+    (["--n-values", "8,16,32,64", "--mu", 200],
+     "error: the witness band value underflows to 0.0 at N=16, s=2.0, mu=200.0\n"),
+    # r2^mu = 4^520 overflows
+    (["--n-values", "4,5,6,7", "--r1", 4, "--r2", 4, "--mu", 520],
+     "error: the witness band value underflows to 0.0 at N=4, s=2.0, mu=520.0\n"),
+    # the bound's 1 / (2^r1 r1!) takes it below the double range before the band value
+    (["--n-values", "4,5,6,7", "--r1", 40, "--mu", 260],
+     "error: the lower bound of metric c underflows to 0.0 at N=4, s=2.0, mu=260.0\n"),
+])
+def test_radius_rejects_a_witness_below_the_double_range(options, line, tmp_path, capsys):
+    assert run("radius", *options, "--out-json", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == line
     assert os.listdir(tmp_path) == []
 
 

@@ -332,17 +332,18 @@ def test_synth_eval_matches_at_clenshaw_sizes(size):
 
 
 def test_witness_band_matches():
-    # N, r1, r2 and parity over no cross and six crosses: some block part of
-    # a band, some all of it, and some have a different r2 from the band's
+    # N up to 40, r1, r2 and parity over no cross and eight crosses: some block
+    # part of a band, some all of it, and some have a different r2 from the
+    # band's; the oracle sorts every parity band, the package only a topped-up one
     cls = ClassParams(2, 3)
     crosses = [None] + [
         build_cross(*case)
-        for case in ((5, 1, 1, 1), (13, 1, 1, 1), (40, 1, 1, 1), (100, 1.5, 2, 1), (30, 1, 1, 2),
-                     (60, 2, 3, 1))
+        for case in ((5, 1, 1, 1), (13, 1, 1, 1), (24, 1, 1, 1), (40, 1, 1, 1), (56, 1, 1, 1),
+                     (100, 1.5, 2, 1), (30, 1, 1, 2), (60, 2, 3, 1))
     ]
-    outcomes = []
+    outcomes, topped_up = [], 0
     for cross, N, r1, r2, parity in itertools.product(
-        crosses, (1, 2, 3, 4, 5, 8, 16, 33), (1, 2, 3), (1, 2), ("any", "even", "odd")
+        crosses, (1, 2, 3, 4, 5, 8, 16, 33, 40), (1, 2, 3), (1, 2), ("any", "even", "odd")
     ):
         members = frozenset() if cross is None else frozenset(
             oracle.build_cross(cross.n, cross.gamma, cross.r1, cross.r2))
@@ -360,7 +361,13 @@ def test_witness_band_matches():
         assert w.selected_k == ref
         assert np.array_equal(w.f1.array, oracle.scatter(entries))
         outcomes.append(True)
-    assert len(outcomes) == 1008 and 0 < outcomes.count(False) < 1008
+        # a band with fewer than N slots of the preferred parity is topped up with the other
+        want = {"even": 0, "odd": 1}.get(parity)
+        if want is not None and sum(k % 2 == want for k in ref) < N:
+            assert cross is not None
+            topped_up += 1
+    assert len(outcomes) == 1458 and 0 < outcomes.count(False) < 1458
+    assert topped_up == 93
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,8 @@
 README's library API, no module defines a name twice, every private top-level name of
 the package is used in the package, only ``text.write_text`` writes files, only it
 and the grid reader ``spectral._read_grid`` open one, only the error step reaches
-the sup norm's sample basis, and every BLAS or LAPACK call has a stated reason."""
+the sup norm's sample basis, and every BLAS or LAPACK call, and every float kernel
+that numpy dispatches by CPU, has a stated reason."""
 
 import ast
 import importlib
@@ -311,3 +312,98 @@ def test_every_blas_call_of_the_package_has_a_reason():
 )
 def test_the_blas_guard_finds_each_kind_of_call(source, found):
     assert _blas_sites(ast.parse(source)) == found
+
+
+# every top-level definition of the package (None for module level) that calls a float kernel
+# numpy dispatches by CPU, whose bits may differ between SIMD widths, with the reason no output
+# depends on that, or the change that removes it
+KERNEL_SITES = {
+    ("cross.py", "HyperbolicCross"): "Python float",
+    ("cross.py", "build_cross"): "each row near an integer is recomputed with the Python float **",
+    ("harness.py", None): "Python int",
+    ("harness.py", "_monomial_eval"): "ROADMAP item 6 re-pin: t**a and u**b of the poly registry",
+    ("harness.py", "_exp_sum"): "ROADMAP item 6 re-pin: np.exp",
+    ("harness.py", "synthesize_class_function"): "ROADMAP item 6 re-pin: the decay and weight powers",
+    ("harness.py", "single_term_class_function"): "Python float",
+    ("harness.py", "ExperimentConfig"): "ROADMAP item 6 re-pin: np.geomspace of the sweep deltas",
+    ("harness.py", "fit_rate"): "ROADMAP item 6 re-pin: np.log",
+    ("harness.py", "run_convergence_study"): "Python int",
+    ("lowerbound.py", "_c_tilde"): "Python float, with its overflow fallback",
+    ("lowerbound.py", "build_witness_pair"): "Python float",
+    ("lowerbound.py", "_report"): "Python float",
+    ("lowerbound.py", "min_N_for_delta"): "Python float",
+    ("noise.py", "NoiseSpec"): "Python int",
+    ("spectral.py", None): "Python int",
+    ("spectral.py", "class_norm"): "ROADMAP item 6 re-pin; no output reads it, only tests",
+    ("spectral.py", "_power_norm"): "ROADMAP item 6 re-pin at p not 1, 2 or inf; overflow fallback",
+    ("text.py", None): "Python int",
+    ("text.py", "_tables"): "Python int",
+    ("text.py", "_shortest"): "Python int",
+    ("text.py", "_powers"): "Python int",
+    ("text.py", "_eisel_lemire"): "Python int",
+    ("text.py", "_fold"): "Python int",
+    ("text.py", "_read_block"): "Python int",
+    ("truncation.py", "select_parameters"): "Python float",
+}
+_KERNEL_FUNCTIONS = {"exp", "log", "power", "geomspace"}
+
+
+def _kernel_sites(tree: ast.Module) -> list[tuple[str | None, int, str]]:
+    """The enclosing top-level definition (None outside one), line and kind of each float kernel
+    numpy dispatches by CPU in ``tree``: ``**`` and ``**=`` unless the exponent is a literal 2
+    or 0.5, which numpy computes as a square and a square root, any attribute ``exp``, ``log``,
+    ``power`` or ``geomspace`` of ``np`` or ``numpy``, and an import of one of them from numpy.
+    The AST cannot tell an array from a Python number, so a ``**`` of Python numbers is listed
+    too."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                exponent = node.right if isinstance(node, ast.BinOp) else node.value
+                if not (
+                    isinstance(exponent, ast.Constant)
+                    and type(exponent.value) in (int, float)
+                    and exponent.value in (2, 0.5)
+                ):
+                    sites.append((owner, node.lineno, "**"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in _KERNEL_FUNCTIONS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                sites.append((owner, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") and (
+                _KERNEL_FUNCTIONS & {alias.name for alias in node.names}
+            ):
+                sites.append((owner, node.lineno, f"from {node.module} import"))
+    return sites
+
+
+def test_every_cpu_dispatched_kernel_of_the_package_has_a_reason():
+    found = {
+        (path.name, owner)
+        for path in PACKAGE
+        for owner, _, _ in _kernel_sites(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set(KERNEL_SITES)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("x = a ** 3", [(None, 1, "**")]),
+        ("def f(a):\n    a **= p", [("f", 2, "**")]),
+        ("def g(a):\n    return a ** -1.0", [("g", 2, "**")]),
+        ("y = a ** 2.5 + b ** True", [(None, 1, "**"), (None, 1, "**")]),
+        ("def h(a):\n    return np.exp(a)", [("h", 2, "exp")]),
+        ("class C:\n    def m(self, a):\n        return numpy.log(a)", [("C", 3, "log")]),
+        ("z = np.power(a, b)", [(None, 1, "power")]),
+        ("def d():\n    return np.geomspace(1e-2, 1e-6, 9)", [("d", 2, "geomspace")]),
+        ("from numpy import exp, sum", [(None, 1, "from numpy import")]),
+        ("y = a ** 2 + b ** 2.0 + c ** 0.5\nz = math.exp(a) + math.log(b) + np.sqrt(c)", []),
+    ],
+)
+def test_the_kernel_guard_finds_each_kind_of_kernel(source, found):
+    assert _kernel_sites(ast.parse(source)) == found

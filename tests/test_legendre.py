@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcderiv import legendre
 from hcderiv.legendre import (
+    _weights,
     clenshaw_eval,
+    differentiate_coeffs,
     eval_phi,
     eval_phi_derivative,
     muller_differentiate,
@@ -200,3 +203,49 @@ def test_phi_vandermonde_matches_scalar():
     for i, t in enumerate(pts):
         for k in range(9):
             assert v[i, k] == pytest.approx(eval_phi(k, float(t)), rel=1e-13, abs=1e-13)
+
+
+def test_the_kept_weights_equal_a_fresh_vector_at_every_length(monkeypatch):
+    # the kept vector grows at 5, 4097 and 12290 and is sliced in between
+    # start from an empty kept vector, and keep no 12290-entry one after
+    monkeypatch.setattr(legendre, "_WEIGHTS", [legendre._WEIGHTS[0][:0]])
+    for n in (0, 1, 5, 4097, 3, 12290, 2):
+        w = _weights(n)
+        assert w.tobytes() == np.sqrt(np.arange(0.5, n)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            w[:] = 1.0
+    assert legendre._WEIGHTS[0].size == 12290
+
+
+def _differentiate_by_cumsum(a, r):
+    """The derivative as it was summed before one-term classes were copied: every parity
+    class by np.cumsum, on a fresh weight vector."""
+    for _ in range(r):
+        size = a.shape[-1]
+        if size <= 1:
+            return np.zeros(a.shape[:-1] + (0,))
+        w = np.sqrt(np.arange(0.5, size))
+        scaled = a * w
+        tails = np.empty(a.shape[:-1] + (size - 1,))
+        for first, out in ((1, tails[..., 0::2]), (2, tails[..., 1::2])):
+            np.cumsum(scaled[..., first::2][..., ::-1], axis=-1, out=out[..., ::-1])
+        tails *= 2.0 * w[:-1]
+        a = tails
+    return a
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+@pytest.mark.parametrize("rows", [1, 7, 9000])
+def test_one_term_parity_classes_give_the_bits_of_a_cumulative_sum(r, size, rows):
+    # sizes 2 to 4 hold a one-term class (and size 2 an empty one); -0.0, 0.0 and
+    # subnormals keep their bits, and a transposed view is read as the witness's is
+    rng = np.random.Generator(np.random.Philox(key=size * 10 + r))
+    a = rng.standard_normal((rows, size)) * rng.choice([1.0, 1e-310, 1e300], size=(rows, size))
+    a[rng.random((rows, size)) < 0.2] = -0.0
+    a[rng.random((rows, size)) < 0.2] = 0.0
+    for x in (a, np.asfortranarray(a), np.ascontiguousarray(a.T).T):
+        got = differentiate_coeffs(x, r)
+        want = _differentiate_by_cumsum(x, r)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -9,6 +9,7 @@ import dict_oracle as oracle
 from hcderiv.cross import build_cross
 from hcderiv.lowerbound import (
     WitnessInfeasibleError,
+    _c_tilde,
     build_witness_pair,
     min_N_for_delta,
     verify_lower_bound_C,
@@ -201,3 +202,29 @@ def test_witness_validation():
     # f1 would need a (3 * 2**40 + 2) x 2 array
     with pytest.raises(ValueError, match="exceeds the limit of 67108864 cells"):
         build_witness_pair(2**40, 1, 1, CLS)
+
+
+@pytest.mark.parametrize("s, mu", [(1.0, 2.0), (2.0, 3.0), (1.5, 4.0), (2.0, 200.0), (1.0, 511.0)])
+def test_c_tilde_keeps_the_direct_form_where_it_is_finite(s, mu):
+    assert _c_tilde(ClassParams(s, mu)) == (1.0 + 4.0 ** (s * mu)) ** (-1.0 / s)
+
+
+@pytest.mark.parametrize("s, mu", [(2.0, 300.0), (1.0, 512.0), (3.0, 250.0)])
+def test_c_tilde_factors_out_4_to_the_mu_where_the_direct_form_overflows(s, mu):
+    with pytest.raises(OverflowError):
+        4.0 ** (s * mu)
+    # 4^-(s mu) is below half an ulp of 1, so c_tilde is 4^-mu, a power of two
+    assert _c_tilde(ClassParams(s, mu)) == 2.0 ** (-2 * mu)
+
+
+def test_values_below_the_double_range_are_refused():
+    with pytest.raises(ValueError, match=r"^c_tilde underflows to 0.0 at s=2.0, mu=600.0$"):
+        _c_tilde(ClassParams(2.0, 600.0))
+    with pytest.raises(ValueError, match="band value underflows to 0.0 at N=4, s=2.0, mu=300.0"):
+        build_witness_pair(4, 1, 1, ClassParams(2.0, 300.0))
+    w = build_witness_pair(2, 1, 1, ClassParams(2.0, 300.0))
+    assert verify_lower_bound_C(w).passed and verify_lower_bound_L2(w).passed
+    # at r1 = 40 and N = 4, the bound's 1 / (2^r1 r1!) makes it about 2^-36 times the band value
+    w = build_witness_pair(4, 40, 1, ClassParams(2.0, 260.0))
+    with pytest.raises(ValueError, match="metric c underflows to 0.0 at N=4, s=2.0, mu=260.0"):
+        verify_lower_bound_C(w)
