@@ -385,14 +385,14 @@ def _radius_to_json(study: RadiusStudy, params: dict, digest: str) -> str:
 
 
 def _cmd_radius(args) -> int:
+    _ErrorReference.check_resolution(args.resolution)  # range-checked, though the study reads none
     try:
         n_values = [int(x) for x in args.n_values.split(",") if x.strip()]
     except ValueError:
         print(f"error: cannot parse band sizes {args.n_values!r}", file=sys.stderr)
         return EXIT_INPUT
     cls = ClassParams(s=args.s, mu=args.mu)
-    study = run_radius_study(n_values, cls, args.r1, args.r2, args.p,
-                             sup_resolution=args.resolution)
+    study = run_radius_study(n_values, cls, args.r1, args.r2, args.p)
     echo = {
         "n_values": n_values, "r1": args.r1, "r2": args.r2,
         "s": args.s, "mu": args.mu, "p": _json_safe(args.p),

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -168,20 +169,6 @@ def build_witness_pair(
     band_rows[0, 0] = c_tilde
     band_rows[selected, r2] = value
     f1 = CoeffGrid._adopt(band_rows)
-    c_bar = (
-        c_tilde
-        * math.sqrt(r2 + 0.5)
-        / (2.0 ** (r1 + r2) * r2**cls.mu)
-        * math.factorial(2 * r2)
-        / (math.factorial(r1) * math.factorial(r2))
-    )
-    c_dbar = (
-        c_tilde
-        * math.sqrt(r2 + 0.5)
-        / (2.0 ** (3 * r1 + r2 - 1.5) * r2**cls.mu)
-        * math.factorial(2 * r2)
-        / (math.factorial(r1 - 1) * math.factorial(r2))
-    )
     return WitnessPair(
         f1=f1,
         f2=f2,
@@ -190,8 +177,43 @@ def build_witness_pair(
         r2=r2,
         cls=cls,
         c_tilde=c_tilde,
-        c_bar=c_bar,
-        c_dbar=c_dbar,
+        c_bar=_bound_constant(c_tilde, r2, cls.mu, r1 + r2, r1),
+        c_dbar=_bound_constant(c_tilde, r2, cls.mu, 3 * r1 + r2 - 1.5, r1 - 1),
+    )
+
+
+def _exp2(x: float) -> float:
+    """2^x: inf past the double range, 0.0 or a subnormal below it."""
+    try:
+        return 2.0**x
+    except OverflowError:
+        return math.inf
+
+
+def _bound_constant(c_tilde: float, r2: int, mu: float, twos: float, m: int) -> float:
+    """c_tilde sqrt(r2 + 1/2) / (2^twos r2^mu) * (2 r2)! / (m! r2!).
+
+    This is c_bar at (twos, m) = (r1 + r2, r1) and c_dbar at
+    (3 r1 + r2 - 3/2, r1 - 1).  Where this form overflows or leaves the
+    double range part way, the value is taken in log form, which may come
+    out as 0.0 or inf; ``_report`` refuses both.
+    """
+    try:
+        value = (
+            c_tilde
+            * math.sqrt(r2 + 0.5)
+            / (2.0**twos * r2**mu)
+            * math.factorial(2 * r2)
+            / (math.factorial(m) * math.factorial(r2))
+        )
+    except OverflowError:  # a factorial or 2^twos is past the double range
+        value = math.nan
+    if 0.0 < value < math.inf:
+        return value
+    log_factorials = math.lgamma(2 * r2 + 1) - math.lgamma(m + 1) - math.lgamma(r2 + 1)
+    return _exp2(
+        math.log2(c_tilde) + 0.5 * math.log2(r2 + 0.5) - twos - mu * math.log2(r2)
+        + log_factorials / math.log(2.0)
     )
 
 
@@ -205,15 +227,38 @@ def witness_lp_distance(w: WitnessPair, p: float) -> float:
 
 
 def _report(
-    w: WitnessPair, metric: str, measured: float, constant: float, extra: float
+    w: WitnessPair, metric: str, constant: float, extra: float,
+    measure: Callable[[CoeffGrid], float],
 ) -> BoundReport:
-    """Compare ``measured`` with constant * N^(-mu + 2 r1 - 1/s + extra)."""
-    bound = constant * w.N ** (-w.cls.mu + 2 * w.r1 - 1.0 / w.cls.s + extra)
+    """Compare ``measure`` of f1^(r1,r2) with constant * N^(-mu + 2 r1 - 1/s + extra).
+
+    A constant or bound outside the double range, 0.0 or inf, is refused
+    before the derivative is taken, and so is a derivative or measured
+    value that overflows.
+    """
+    where = f"at N={w.N}, r1={w.r1}, r2={w.r2}, s={w.cls.s!r}, mu={w.cls.mu!r}"
+    if not 0.0 < constant < math.inf:
+        past = "underflows to 0.0" if constant == 0.0 else "overflows"
+        raise ValueError(f"the constant of metric {metric} {past} {where}")
+    exponent = -w.cls.mu + 2 * w.r1 - 1.0 / w.cls.s + extra
+    try:
+        bound = constant * w.N**exponent
+    except OverflowError:  # N^exponent is past the double range; the bound need not be
+        bound = _exp2(math.log2(constant) + exponent * math.log2(w.N))
     if bound == 0.0:
         raise ValueError(
             f"the lower bound of metric {metric} underflows to 0.0 at N={w.N}, "
             f"s={w.cls.s!r}, mu={w.cls.mu!r}"
         )
+    if bound == math.inf:
+        raise ValueError(f"the lower bound of metric {metric} overflows {where}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            measured = float(measure(w.f1_derivative))
+        except ValueError:  # CoeffGrid refuses a derivative that holds inf or nan
+            measured = math.inf
+    if measured == math.inf:
+        raise ValueError(f"the measured value of metric {metric} overflows {where}")
     return BoundReport(
         metric=metric,
         N=w.N,
@@ -237,14 +282,12 @@ def verify_lower_bound_C(w: WitnessPair) -> BoundReport:
     where a Clenshaw recurrence at t = 1 loses digits as the band grows
     (``synth_eval``).
     """
-    measured = _corner_sum(w.f1_derivative.array)
-    return _report(w, "c", measured, w.c_bar, 1.5)
+    return _report(w, "c", w.c_bar, 1.5, lambda d: _corner_sum(d.array))
 
 
 def verify_lower_bound_L2(w: WitnessPair) -> BoundReport:
     """Check ||f1^(r1,r2)||_L2 >= c_dbar * N^(-mu + 2 r1 - 1/s + 1/2)."""
-    measured = parseval_l2_norm(w.f1_derivative)
-    return _report(w, "l2", measured, w.c_dbar, 0.5)
+    return _report(w, "l2", w.c_dbar, 0.5, parseval_l2_norm)
 
 
 def min_N_for_delta(delta: float, p: float, cls: ClassParams, r2: int) -> float:
@@ -252,15 +295,27 @@ def min_N_for_delta(delta: float, p: float, cls: ClassParams, r2: int) -> float:
 
     For N at or above (r2^mu delta / c_tilde)^(-1/(mu + 1/s - 1/p)) the
     coefficient distance of the pair is <= delta, so the two functions
-    are mutually indistinguishable under the perturbation model.
+    are mutually indistinguishable under the perturbation model.  Where
+    this form leaves the double range the threshold is taken in log form;
+    one past the double range is refused.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     c_tilde = _c_tilde(cls)
+    exponent = -1.0 / (cls.mu + 1.0 / cls.s - _inv(p))
     try:
-        return (r2**cls.mu * delta / c_tilde) ** (-1.0 / (cls.mu + 1.0 / cls.s - _inv(p)))
-    except OverflowError:  # r2^mu is past the double range: every band size fits
-        return 0.0
+        threshold = (r2**cls.mu * delta / c_tilde) ** exponent
+    except OverflowError:  # r2^mu or the power is past the double range
+        threshold = math.nan
+    if not 0.0 < threshold < math.inf:  # in log form, where this form left the double range
+        log_base = cls.mu * math.log2(r2) + math.log2(delta) - math.log2(c_tilde)
+        threshold = _exp2(exponent * log_base)
+    if threshold == math.inf:
+        raise ValueError(
+            f"the band-size threshold overflows at delta={delta!r}, p={p!r}, r2={r2}, "
+            f"s={cls.s!r}, mu={cls.mu!r}"
+        )
+    return threshold
 
 
 def witness_for_cross(

@@ -179,7 +179,9 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
     orders take gamma = 1 and e = 1/p - 1/s; distinct orders take the
     midpoint of the leftmost clean interval and e = 0.  A forced gamma
     is kept as given, with e from the exceptional point it sits on, if
-    any: within a relative 1e-9 of the point, on either side.
+    any: within a relative 1e-9 of the point, on either side.  Where
+    1 / delta overflows, ln(1/delta) is read as -ln(delta) and n is taken
+    in log form.
     """
     si.check_admissible()
     if forced_gamma is not None and not forced_gamma >= 1:
@@ -200,7 +202,11 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
         log_exponent = next(near, 0.0)
         if log_exponent != 0.0:
             suffix = "-exceptional"
-    n = (si.delta / max(math.log(1.0 / si.delta), 1.0) ** log_exponent) ** (-1.0 / q)
+    try:
+        n = (si.delta / max(math.log(1.0 / si.delta), 1.0) ** log_exponent) ** (-1.0 / q)
+    except ZeroDivisionError:  # 1 / delta overflows, so the log factor reads 0 or inf
+        log_n = log_exponent * math.log(max(-math.log(si.delta), 1.0)) - math.log(si.delta)
+        n = math.exp(log_n / q)
     return ParameterSelection(n=n, gamma=gamma, case_label=label + suffix)
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import dict_oracle as oracle
 import hcderiv
@@ -930,6 +932,14 @@ def test_radius_rejects_a_sup_resolution_over_the_limit(tmp_path, capsys):
     # the bound's 1 / (2^r1 r1!) takes it below the double range before the band value
     (["--n-values", "4,5,6,7", "--r1", 40, "--mu", 260],
      "error: the lower bound of metric c underflows to 0.0 at N=4, s=2.0, mu=260.0\n"),
+    # r1! is past the double range, so c_bar is taken in log form, where it is below it
+    (["--n-values", "4,5,6,7", "--r1", 400, "--mu", 3],
+     "error: the constant of metric c underflows to 0.0 at N=4, r1=400, r2=1, s=2.0, mu=3.0\n"),
+    (["--n-values", "4,5,6,7", "--r1", 1000, "--mu", 3],
+     "error: the constant of metric c underflows to 0.0 at N=4, r1=1000, r2=1, s=2.0, mu=3.0\n"),
+    # (2 r2)! is past the double range but c_bar is not; the (90, 90) derivative is
+    (["--n-values", "4,5,6,7", "--r1", 90, "--r2", 90, "--mu", 3],
+     "error: the measured value of metric c overflows at N=4, r1=90, r2=90, s=2.0, mu=3.0\n"),
 ])
 def test_radius_rejects_a_witness_below_the_double_range(options, line, tmp_path, capsys):
     assert run("radius", *options, "--out-json", tmp_path / "r.json") == 2
@@ -948,6 +958,38 @@ def test_radius_rejects_a_sup_resolution_outside_the_limits(resolution, line, tm
     assert code == 2
     assert capsys.readouterr().err == line
     assert os.listdir(tmp_path) == []
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_values=st.lists(st.integers(4, 64), min_size=4, max_size=4, unique=True),
+    r1=st.integers(1, 1000),
+    r2=st.integers(1, 1000),
+    s=st.one_of(st.floats(1.0, 10.0), st.floats(1.0, 1e8)),
+    mu=st.one_of(st.floats(0.01, 20.0), st.floats(0.01, 5000.0)),
+    p=st.sampled_from(["1", "2", "3", "inf"]),
+    resolution=st.integers(1, 9000),
+)
+# the overflow crashes: factorials and 2^(3 r1 + r2 - 3/2) past the double range
+@example(n_values=[4, 5, 6, 7], r1=400, r2=1, s=2.0, mu=3.0, p="2", resolution=257)
+@example(n_values=[4, 5, 6, 7], r1=90, r2=90, s=2.0, mu=3.0, p="2", resolution=257)
+@example(n_values=[4, 5, 6, 7], r1=1000, r2=1, s=2.0, mu=3.0, p="2", resolution=257)
+# the witness distance is below 2^-1024, so the selection rule's 1 / delta overflows
+@example(n_values=[19, 22, 38, 49], r1=1, r2=1, s=15270.023733435626, mu=140.268719431597,
+         p="2", resolution=257)
+def test_radius_exits_with_a_documented_code_and_one_error_line(
+    n_values, r1, r2, s, mu, p, resolution, tmp_path, capsys
+):
+    code = run("radius", "--n-values", ",".join(map(str, n_values)), "--r1", r1, "--r2", r2,
+               "--s", repr(s), "--mu", repr(mu), "--p", p, "--resolution", resolution,
+               "--out-json", tmp_path / "r.json")
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_version_flag(capsys):

@@ -115,8 +115,9 @@ def test_dump_format():
 
 
 def test_radius_shaped_inputs_stay_small():
-    # the largest radius sweep point: a cross of about 161k pairs restricts a
-    # one-entry grid, and the N = 4096 witness has a 12290 x 2 band; the dict
+    # the benchmark radius sweep's largest point selects n = 16384, whose cross of
+    # about 161k pairs restricts a one-entry grid (the study itself no longer
+    # builds it), and the N = 4096 witness has a 12290 x 2 band; the dict
     # representation of the cross alone took about 25 MB here, the row limits
     # and dense arrays take about 1 MB
     tracemalloc.start()

@@ -321,21 +321,23 @@ KERNEL_SITES = {
     ("cross.py", "HyperbolicCross"): "Python float",
     ("cross.py", "build_cross"): "each row near an integer is recomputed with the Python float **",
     ("harness.py", None): "Python int",
-    ("harness.py", "_monomial_eval"): "ROADMAP item 6 re-pin: t**a and u**b of the poly registry",
-    ("harness.py", "_exp_sum"): "ROADMAP item 6 re-pin: np.exp",
-    ("harness.py", "synthesize_class_function"): "ROADMAP item 6 re-pin: the decay and weight powers",
+    ("harness.py", "_monomial_eval"): "the machine-independence re-pin: t**a and u**b of the poly registry",
+    ("harness.py", "_exp_sum"): "the machine-independence re-pin: np.exp",
+    ("harness.py", "synthesize_class_function"): "the machine-independence re-pin: the decay and weight powers",
     ("harness.py", "single_term_class_function"): "Python float",
-    ("harness.py", "ExperimentConfig"): "ROADMAP item 6 re-pin: np.geomspace of the sweep deltas",
-    ("harness.py", "fit_rate"): "ROADMAP item 6 re-pin: np.log",
+    ("harness.py", "ExperimentConfig"): "the machine-independence re-pin: np.geomspace of the sweep deltas",
+    ("harness.py", "fit_rate"): "the machine-independence re-pin: np.log",
     ("harness.py", "run_convergence_study"): "Python int",
     ("lowerbound.py", "_c_tilde"): "Python float, with its overflow fallback",
     ("lowerbound.py", "build_witness_pair"): "Python float",
+    ("lowerbound.py", "_exp2"): "Python float, the log form's power of 2",
+    ("lowerbound.py", "_bound_constant"): "Python float, with its log-form fallback",
     ("lowerbound.py", "_report"): "Python float",
     ("lowerbound.py", "min_N_for_delta"): "Python float",
     ("noise.py", "NoiseSpec"): "Python int",
     ("spectral.py", None): "Python int",
-    ("spectral.py", "class_norm"): "ROADMAP item 6 re-pin; no output reads it, only tests",
-    ("spectral.py", "_power_norm"): "ROADMAP item 6 re-pin at p not 1, 2 or inf; overflow fallback",
+    ("spectral.py", "class_norm"): "the machine-independence re-pin; no output reads it, only tests",
+    ("spectral.py", "_power_norm"): "the machine-independence re-pin at p not 1, 2 or inf; overflow fallback",
     ("text.py", None): "Python int",
     ("text.py", "_tables"): "Python int",
     ("text.py", "_shortest"): "Python int",

@@ -273,8 +273,9 @@ def test_one_cross_per_sweep_point(monkeypatch, tmp_path):
     assert cli.main(["experiment", "--config", str(config), "--out-csv", str(tmp_path / "r.csv")]) == 0
     assert len(calls) == 9
     calls.clear()
-    run_radius_study([8, 16, 32, 64], ClassParams(2, 3), 1, 1, 2.0, sup_resolution=33)
-    assert len(calls) == 4
+    # the radius study reads only the selected (n, gamma): it builds no cross
+    run_radius_study([8, 16, 32, 64], ClassParams(2, 3), 1, 1, 2.0)
+    assert calls == []
 
 
 # the convergence workload's scale: a 401 x 401 reference and 13 deltas
@@ -312,7 +313,7 @@ def test_convergence_study_peak_stays_below_seven_and_a_half_references():
     assert peak <= 7.5 * 401 * 401 * 8
 
 
-def test_one_derivative_per_witness_and_method_run(monkeypatch):
+def test_one_derivative_per_witness(monkeypatch):
     calls = []
 
     def counting_derivative(c, r1, r2):
@@ -321,9 +322,9 @@ def test_one_derivative_per_witness_and_method_run(monkeypatch):
 
     for module in (harness, lowerbound, truncation):
         monkeypatch.setattr(module, "mixed_derivative_coeffs", counting_derivative)
-    run_radius_study([8, 16, 32, 64], ClassParams(2, 6), 2, 1, 2.0, sup_resolution=33)
-    # per band size: the witness and its two skewed copies, one derivative each, and the method
-    assert len(calls) == 4 * 4
+    run_radius_study([8, 16, 32, 64], ClassParams(2, 6), 2, 1, 2.0)
+    # per band size: the witness and its two skewed copies, one derivative each
+    assert len(calls) == 4 * 3
     assert set(calls) == {(2, 1)}
 
 
@@ -544,8 +545,7 @@ def test_import_does_not_load_concurrent_futures():
 # radius studies
 
 def test_radius_study_order_optimality():
-    study = run_radius_study([16, 32, 64, 128], ClassParams(2, 6), 2, 1, 2.0,
-                             sup_resolution=65)
+    study = run_radius_study([16, 32, 64, 128], ClassParams(2, 6), 2, 1, 2.0)
     assert study.exponent_gap_l2() <= 0.2
     assert study.exponent_gap_c() <= 0.2
     assert study.fitted_bound_l2 == pytest.approx(-2.0, abs=1e-9)
@@ -604,11 +604,24 @@ def test_radius_study_takes_its_sup_from_the_corner_certificate(
     monkeypatch.setattr(spectral, "_SAMPLE_BASIS", {})
     study = run_radius_study(n_values, ClassParams(2.0, mu), r1, r2, p)
     # the witness derivative's signs certify the corner (1, 1): no sample grid is built,
-    # and the method's sup error against the empty output is the bound check's corner sum
+    # and the method's errors against its zero output on f2's data are the bound checks' values
     assert spectral._SAMPLE_BASIS == {}
     assert [rec.method_error_c for rec in study.records] == [
         rec.verify_c.measured for rec in study.records
     ]
+    assert [rec.method_error_l2 for rec in study.records] == [
+        rec.verify_l2.measured for rec in study.records
+    ]
+
+
+def test_radius_study_runs_no_method_and_no_error_step(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the radius study ran the method or an error step")
+
+    monkeypatch.setattr(harness, "apply_method", refused)
+    monkeypatch.setattr(harness, "_ErrorReference", refused)
+    study = run_radius_study([8, 16, 32, 64], ClassParams(2, 3), 1, 1, 2.0)
+    assert [rec.N for rec in study.records] == [8, 16, 32, 64]
 
 
 def test_radius_study_needs_enough_points():

@@ -217,6 +217,23 @@ def test_c_tilde_factors_out_4_to_the_mu_where_the_direct_form_overflows(s, mu):
     assert _c_tilde(ClassParams(s, mu)) == 2.0 ** (-2 * mu)
 
 
+@pytest.mark.parametrize("r1, r2", [(90, 90), (200, 150), (300, 300)])
+def test_witness_constants_past_the_direct_form_match_exact_arithmetic(r1, r2):
+    # (2 r2)! is past the double range, so c_bar and c_dbar are taken in log form
+    w = build_witness_pair(4, r1, r2, ClassParams(2.0, 3.0))
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def exact(twos, m):
+            scale = Decimal(w.c_tilde) * Decimal(r2 + 0.5).sqrt()
+            scale /= Decimal(2) ** Decimal(twos) * Decimal(r2) ** 3
+            return float(scale * math.factorial(2 * r2) / (math.factorial(m) * math.factorial(r2)))
+
+        expected = [exact(r1 + r2, r1), exact(3 * r1 + r2 - 1.5, r1 - 1)]
+    assert all(0.0 < value < math.inf for value in expected)
+    assert [w.c_bar, w.c_dbar] == pytest.approx(expected, rel=1e-12)
+
+
 def test_values_below_the_double_range_are_refused():
     with pytest.raises(ValueError, match=r"^c_tilde underflows to 0.0 at s=2.0, mu=600.0$"):
         _c_tilde(ClassParams(2.0, 600.0))
