@@ -82,12 +82,12 @@ def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
     recomputed with the scalar ``floor_guarded((n / k)**(1/gamma))``, so
     every row is the scalar value bit for bit.  The result is empty when
     n < r1 * r2**gamma (also when r2**gamma overflows), and more than
-    2**26 rows, or a row past the int64 range, are refused.
+    2**26 rows, or an order or a row past the int64 range, are refused.
     """
     if not gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if r1 < 1 or r2 < 1:
-        raise ValueError("r1 and r2 must be >= 1")
+    if not (1 <= r1 <= _MAX_ROW and 1 <= r2 <= _MAX_ROW):  # rows below r1 hold r2 - 1
+        raise ValueError(f"r1 and r2 must lie in [1, {_MAX_ROW}], the int64 range")
     if not n > 0:
         raise ValueError(f"n must be positive, got {n}")
     if not math.isfinite(n):

@@ -250,8 +250,13 @@ def _point_noise(
     returned, ``len(cross)`` values in (k, j) order, since the method
     reads no other: a study runs this on its helper thread, so neither
     the full draw nor its box on the cross leaves it.  Mode "off" draws
-    xi = 0: ``len(cross)`` zeros and the norm 0.0.
+    xi = 0: ``len(cross)`` zeros and the norm 0.0.  The cross's bounding
+    box, and for the sphere and single modes the ``(support + 1)^2`` noise
+    square, are refused past 2**26 cells before anything is allocated.
     """
+    _check_cells((cross.k_extent() + 1, cross.j_extent() + 1), "cross box")
+    if mode in ("sphere", "single"):
+        _check_cells((support + 1, support + 1), "noise square")
     spec_mode = _NOISE_MODES[mode]
     if spec_mode is None:
         return np.zeros(len(cross)), 0.0

@@ -297,12 +297,15 @@ def min_N_for_delta(delta: float, p: float, cls: ClassParams, r2: int) -> float:
     coefficient distance of the pair is <= delta, so the two functions
     are mutually indistinguishable under the perturbation model.  Where
     this form leaves the double range the threshold is taken in log form;
-    one past the double range is refused.
+    one past the double range is refused, as is q = mu + 1/s - 1/p <= 0.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    q = cls.mu + 1.0 / cls.s - _inv(p)
+    if not q > 0:  # the witness distance does not shrink as N grows
+        raise ValueError(f"q = mu + 1/s - 1/p must be > 0, got {q!r} at p={p!r}, s={cls.s!r}")
     c_tilde = _c_tilde(cls)
-    exponent = -1.0 / (cls.mu + 1.0 / cls.s - _inv(p))
+    exponent = -1.0 / q
     try:
         threshold = (r2**cls.mu * delta / c_tilde) ** exponent
     except OverflowError:  # r2^mu or the power is past the double range

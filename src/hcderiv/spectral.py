@@ -26,8 +26,8 @@ threads too.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -518,19 +518,21 @@ def restrict_to_cross(c: CoeffGrid, cross: "HyperbolicCross") -> CoeffGrid:
     with its per-row limits, so the work is bounded by the smaller of
     the grid and that box.
     """
-    keep = _cross_mask(cross, c.array.shape[0])
-    box = c.array[: keep.shape[0], : keep.shape[1]]
-    return CoeffGrid._adopt(np.where(keep[:, : box.shape[1]], box, 0.0))
+    keep = _cross_mask(cross, c.array.shape)
+    return CoeffGrid._adopt(np.where(keep, c.array[: keep.shape[0], : keep.shape[1]], 0.0))
 
 
-def _cross_mask(cross: "HyperbolicCross", rows: int | None = None) -> np.ndarray:
-    """True at each (k, j) of the cross, over its first ``rows`` rows (default all).
+def _cross_mask(cross: "HyperbolicCross", shape: tuple[int, int] | None = None) -> np.ndarray:
+    """True at each (k, j) of the cross, over its bounding box cut to ``shape`` (default: uncut).
 
-    The mask is as wide as the cross's widest row among them, so over
-    every row it is the cross's bounding box.
+    The box spans the rows up to the cross's k extent and the columns up
+    to its widest row, or no column where the cross holds no entry.
     """
+    rows, cols = (None, None) if shape is None else shape
     limits = cross.jmax[:rows, None]
-    j = np.arange(int(limits.max(initial=-1)) + 1)
+    widest = int(limits.max(initial=-1))
+    width = widest + 1 if widest >= cross.r2 else 0
+    j = np.arange(width if cols is None else min(width, cols))
     return (j >= cross.r2) & (j <= limits)
 
 
@@ -545,19 +547,6 @@ def dump_grid(c: CoeffGrid) -> str:
     return dump_table(GRID_HEADER, len(ks), lambda lo, hi: (ks[lo:hi], js[lo:hi], values[lo:hi]))
 
 
-def _fast_table(text: str) -> np.ndarray | None:
-    """The entries of text in dump_grid's form (``#`` comment lines, the header line and the
-    lines ``text.load_table`` reads), read by ``load_table``, or None for other text."""
-    head = GRID_HEADER + "\n"
-    at = 0 if text.startswith(head) else text.find("\n" + head) + 1
-    comments = text[:at].split("\n")[:-1]
-    if not text.startswith(head, at) or text[:at].splitlines() != comments or any(
-        not line.startswith("#") or line.strip() == GRID_HEADER for line in comments
-    ):
-        return None
-    return load_table(text, at + len(head))
-
-
 def _grid_entry(line: str) -> tuple[int, int, float]:
     parts = line.split("\t")
     if len(parts) != 3:
@@ -565,22 +554,28 @@ def _grid_entry(line: str) -> tuple[int, int, float]:
     return int(parts[0]), int(parts[1]), float(parts[2])
 
 
-def _line_table(text: str) -> np.ndarray:
-    """The entries of any text in the format, read line by line; non-ASCII text, which
-    ``text.load_table`` leaves here, is an error naming its first non-ASCII character."""
-    if not text.isascii():
-        at = next(i for i, ch in enumerate(text) if not ch.isascii())
-        raise ValueError(f"grid text is not ASCII: {text[at]!r} at offset {at}")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    # tolerate decoration comments (e.g. a manifest reference) above the header
-    at = 0
-    while at < len(lines) and lines[at].startswith("#") and lines[at].strip() != GRID_HEADER:
-        at += 1
-    del lines[:at]
-    if not lines or lines[0].strip() != GRID_HEADER:
-        raise ValueError(f"missing grid header {GRID_HEADER!r}")
+# one line of ASCII text with its break, where str.splitlines breaks it
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e]*(?:\r\n|[\n\r\v\f\x1c-\x1e]|\Z)")
+
+
+def _body_start(text: str) -> int:
+    """The offset just past the header, the first line that strips to ``GRID_HEADER``, in the
+    ASCII ``text``; only blank lines and lines that start with ``#`` may stand above it.
+    Lines break where ``str.splitlines`` breaks them."""
+    for line in _LINE.finditer(text):
+        stripped = line[0].strip()
+        if stripped == GRID_HEADER:
+            return line.end()
+        if stripped and not line[0].startswith("#"):
+            break
+    raise ValueError(f"missing grid header {GRID_HEADER!r}")
+
+
+def _line_table(body: str) -> np.ndarray:
+    """The entries of the body lines ``body``, read line by line; blank lines are skipped."""
+    lines = [ln for ln in body.splitlines() if ln.strip()]
     try:
-        return np.fromiter(map(_grid_entry, islice(lines, 1, None)), ENTRY, len(lines) - 1)
+        return np.fromiter(map(_grid_entry, lines), ENTRY, len(lines))
     except OverflowError:
         raise ValueError("grid indices must fit in 64 bits") from None
 
@@ -595,10 +590,10 @@ _MAX_GRID_CELLS = 2**26
 _MIN_RESOLUTION, _MAX_RESOLUTION = 2, 2**13
 
 
-def _check_cells(shape: tuple[int, int]) -> None:
-    """Refuse a grid of ``shape`` that would hold more than ``_MAX_GRID_CELLS`` cells."""
+def _check_cells(shape: tuple[int, int], name: str = "grid") -> None:
+    """Refuse a ``name`` array of ``shape`` that would hold more than ``_MAX_GRID_CELLS`` cells."""
     if shape[0] * shape[1] > _MAX_GRID_CELLS:
-        raise ValueError(f"grid shape {shape} exceeds the limit of {_MAX_GRID_CELLS} cells")
+        raise ValueError(f"{name} shape {shape} exceeds the limit of {_MAX_GRID_CELLS} cells")
 
 
 def _table_grid(table: np.ndarray) -> CoeffGrid:
@@ -634,18 +629,21 @@ def _table_grid(table: np.ndarray) -> CoeffGrid:
 def parse_grid(text: str) -> CoeffGrid:
     """Read the text format into a grid.
 
-    The text is ASCII.  Below the header every non-blank line is
-    ``k<TAB>j<TAB>value``; the indices must be unique non-negative
-    integers that fit in 64 bits and the values finite, and the nonzero
-    entries must fit in an array of at most 2**26 cells.  Text in
-    dump_grid's form (see ``_fast_table``) is read by ``text.load_table``
-    with integer numpy operations; any other text is read line by line.
-    Both readers give the same entries, or the same error, for the same
-    text.  The entries go straight into index and value arrays, and zero
-    values are dropped before the grid array is sized.
+    The text is ASCII; ``_body_start`` finds its header.  Below it every
+    non-blank line is ``k<TAB>j<TAB>value``; the indices must be unique
+    non-negative integers that fit in 64 bits and the values finite, and
+    the nonzero entries must fit in an array of at most 2**26 cells.  A
+    body in dump_grid's form is read by ``text.load_table`` with integer
+    numpy operations, any other body line by line; both give the same
+    entries, or the same error.  Zero values are dropped before the grid
+    array is sized.
     """
-    table = _fast_table(text)
-    return _table_grid(_line_table(text) if table is None else table)
+    if not text.isascii():
+        at = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ValueError(f"grid text is not ASCII: {text[at]!r} at offset {at}")
+    at = _body_start(text)
+    table = load_table(text, at)
+    return _table_grid(_line_table(text[at:]) if table is None else table)
 
 
 def save_grid(c: CoeffGrid, path) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cross import HyperbolicCross
+from .cross import _MAX_ROW, HyperbolicCross
 from .spectral import ClassParams, CoeffGrid, mixed_derivative_coeffs, restrict_to_cross
 
 __all__ = [
@@ -71,6 +71,8 @@ class SelectionInput:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not self.r1 >= self.r2 >= 1:
             raise ValueError(f"orders must satisfy r1 >= r2 >= 1, got ({self.r1}, {self.r2})")
+        if self.r1 > _MAX_ROW:  # the cross holds its rows' limits in int64
+            raise ValueError(f"orders must be <= {_MAX_ROW}, the int64 range")
         if self.metric not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
 
@@ -196,7 +198,12 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
         log_exponent = _inv(si.p) - 1.0 / si.cls.s
     elif gamma is None:
         # the midpoint of the leftmost clean interval, [1, g) or (1, g) for the first point g != 1
-        gamma = 0.5 * (1.0 + next(g for g, _ in points if g != 1.0))
+        top = next((g for g, _ in points if g != 1.0), None)
+        if top is None:  # every exceptional point rounds to 1.0
+            raise ValueError(
+                f"no clean gamma interval above 1 at mu={si.cls.mu!r}, r1={si.r1}, r2={si.r2}"
+            )
+        gamma = 0.5 * (1.0 + top)
     else:
         near = (e for g, e in points if math.isclose(gamma, g, rel_tol=_POINT_REL_TOL))
         log_exponent = next(near, 0.0)

@@ -18,12 +18,20 @@ per case and a hand-written region list per order pattern.
 selections and regions, bit for bit.  ``exact_derivative`` gives the
 closed-form mixed derivatives of the registry functions, which the
 method's exactness tests compare against.
+
+``exact_form_table`` and ``line_table`` are the two grid text readers as
+they were when each found the header by a rule of its own:
+``text.load_table`` read only text in dump_grid's exact form, and the
+line reader any text, skipping blank and ``#`` lines above the header.
+``test_spectral.py`` asserts that ``parse_grid`` gives the same grid, or
+the same error, as they do for every text.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import islice
 from typing import Container, Iterable, Mapping
 
 import numpy as np
@@ -32,6 +40,7 @@ from hcderiv.cross import CROSS_HEADER_PREFIX, floor_guarded
 from hcderiv.harness import _monomial_eval
 from hcderiv.lowerbound import WitnessInfeasibleError
 from hcderiv.spectral import GRID_HEADER
+from hcderiv.text import ENTRY, load_table
 from hcderiv.truncation import METRIC_L2, GammaRegion, ParameterSelection, SelectionInput
 
 Index = tuple[int, int]
@@ -452,3 +461,47 @@ def exact_derivative(function_id: str, r1: int, r2: int):
         if a >= r1 and b >= r2
     }
     return partial(_monomial_eval, monomials)
+
+
+# ---------------------------------------------------------------------------
+# the grid text reader with two header rules
+
+
+def exact_form_table(text: str) -> np.ndarray | None:
+    """The entries of text in dump_grid's form (``#`` comment lines, the header line and the
+    lines ``text.load_table`` reads), read by ``load_table``, or None for other text."""
+    head = GRID_HEADER + "\n"
+    at = 0 if text.startswith(head) else text.find("\n" + head) + 1
+    comments = text[:at].split("\n")[:-1]
+    if not text.startswith(head, at) or text[:at].splitlines() != comments or any(
+        not line.startswith("#") or line.strip() == GRID_HEADER for line in comments
+    ):
+        return None
+    return load_table(text, at + len(head))
+
+
+def _grid_entry(line: str) -> tuple[int, int, float]:
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ValueError(f"malformed grid line {line!r}")
+    return int(parts[0]), int(parts[1]), float(parts[2])
+
+
+def line_table(text: str) -> np.ndarray:
+    """The entries of any text in the format, read line by line; non-ASCII text, which
+    ``text.load_table`` leaves here, is an error naming its first non-ASCII character."""
+    if not text.isascii():
+        at = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ValueError(f"grid text is not ASCII: {text[at]!r} at offset {at}")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # tolerate decoration comments (e.g. a manifest reference) above the header
+    at = 0
+    while at < len(lines) and lines[at].startswith("#") and lines[at].strip() != GRID_HEADER:
+        at += 1
+    del lines[:at]
+    if not lines or lines[0].strip() != GRID_HEADER:
+        raise ValueError(f"missing grid header {GRID_HEADER!r}")
+    try:
+        return np.fromiter(map(_grid_entry, islice(lines, 1, None)), ENTRY, len(lines) - 1)
+    except OverflowError:
+        raise ValueError("grid indices must fit in 64 bits") from None

@@ -29,6 +29,7 @@ from hcderiv.spectral import (
     save_grid,
     sup_norm_on_grid,
 )
+from hcderiv.text import load_table
 from hcderiv.truncation import SelectionInput, apply_method, select_parameters
 
 DATA = Path(__file__).parent / "data"
@@ -279,7 +280,7 @@ def test_diff_gives_the_same_results_from_both_grid_readers(tmp_path):
         for name, lines in grids.items():
             text = eol.join(["# hand-written", "# coeffgrid v1", *lines, ""])
             (d / f"{name}.grid").write_bytes(text.encode("ascii"))
-            assert (spectral._fast_table(text) is None) == (eol == "\r\n")
+            assert (load_table(text, spectral._body_start(text)) is None) == (eol == "\r\n")
         assert run("diff", d / "coeffs.grid", "--r1", 2, "--r2", 1, "--delta", "1e-6", "--mu", 6,
                    "--reference", d / "reference.grid", "--out", d / "d.grid") == 0
         sidecar = json.loads((d / "d.grid.json").read_text())
@@ -511,6 +512,43 @@ def test_a_failed_render_writes_nothing(command, tmp_path, monkeypatch, capsys):
     assert run(*argv) == 2
     assert capsys.readouterr().err == "error: render failed\n"
     assert sorted(os.listdir(tmp_path)) == ["in.grid", "ref.grid"]
+
+
+@pytest.mark.parametrize("options, line", [
+    # on any grid: the method's box and the noise square are sized from delta alone
+    (["--delta", "1e-11"], "cross box shape (17013, 17013)"),
+    (["--delta", "1e-16", "--noise", "sphere"], "cross box shape (1425103, 1425103)"),
+    (["--delta", "1e-11", "--gamma", "100", "--noise", "sphere"], "noise square shape (17015, 17015)"),
+    (["--delta", "1e-11", "--gamma", "100", "--noise", "single"], "noise square shape (17015, 17015)"),
+])
+def test_diff_refuses_a_cross_box_or_noise_square_over_the_cell_limit(options, line, tmp_path, capsys):
+    grid = tmp_path / "p.grid"
+    assert run("coeffs", "poly", "--k", 8, "--out", grid) == 0
+    before = sorted(os.listdir(tmp_path))
+    tracemalloc.start()
+    try:
+        code = run("diff", grid, "--r1", 1, "--r2", 1, "--mu", 2.6, *options, "--out", tmp_path / "d.grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {line} exceeds the limit of {2**26} cells\n"
+    assert sorted(os.listdir(tmp_path)) == before
+    assert peak < 64 * 2**20  # the cross's rows are built, but no box or square
+
+
+def test_diff_and_experiment_refuse_an_empty_clean_gamma_interval(tmp_path, poly_grid, capsys):
+    # at mu = 1e17 every exceptional point of the (3, 1) rule rounds to 1.0
+    line = "no clean gamma interval above 1 at mu=1e+17, r1=3, r2=1"
+    code = run("diff", poly_grid, "--r1", 3, "--r2", 1, "--delta", "1e-3", "--mu", "1e17",
+               "--out", tmp_path / "d.grid")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    config = tmp_path / "gamma.ini"
+    config.write_text("[class]\nmu = 1e17\n[orders]\nr1 = 3\nr2 = 1\n")
+    assert run("experiment", "--config", config, "--out-csv", tmp_path / "x.csv") == 4
+    assert capsys.readouterr().err == f"error: invalid config:\n  - selection: {line}\n"
+    assert sorted(os.listdir(tmp_path)) == ["gamma.ini", "poly.grid"]
 
 
 # ---------------------------------------------------------------------------
@@ -996,6 +1034,137 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# coeffs, cross and diff exit with a documented code
+
+# each option takes a usual value, or one time in eight an unusual one: for floats an edge
+# of the double range, for integers a value out of range or at the edge of 64 bits
+_EDGES = st.sampled_from(["0", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "5e-324"])
+_INT64_EDGES = st.sampled_from([2**63 - 1, 2**63, 10**300, -(10**300)])
+
+
+def _mostly(usual, unusual):
+    return st.integers(0, 7).flatmap(lambda i: unusual if i == 0 else usual)
+
+
+def _real(lo, hi):
+    return _mostly(st.floats(lo, hi).map(repr), _EDGES)
+
+
+def _integer(lo, hi, unusual=st.integers(-2, 0)):
+    return _mostly(st.integers(lo, hi), unusual | _INT64_EDGES).map(str)
+
+
+def _option(flag, values):
+    # "--flag=value", since argparse reads a separate "-1" as an option
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), _option(flag, values))
+
+
+_COEFFS_OPTIONS = st.tuples(
+    _mostly(st.sampled_from(sorted(REGISTRY)), st.just("nope")).map(lambda f: [f]),
+    _option("--k", _integer(0, 64)),
+    _optional("--m", _integer(66, 200, st.integers(-2, 65) | st.just(4097))),
+    _optional("--s", _real(1.0, 10.0)),
+    _optional("--mu", _real(0.01, 20.0)),
+    _optional("--epsilon", _real(1e-3, 1.0)),
+    _optional("--seed", _integer(0, 2**64 - 1, st.sampled_from([-1, 2**64]))),
+)
+_CROSS_OPTIONS = st.tuples(
+    # --n stays at most 1e4 where it is finite, so the cross stays small
+    _option("--n", _mostly(st.floats(0.0, 1e4).map(repr),
+                           st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-300", "5e-324"]))),
+    _optional("--gamma", _real(1.0, 10.0)),
+    _optional("--r1", _integer(1, 20)),
+    _optional("--r2", _integer(1, 20)),
+)
+
+
+@st.composite
+def _diff_options(draw):
+    """Orders r1 >= r2 and a mu that admits them, each but one time in eight."""
+    r2 = draw(_mostly(st.integers(1, 3), st.integers(-1, 0) | _INT64_EDGES))
+    r1 = draw(_mostly(st.integers(0, 2).map(lambda d: r2 + d), st.integers(-1, 20) | _INT64_EDGES))
+    low = 2 * min(max(r1, 0), 20) + 1.5
+    return [
+        f"--r1={r1}", f"--r2={r2}",
+        *draw(_option("--delta", _mostly(
+            st.sampled_from([f"1e-{e}" for e in range(1, 21)]) | st.floats(1e-20, 0.5).map(repr),
+            _EDGES,
+        ))),
+        *draw(_option("--mu", _mostly(st.floats(low, low + 12.0).map(repr),
+                                      _EDGES | st.floats(0.0, 1e20).map(repr)))),
+        *draw(_optional("--p", _mostly(st.sampled_from(["1", "2", "3", "inf"]),
+                                       st.sampled_from(["0.5", "nan", "-1", "1e300"])))),
+        *draw(_optional("--s", _real(1.0, 10.0))),
+        *draw(_optional("--metric", st.sampled_from(["l2", "c", "both"]))),
+        *draw(_optional("--gamma", _real(1.0, 10.0))),
+        *draw(_optional("--noise", st.sampled_from(["sphere", "single", "witness", "off"]))),
+        *draw(_optional("--seed", _integer(0, 2**64 - 1, st.sampled_from([-1, 2**64])))),
+        *draw(_optional("--resolution", _integer(2, 8192, st.sampled_from([-1, 0, 1, 8193])))),
+    ]
+
+
+# the exit codes the README documents for each subcommand
+_EXITS = {"coeffs": (0, 2), "cross": (0, 2), "diff": (0, 2, 3, 5)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(
+    _COEFFS_OPTIONS.map(lambda parts: ["coeffs", *sum(parts, [])]),
+    _CROSS_OPTIONS.map(lambda parts: ["cross", *sum(parts, [])]),
+    _diff_options().map(lambda options: ["diff", *options]),
+))
+# a cross box or noise square sized from delta alone: here the lowered limit refuses the
+# box of the first two and the rows of the next two (see the test above for the real limit)
+@example(argv=["diff", "--r1", "1", "--r2", "1", "--mu", "2.6", "--delta", "1e-11"])
+@example(argv=["diff", "--r1", "1", "--r2", "1", "--mu", "2.6", "--delta", "1e-12"])
+@example(argv=["diff", "--r1", "1", "--r2", "1", "--mu", "2.6", "--delta", "1e-16"])
+@example(argv=["diff", "--r1", "1", "--r2", "1", "--mu", "2.6", "--delta", "1e-20"])
+@example(argv=["diff", "--r1", "1", "--r2", "1", "--mu", "2.6", "--delta", "1e-12",
+               "--noise", "sphere"])
+# a noise square past the limit below a thin cross box
+@example(argv=["diff", "--r1", "1", "--r2", "1", "--mu", "2.6", "--delta", "1e-11",
+               "--gamma", "100", "--noise", "sphere"])
+# no clean gamma interval: every exceptional point rounds to 1.0
+@example(argv=["diff", "--r1", "3", "--r2", "1", "--delta", "1e-3", "--mu", "1e17"])
+# an empty cross whose rows hold r2 - 1 = 10**9 - 1
+@example(argv=["diff", "--r1", str(10**9), "--r2", str(10**9), "--mu", "1e10", "--delta", "0.5"])
+# orders past 64 bits
+@example(argv=["diff", "--r1", str(2**63 + 1), "--r2", str(2**63 + 1), "--mu", "1e300", "--delta", "0.5"])
+@example(argv=["diff", "--r1", str(10**400), "--r2", "1", "--mu", "1e300", "--delta", "0.5"])
+@example(argv=["cross", "--n", "10", "--r1", str(2**63 + 1), "--r2", str(2**63 + 1)])
+def test_coeffs_cross_and_diff_exit_with_a_documented_code_and_one_error_line(
+    argv, tmp_path, capsys, monkeypatch
+):
+    # every array sized from an input number is refused past _MAX_GRID_CELLS; with the
+    # limit at 2**20 cells the arrays an accepted example builds stay far below 64 MB
+    for module in (spectral, hcderiv.cross):
+        monkeypatch.setattr(module, "_MAX_GRID_CELLS", 2**20)
+    command, options = argv[0], argv[1:]
+    if command == "diff":
+        grid = tmp_path / "in.grid"
+        grid.write_text(dump_grid(compute_coeff_grid(REGISTRY["poly"], 8)))
+        options = [grid, *options]
+    tracemalloc.start()
+    try:
+        code = run(command, *options, "--out", tmp_path / "out.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code in _EXITS[command]
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

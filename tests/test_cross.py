@@ -98,6 +98,9 @@ def test_invalid_parameters():
         build_cross(4, 1.0, 0, 1)
     with pytest.raises(ValueError):
         build_cross(-1.0, 1.0, 1, 1)
+    # rows below r1 hold r2 - 1 in int64
+    with pytest.raises(ValueError, match=r"r1 and r2 must lie in \[1, 9223372036854775807\]"):
+        build_cross(10.0, 1.0, 2**63, 2**63)
 
 
 def test_extents():

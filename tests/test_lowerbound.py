@@ -175,6 +175,13 @@ def test_min_N_p_ordering_both_regimes():
     assert min_N_for_delta(large, 1, CLS, 1) <= min_N_for_delta(large, math.inf, CLS, 1)
 
 
+@pytest.mark.parametrize("mu", [0.5, 0.3])
+def test_min_N_refuses_a_distance_that_does_not_shrink_with_N(mu):
+    # q = mu + 1/s - 1/p is 0 at mu = 0.5 (a division by zero before) and below 0 at mu = 0.3
+    with pytest.raises(ValueError, match=r"q = mu \+ 1/s - 1/p must be > 0"):
+        min_N_for_delta(0.1, 1, ClassParams(2, mu), 1)
+
+
 def test_parity_skewed_selection():
     even = build_witness_pair(6, 1, 1, CLS, parity="even")
     odd = build_witness_pair(6, 1, 1, CLS, parity="odd")

@@ -30,6 +30,8 @@ from hcderiv.spectral import (
 )
 from hcderiv.legendre import differentiate_coeffs
 from hcderiv.noise import lp_norm
+from hcderiv.text import load_table
+import dict_oracle as oracle
 from dict_oracle import scatter
 
 
@@ -630,6 +632,23 @@ def test_restrict_to_cross():
     assert restrict_to_cross(out, cross) == out
 
 
+def test_restrict_to_cross_stays_inside_the_grid():
+    # the cross's box is 1000001 x 1000001; the mask is cut to the 9x9 grid, not only its rows
+    g = _random_grid(seed=38, kmax=8, count=81)
+    cross = build_cross(1e6, 1, 1, 1)
+    tracemalloc.start()
+    try:
+        out = restrict_to_cross(g, cross)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10
+    # every (k, j) of the grid with k, j >= 1 lies in the cross
+    expected = np.array(g.array)
+    expected[0], expected[:, 0] = 0.0, 0.0
+    assert out == CoeffGrid(expected)
+
+
 def test_restrict_empty_cross():
     g = _random_grid(seed=37)
     cross = build_cross(0.5, 1.0, 1, 1)
@@ -809,15 +828,42 @@ def _grid_text(draw):
 @example(("# coeffgrid v1 \n# coeffgrid v1\n1\t2\t1.0\n", False))
 @example(("# coeffgrid v1\n", True))
 @example(("# manifest sha256=0\n# coeffgrid v1\n1\t2\t1.0\n3\t0\t-2.5e-300", True))
+# a "#" after leading whitespace does not start a comment line
+@example((" # x\n# coeffgrid v1\n1\t2\t1.0\n", False))
+# "\x1f" is whitespace to str.strip but no line break
+@example(("\x1f# coeffgrid v1\x1f\n1\t2\t1.0\n", False))
+# blank lines and CRLF above an LF body: the numpy reader takes the body
+@example(("\r\n \t\n# a\r\n# coeffgrid v1\r\n1\t2\t1.0\n3\t0\t-2.5\n", False))
+@example(("# a\x0b# coeffgrid v1\x0b1\t2\t1.0\x0b", False))
+@example(("# a\x0c# coeffgrid v1\x0c1\t2\t1.0\x0c", False))
+@example(("# a\x1c# coeffgrid v1\x1c1\t2\t1.0\x1c", False))
+@example(("# a\x1d# coeffgrid v1\x1d1\t2\t1.0\x1d", False))
+@example(("# a\x1e# coeffgrid v1\x1e1\t2\t1.0\x1e", False))
+@example(("# coeffgrid v1", False))
+@example(("# a\n# coeffgrid v1\r1\t2\t1.0", False))
 def test_fast_and_line_readers_agree(case):
+    # parse_grid against the two readers it replaced, kept in dict_oracle as the reference
     text, canonical = case
-    line = _outcome(lambda: spectral._table_grid(spectral._line_table(text)))
-    table = spectral._fast_table(text)
+    line = _outcome(lambda: spectral._table_grid(oracle.line_table(text)))
+    table = oracle.exact_form_table(text)
     if canonical:
         assert table is not None
+        assert load_table(text, spectral._body_start(text)) is not None
     if table is not None:
         assert _outcome(lambda: spectral._table_grid(table)) == line
     assert _outcome(lambda: parse_grid(text)) == line
+
+
+@pytest.mark.parametrize("preamble", [
+    "", "\n", " \t\x1f\n", "# a\r\n", "# a\r", "\x0b# a\x0c", "#\x1c#\x1d#\x1e", "\r\n\r\n# a\n",
+])
+@pytest.mark.parametrize("header", ["# coeffgrid v1\n", " # coeffgrid v1\x1f\t\n", "# coeffgrid v1\r\n"])
+def test_a_body_in_dump_grids_form_is_read_by_numpy_below_any_preamble(preamble, header):
+    g = _random_grid(seed=46)
+    body = dump_grid(g).split("\n", 1)[1]
+    text = preamble + header + body
+    assert load_table(text, spectral._body_start(text)) is not None
+    assert parse_grid(text) == g
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -831,7 +877,7 @@ def test_fast_and_line_readers_agree(case):
 def test_dump_grid_text_round_trips_below_a_manifest_line(entries):
     g = CoeffGrid(scatter(entries))
     text = "# manifest sha256=0123456789abcdef\n" + dump_grid(g)
-    assert spectral._fast_table(text) is not None
+    assert load_table(text, spectral._body_start(text)) is not None
     assert parse_grid(text) == g
     assert dump_grid(parse_grid(text)) == dump_grid(g)
 

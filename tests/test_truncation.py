@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def test_admissibility_errors():
     # boundaries are strict
     with pytest.raises(AdmissibilityError):
         gamma_intervals(_si(mu=2.0, metric="l2"))
+
+
+def test_an_empty_clean_interval_is_an_input_error():
+    # every exceptional point of the (3, 1) rule rounds to 1.0 at mu = 1e17; at 1e16 one lies 4 ulp above
+    assert select_parameters(_si(mu=1e16, r1=3, r2=1)).gamma == 1.0000000000000002
+    message = "no clean gamma interval above 1 at mu=1e+17, r1=3, r2=1"
+    for metric in ("l2", "c"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            select_parameters(_si(mu=1e17, r1=3, r2=1, metric=metric))
+
+
+def test_orders_past_the_int64_range_are_refused():
+    with pytest.raises(ValueError, match="orders must be <= 9223372036854775807"):
+        select_parameters(_si(mu=1e300, r1=2**63, r2=1))
 
 
 def test_selection_monotone_in_delta():
