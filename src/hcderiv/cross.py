@@ -13,6 +13,7 @@ with the scalar expression, and every row equals it bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,8 @@ CROSS_HEADER_PREFIX = "# cross v1"
 
 
 def floor_guarded(x: float) -> int:
-    """floor(x) after nudging x up by one part in 1e12 (x >= 0)."""
-    return math.floor(x * _GUARD)
+    """floor(x) after nudging x up by one part in 1e12 (x >= 0), at most the largest float."""
+    return math.floor(min(x * _GUARD, sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,7 @@ class HyperbolicCross:
 
     def j_extent(self) -> int:
         """Largest admissible j, i.e. floor-guarded (n / r1)**(1/gamma)."""
-        if self.n < self.r1:
-            return 0
-        return floor_guarded((self.n / self.r1) ** (1.0 / self.gamma))
+        return cross_extents(self.n, self.gamma, self.r1, self.r2)[1]
 
     def __len__(self) -> int:
         return int(np.sum(np.maximum(self.jmax - (self.r2 - 1), 0)))
@@ -70,6 +69,37 @@ class HyperbolicCross:
     def __contains__(self, idx: tuple[int, int]) -> bool:
         k, j = idx
         return 0 <= k < len(self.jmax) and self.r2 <= j <= int(self.jmax[k])
+
+
+def cross_extents(n: float, gamma: float, r1: int, r2: int) -> tuple[int, int]:
+    """The largest admissible k and j of the cross for (n, gamma, r1, r2), after every check
+    of ``build_cross``; no row is built.
+
+    k_extent is floor-guarded n / r2**gamma, or 0 where r2**gamma is past
+    the float range (then n < r1 * r2**gamma); j_extent is floor-guarded
+    (n / r1)**(1/gamma), or 0 where n < r1.  The cross's bounding box
+    holds (k_extent + 1) x (j_extent + 1) cells.
+    """
+    if not gamma >= 1:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if not (1 <= r1 <= _MAX_ROW and 1 <= r2 <= _MAX_ROW):  # rows below r1 hold r2 - 1
+        raise ValueError(f"r1 and r2 must lie in [1, {_MAX_ROW}], the int64 range")
+    if not n > 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if not math.isfinite(n):
+        raise ValueError(f"n must be finite, got {n}")
+    try:
+        k_extent = floor_guarded(n / r2**gamma)
+    except OverflowError:  # r2**gamma is past the float range, so n < r1 * r2**gamma
+        k_extent = 0
+    if k_extent + 1 > _MAX_GRID_CELLS:
+        raise ValueError(
+            f"cross for n={n} needs {k_extent + 1} rows, over the limit of {_MAX_GRID_CELLS}"
+        )
+    j_extent = 0 if n < r1 else floor_guarded((n / r1) ** (1.0 / gamma))
+    if k_extent >= r1 and j_extent > _MAX_ROW:
+        raise ValueError(f"cross for n={n} has rows past j={_MAX_ROW}, the int64 range")
+    return k_extent, j_extent
 
 
 def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
@@ -82,27 +112,11 @@ def build_cross(n: float, gamma: float, r1: int, r2: int) -> HyperbolicCross:
     recomputed with the scalar ``floor_guarded((n / k)**(1/gamma))``, so
     every row is the scalar value bit for bit.  The result is empty when
     n < r1 * r2**gamma (also when r2**gamma overflows), and more than
-    2**26 rows, or an order or a row past the int64 range, are refused.
+    2**26 rows, or an order or a row past the int64 range, are refused
+    (``cross_extents``).
     """
-    if not gamma >= 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if not (1 <= r1 <= _MAX_ROW and 1 <= r2 <= _MAX_ROW):  # rows below r1 hold r2 - 1
-        raise ValueError(f"r1 and r2 must lie in [1, {_MAX_ROW}], the int64 range")
-    if not n > 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if not math.isfinite(n):
-        raise ValueError(f"n must be finite, got {n}")
-    try:
-        kmax = floor_guarded(n / r2**gamma)
-    except OverflowError:  # r2**gamma is past the float range, so n < r1 * r2**gamma
-        kmax = 0
-    if kmax + 1 > _MAX_GRID_CELLS:
-        raise ValueError(
-            f"cross for n={n} needs {kmax + 1} rows, over the limit of {_MAX_GRID_CELLS}"
-        )
+    kmax = cross_extents(n, gamma, r1, r2)[0]
     inv_gamma = 1.0 / gamma
-    if kmax >= r1 and floor_guarded((n / r1) ** inv_gamma) > _MAX_ROW:
-        raise ValueError(f"cross for n={n} has rows past j={_MAX_ROW}, the int64 range")
     jmax = np.full(kmax + 1, r2 - 1, dtype=np.int64)
     for lo in range(r1, kmax + 1, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, kmax + 1)

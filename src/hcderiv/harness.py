@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cross import HyperbolicCross, build_cross
+from .cross import HyperbolicCross, build_cross, cross_extents
 # perturb is unused here but stays bound: perfbench's traced-op test looks it up on this module
 from .noise import RNG_ALGORITHM, NoiseSpec, _draw, _rng, lp_norm, perturb  # noqa: F401
 from .quadrature import _MAX_ORDER, _ORDER_MARGIN, compute_coeff_grid
@@ -226,10 +226,14 @@ def _plan_point(
     """The selected (n, gamma) at noise level ``delta`` and the cross the method runs on.
 
     ``metric`` is a config or CLI metric ("both" selects by the L2 rule);
-    a non-None ``gamma`` is forced.
+    a non-None ``gamma`` is forced.  A cross whose bounding box, which the
+    method fills, would hold more than 2**26 cells is refused before any
+    of its rows is built.
     """
     si = SelectionInput(delta=delta, p=p, cls=cls, r1=r1, r2=r2, metric=_selection_metric(metric))
     sel = select_parameters(si, forced_gamma=gamma)
+    k_extent, j_extent = cross_extents(sel.n, sel.gamma, r1, r2)
+    _check_cells((k_extent + 1, j_extent + 1), "cross box")
     return sel, build_cross(sel.n, sel.gamma, r1, r2)
 
 
@@ -250,11 +254,11 @@ def _point_noise(
     returned, ``len(cross)`` values in (k, j) order, since the method
     reads no other: a study runs this on its helper thread, so neither
     the full draw nor its box on the cross leaves it.  Mode "off" draws
-    xi = 0: ``len(cross)`` zeros and the norm 0.0.  The cross's bounding
-    box, and for the sphere and single modes the ``(support + 1)^2`` noise
-    square, are refused past 2**26 cells before anything is allocated.
+    xi = 0: ``len(cross)`` zeros and the norm 0.0.  For the sphere and
+    single modes the ``(support + 1)^2`` noise square is refused past
+    2**26 cells before anything is allocated; ``_plan_point`` has refused
+    such a cross box already.
     """
-    _check_cells((cross.k_extent() + 1, cross.j_extent() + 1), "cross box")
     if mode in ("sphere", "single"):
         _check_cells((support + 1, support + 1), "noise square")
     spec_mode = _NOISE_MODES[mode]

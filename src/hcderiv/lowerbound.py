@@ -20,7 +20,9 @@ norm of the derivative against c_dbar * N^(-mu + 2 r1 - 1/s + 1/2).
 The value at the corner needs no recurrence: phi_k(1) = sqrt(k + 1/2)
 exactly, so it is the closed form sum_kj d_kj sqrt(k + 1/2) sqrt(j + 1/2)
 over the derivative's coefficients d, summed in one fixed order with no
-BLAS call (see ``verify_lower_bound_C``).
+BLAS call.  Those coefficients are nonnegative, so the value is also the
+derivative's sup norm, ``spectral.sup_norm_on_grid`` bit for bit (see
+``verify_lower_bound_C``).
 """
 
 from __future__ import annotations
@@ -276,8 +278,8 @@ def verify_lower_bound_C(w: WitnessPair) -> BoundReport:
     coefficients d of f1^(r1,r2), since phi_k(1) = sqrt(k + 1/2).  The
     coefficients d are nonnegative, so it is ``spectral._corner_sum(d)``,
     the sum of |d_kj| sqrt(k + 1/2) sqrt(j + 1/2) in one fixed order with
-    no BLAS call, and also the exact sup of |f1^(r1,r2)|, bit for bit the
-    certified sup norm of ``spectral._corner_bound``.  An empty grid
+    no BLAS call, and also the exact sup of |f1^(r1,r2)|, bit for bit
+    ``spectral.sup_norm_on_grid`` of the derivative.  An empty grid
     gives 0.0.  This is within a few units of roundoff of the exact sum,
     where a Clenshaw recurrence at t = 1 loses digits as the band grows
     (``synth_eval``).

@@ -16,11 +16,11 @@ All operations are pure and grids are immutable after construction, so
 instances can be shared freely across threads.  The sup norm keeps its
 read-only sample basis between calls; no result depends on whether it
 was kept.  Its one bound is phi_k(+-1) = +-sqrt(k + 1/2), the largest
-|phi_k| on [-1, 1]: it gives the corner certificate, the screen weight
-and the underflow allowance.  An ``_ErrorReference`` builds its sample
-screen on the first call whose difference certifies no corner (see
-there); that fill is idempotent, so a reference can be shared across
-threads too.
+|phi_k| on [-1, 1]: it gives the screen weight and the underflow
+allowance, and the exact sup where the signs of a grid agree at a
+corner.  An ``_ErrorReference`` builds its sample screen in its
+constructor and only reads it after, so a reference can be shared
+across threads too.
 """
 
 from __future__ import annotations
@@ -289,9 +289,9 @@ def _samples(shape: tuple[int, int], resolution: int) -> tuple[np.ndarray, np.nd
     """Vt and Vu for an array of ``shape``: V[i, k] = phi_k(t_i) at the sample points t_i.
 
     No sample exceeds phi_k(1) = sqrt(k + 1/2) in magnitude, the weight
-    w_k of the screen and of the corner certificate, and the samples at
-    t = +-1 reach it.  An axis with at most one coefficient is sampled
-    once: phi_0 is constant, so its samples are equal.  That keeps the
+    w_k of the screen, and the samples at t = +-1 reach it.  An axis with
+    at most one coefficient is sampled once: phi_0 is constant, so its
+    samples are equal.  That keeps the
     screen of the empty reference behind ``sup_norm_on_grid`` at 1 x 1:
     with ``resolution`` rows and columns it would be a third full-size
     array beside S_A and S_A - S_E in the error step.  One V is kept,
@@ -341,46 +341,6 @@ def _corner_sum(d: np.ndarray) -> float:
     return float(np.sum(rows * _weights(d.shape[0])))
 
 
-# the leading block of a difference whose signs are read before the whole array's: a
-# noisy difference fails every corner there and pays no pass over the array
-_LEAD = 4
-# the parity classes 2 (k % 2) + (j % 2) whose entries must be negative, as a 4-bit mask,
-# for each corner (s1, s2) and each sign that d_kj s1^k s2^j may share
-_CORNER_MASKS = (0b0000, 0b1111, 0b1010, 0b0101, 0b1100, 0b0011, 0b0110, 0b1001)
-
-
-def _certifies(positive: int, negative: int) -> bool:
-    """Whether the signs of a block certify a corner: ``positive`` and ``negative`` are the
-    4-bit masks of the parity classes that hold a positive and a negative entry."""
-    return any(not (negative & ~mask or positive & mask) for mask in _CORNER_MASKS)
-
-
-def _class_signs(d: np.ndarray) -> tuple[int, int]:
-    """The class masks of ``_certifies`` for an array, from the extremes of each class."""
-    positive = negative = 0
-    for c, (pk, pj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        part = d[pk::2, pj::2]
-        if part.size:
-            positive |= 1 << c if part.max() > 0.0 else 0
-            negative |= 1 << c if part.min() < 0.0 else 0
-    return positive, negative
-
-
-def _corner_bound(d: np.ndarray) -> float | None:
-    """The exact sup T = sum_kj |d_kj| sqrt(k + 1/2) sqrt(j + 1/2) of the grid ``d`` when its
-    signs certify a corner (see ``_ErrorReference``), and None otherwise.
-
-    The signs of the leading ``_LEAD`` x ``_LEAD`` block are read first,
-    then those of the whole array, each from the extremes of its four
-    (k, j) parity classes; a block that certifies no corner returns
-    None.  T is ``_corner_sum(d)``.  Zeros of either sign are absent
-    entries.
-    """
-    if not (_certifies(*_class_signs(d[:_LEAD, :_LEAD])) and _certifies(*_class_signs(d))):
-        return None
-    return _corner_sum(d)
-
-
 def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
     """Max of |synthesized function| over a Chebyshev-clustered tensor grid.
 
@@ -391,9 +351,8 @@ def sup_norm_on_grid(c: CoeffGrid, resolution: int = 257) -> float:
     It is the sup error of ``c`` against the zero grid (see
     ``_ErrorReference``), summed in one fixed order without BLAS, so it
     does not depend on the BLAS or its thread count.  Where the signs of
-    ``c`` certify a corner it is the exact sup T = sum_kj |c_kj|
-    sqrt(k + 1/2) sqrt(j + 1/2), which the samples at that corner reach,
-    and no sample grid is built.
+    ``c`` agree at a corner it is the exact sup T = sum_kj |c_kj|
+    sqrt(k + 1/2) sqrt(j + 1/2), the sample at that corner.
     """
     return _ErrorReference(CoeffGrid(), resolution).errors(c)[1]
 
@@ -408,38 +367,28 @@ class _ErrorReference:
     summing.  An empty E gives ``sup_norm_on_grid(A)``: S_E = 0, W_E = 0
     and D = A exactly.
 
-    The corner certificate.  |phi_k(t)| <= phi_k(1) = sqrt(k + 1/2) on
-    [-1, 1] and phi_k(-1) = (-1)^k phi_k(1), so |D(t, u)| <= T = sum_kj
-    |d_kj| sqrt(k + 1/2) sqrt(j + 1/2) everywhere, and at a corner
-    (s1, s2) in {-1, 1}^2, D = sum_kj d_kj s1^k s2^j sqrt(k + 1/2)
-    sqrt(j + 1/2).  When the products d_kj s1^k s2^j of the nonzero
-    entries all have one sign, that corner value is +-T, so T is the
-    exact sup.  The sample grid holds all four corners, and the
-    recurrence gives phi_k(+-1) there exactly, so the fixed-order sample
-    at that corner is +-T bit for bit: each of its products and partial
-    sums is the matching one of ``_corner_sum(D)``, negated or not.
-    Every other sample is a sum in the same order of products no larger
-    in magnitude (the recurrence's values inside (-1, 1) stay below
-    phi_k(1) by far more than its rounding), so rounding, being
-    monotone, keeps it at most T.  A certified D thus gives the
-    fixed-order maximum over every sample without sampling
-    (``_corner_bound``), and only an uncertified D takes the screened
-    path below.  Every D is checked so, whatever A is: an empty D (A = E)
-    is certified with T = 0, and D = -E (an empty A) exactly when E is,
-    with E's T.
-
-    When the screen is built.  Every reference builds it on the first
-    call whose D is not certified, and never before.  That fill is
-    idempotent: threads racing there each store the same screen, as one
-    attribute.
-
     The screen is linear, Vt (A - E) Vu^T = Vt A Vu^T - Vt E Vu^T, so the
     screen S_E = Vt E Vu^T and the weight W_E = sum_kj |E_kj| w_k w_j,
     with w_k = sqrt(k + 1/2) = phi_k(1) >= |phi_k(t)|, are formed once,
-    and each call forms S_A and W_A over A's box alone and screens
-    with S = S_A - S_E.  A box larger than E's on either axis, an empty
-    A or E and an axis of degree 0 all take this path: the screens
-    broadcast against each other.
+    by the constructor, and each call forms S_A and W_A over A's box
+    alone and screens with S = S_A - S_E.  Every D takes this one path:
+    a box larger than E's on either axis, an empty A, E or D and an axis
+    of degree 0 too, since the screens broadcast against each other.
+
+    The exact sup at a corner.  Since |phi_k(t)| <= phi_k(1), |D(t, u)|
+    <= T = ``_corner_sum(D)`` everywhere, and since phi_k(-1) = (-1)^k
+    phi_k(1), at a corner (s1, s2) in {-1, 1}^2 D = sum_kj d_kj s1^k
+    s2^j sqrt(k + 1/2) sqrt(j + 1/2).  Where the products d_kj s1^k s2^j
+    of the nonzero entries all have one sign, that corner value is +-T,
+    so T is the exact sup, and the sup norm is T bit for bit.  The
+    sample grid holds all four corners, and the recurrence gives
+    phi_k(+-1) there exactly, so the fixed-order sample at that corner
+    is +-T bit for bit: each of its products and partial sums is the
+    matching one of ``_corner_sum(D)``, negated or not.  Every other
+    sample is a sum in the same order of products no larger in magnitude
+    (the recurrence's values inside (-1, 1) stay below phi_k(1) by far
+    more than its rounding), so rounding, being monotone, keeps it at
+    most T.
 
     The bound.  Any summation order of an n-term sum of products is
     within gamma_n times the sum of the products' magnitudes of its
@@ -468,13 +417,13 @@ class _ErrorReference:
     u (M + 4B), and M <= 1.01 W).
     """
 
-    __slots__ = ("exact", "resolution", "_kept")
+    __slots__ = ("exact", "resolution", "_screen", "_weight")
 
     def __init__(self, exact: CoeffGrid, resolution: int):
         self.check_resolution(resolution)
         self.exact = exact
         self.resolution = resolution
-        self._kept = None  # (S_E, W_E), built by the first uncertified difference
+        self._screen, self._weight = _sample_screen(exact.array, resolution)  # S_E, W_E
 
     @staticmethod
     def check_resolution(resolution: int) -> None:
@@ -485,26 +434,19 @@ class _ErrorReference:
             raise ValueError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
 
     def errors(self, approx: CoeffGrid) -> tuple[float, float]:
-        """L2 (Parseval) and sup norms of ``approx - exact``: the sup is T where the
-        difference certifies a corner, and otherwise its largest sample."""
+        """L2 (Parseval) and sup norms of ``approx - exact``: the sup is its largest sample."""
         diff = approx - self.exact
         error_l2 = parseval_l2_norm(diff)
-        corner = _corner_bound(diff.array)
-        if corner is not None:
-            return error_l2, corner
-        if self._kept is None:
-            self._kept = _sample_screen(self.exact.array, self.resolution)
-        screen_e, weight_e = self._kept
         screen, weight = _sample_screen(approx.array, self.resolution)
         n1, n2 = map(max, approx.array.shape, self.exact.array.shape)
         n = n1 + n2 + 2
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-        underflow = (n1 + 1) * (n2 + 1) * (1.0 + float(np.sqrt(max(n1, n2) - 0.5))) * _TINY
-        bound = 1.01 * gamma * (weight + weight_e) + 2.0 * underflow
+        underflow = (n1 + 1) * (n2 + 1) * (1.0 + float(np.sqrt(max(n1, n2, 1) - 0.5))) * _TINY
+        bound = 1.01 * gamma * (weight + self._weight) + 2.0 * underflow
         vt, vu = _samples(diff.array.shape, self.resolution)
         # S_A is dropped once S_A - S_E exists, |S| is taken in place, and S is dropped
         # once the candidates are marked, before the fixed-order sums form their temporaries
-        screen = (screen - screen_e)[: len(vt), : len(vu)]
+        screen = (screen - self._screen)[: len(vt), : len(vu)]
         np.abs(screen, out=screen)
         keep = screen >= screen.max() - 4.0 * bound
         del screen

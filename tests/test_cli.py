@@ -534,7 +534,36 @@ def test_diff_refuses_a_cross_box_or_noise_square_over_the_cell_limit(options, l
     assert code == 2
     assert capsys.readouterr().err == f"error: {line} exceeds the limit of {2**26} cells\n"
     assert sorted(os.listdir(tmp_path)) == before
-    assert peak < 64 * 2**20  # the cross's rows are built, but no box or square
+    assert peak < 64 * 2**20  # no box or square
+
+
+def test_a_cross_box_over_the_cell_limit_is_refused_before_the_cross_is_built(tmp_path, capsys):
+    # at delta = 1e-20 diff's cross has 49238827 rows, within the row limit, and its box is
+    # refused before they are built; the sweep is refused at its first such point
+    grid, config = tmp_path / "p.grid", tmp_path / "big.ini"
+    assert run("coeffs", "poly", "--k", 8, "--out", grid) == 0
+    config.write_text("[class]\nmu = 2.6\n[sweep]\ndelta_stop = 1e-20\ncount = 5\n"
+                      "[function]\nk_ref = 64\n")
+    before = sorted(os.listdir(tmp_path))
+    limit = f"exceeds the limit of {2**26} cells"
+    runs = [
+        (["diff", grid, "--r1", 1, "--r2", 1, "--mu", 2.6, "--delta", "1e-20",
+          "--out", tmp_path / "d.grid"],
+         2, f"error: cross box shape (49238827, 49238827) {limit}\n"),
+        (["experiment", "--config", config, "--out-csv", tmp_path / "x.csv"],
+         4, f"error: invalid config:\n  - selection: cross box shape (17013, 17013) {limit}\n"),
+    ]
+    for argv, exit_code, line in runs:
+        tracemalloc.start()
+        try:
+            code = run(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == exit_code
+        assert capsys.readouterr().err == line
+        assert peak < 16 * 2**20
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_diff_and_experiment_refuse_an_empty_clean_gamma_interval(tmp_path, poly_grid, capsys):
@@ -574,6 +603,15 @@ def test_cross_rejects_more_rows_than_the_limit(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: cross for n=1000000000000.0 needs 1000000000002 rows, over the limit of 67108864\n"
     )
+    assert os.listdir(tmp_path) == []
+
+
+def test_cross_at_the_largest_float_is_refused_for_its_rows(tmp_path, capsys):
+    # n times the relative guard overflows: the floor is taken at the largest float
+    assert run("cross", "--n", "1.7976931348623157e308", "--out", tmp_path / "x.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cross for n=1.7976931348623157e+308 needs 17976931348623157")
+    assert err.endswith(" rows, over the limit of 67108864\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -990,7 +1028,7 @@ def test_radius_rejects_a_witness_below_the_double_range(options, line, tmp_path
     (8193, "error: resolution must be <= 8192, got 8193\n"),
 ])
 def test_radius_rejects_a_sup_resolution_outside_the_limits(resolution, line, tmp_path, capsys):
-    # the radius study's sup errors are certified and sample nothing, yet the resolution is checked
+    # the radius study samples nothing, yet the resolution is checked
     code = run("radius", "--n-values", "4,8,16,32", "--resolution", resolution,
                "--out-json", tmp_path / "r.json")
     assert code == 2

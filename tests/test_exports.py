@@ -207,8 +207,7 @@ def test_the_open_guard_finds_each_kind_of_open(source, found):
 
 
 # the top-level definitions of the package that may use each name which builds the kept
-# (resolution x (kmax + 1)) sample basis: only the error step, after a corner certificate
-# has failed, and the screen it calls
+# (resolution x (kmax + 1)) sample basis: only the error step and the screen it calls
 SAMPLERS = {
     "_sample_screen": {"_ErrorReference"},
     "_samples": {"_sample_screen", "_ErrorReference"},
@@ -318,7 +317,7 @@ def test_the_blas_guard_finds_each_kind_of_call(source, found):
 # numpy dispatches by CPU, whose bits may differ between SIMD widths, with the reason no output
 # depends on that, or the change that removes it
 KERNEL_SITES = {
-    ("cross.py", "HyperbolicCross"): "Python float",
+    ("cross.py", "cross_extents"): "Python float",
     ("cross.py", "build_cross"): "each row near an integer is recomputed with the Python float **",
     ("harness.py", None): "Python int",
     ("harness.py", "_monomial_eval"): "the machine-independence re-pin: t**a and u**b of the poly registry",

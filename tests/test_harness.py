@@ -598,12 +598,12 @@ def test_c_metric_admissibility_reported_as_config_problem():
     ([8, 16, 32, 64], 1, 1, 3.0, 2.0),  # the two golden radius configs
     ([8, 16, 32, 64], 2, 1, 7.0, float("inf")),
 ])
-def test_radius_study_takes_its_sup_from_the_corner_certificate(
+def test_radius_study_takes_its_sup_from_the_corner_sum(
     n_values, r1, r2, mu, p, monkeypatch
 ):
     monkeypatch.setattr(spectral, "_SAMPLE_BASIS", {})
     study = run_radius_study(n_values, ClassParams(2.0, mu), r1, r2, p)
-    # the witness derivative's signs certify the corner (1, 1): no sample grid is built,
+    # the witness derivative's sup is its corner sum at (1, 1): no sample grid is built,
     # and the method's errors against its zero output on f2's data are the bound checks' values
     assert spectral._SAMPLE_BASIS == {}
     assert [rec.method_error_c for rec in study.records] == [

@@ -22,6 +22,7 @@ from hcderiv.spectral import (
     class_norm,
     mixed_derivative_coeffs,
     parseval_l2_norm,
+    sup_norm_on_grid,
     synth_eval,
 )
 
@@ -117,6 +118,17 @@ def test_sup_measure_is_the_corner_sum_to_roundoff(N, parity, r1, r2):
         ))
         error = abs(Decimal(verify_lower_bound_C(w).measured) - exact) / exact
     assert error <= Decimal("1e-15")
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 1), (2, 1), (3, 2), (2, 2)])
+@pytest.mark.parametrize("mu", [3.0, 6.5, 9.0])
+@pytest.mark.parametrize("N, parity", [(4, "odd"), (37, "any"), (256, "even")])
+def test_sup_measure_is_the_sup_norm_of_the_witness_derivative(N, parity, mu, r1, r2):
+    # the derivative's coefficients are nonnegative, so its sampled sup is the corner sum
+    # bit for bit; each derivative has one column, so each screen is 257 x 1
+    w = build_witness_pair(N, r1, r2, ClassParams(2, mu), parity=parity)
+    assert w.f1_derivative.array.shape[1] == 1
+    assert verify_lower_bound_C(w).measured == sup_norm_on_grid(w.f1_derivative, 257)
 
 
 def test_f2_derivative_vanishes():

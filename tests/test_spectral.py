@@ -315,7 +315,7 @@ def test_sup_norm_monotone_in_resolution():
 
 
 def test_sup_norm_validation():
-    for grid in (CoeffGrid(), CoeffGrid(np.array([[1.0, 0.5]]))):  # the second certifies a corner
+    for grid in (CoeffGrid(), CoeffGrid(np.array([[1.0, 0.5]]))):
         with pytest.raises(ValueError):
             sup_norm_on_grid(grid, 1)
         with pytest.raises(ValueError, match="resolution must be <= 8192, got 8193"):
@@ -443,29 +443,37 @@ def test_the_largest_sample_of_each_degree_is_its_weight(resolution, monkeypatch
     assert colmax.tobytes() == _weights(4097).tobytes()
 
 
-def test_a_reference_builds_its_screen_on_its_first_uncertified_difference(monkeypatch):
+def test_a_reference_builds_its_screen_once_in_its_constructor(monkeypatch):
     rng = np.random.Generator(np.random.Philox(key=23))
     exact = CoeffGrid(rng.standard_normal((12, 9)))
     approx = CoeffGrid(exact.array + 1e-3 * rng.standard_normal((12, 9)))
-    assert spectral._corner_bound(exact.array) is None
     screens = []
 
     def recording_screen(a, resolution):
-        screens.append(a.shape)
+        screens.append("E" if a is exact.array else "A")
         return sample_screen(a, resolution)
 
     sample_screen = spectral._sample_screen
     monkeypatch.setattr(spectral, "_sample_screen", recording_screen)
     reference = spectral._ErrorReference(exact, 17)
-    assert reference.errors(exact) == (0.0, 0.0)
-    assert screens == []  # neither the uncertified E nor an empty D builds it
+    assert screens == ["E"]  # before any difference
+    assert reference.errors(CoeffGrid(exact.array)) == (0.0, 0.0)  # an empty D, on the one path
     first = reference.errors(approx)
-    assert screens == [(12, 9), (12, 9)]  # E's screen, then A's
-    assert reference.errors(approx) == first and len(screens) == 3
+    assert reference.errors(approx) == first
+    assert screens == ["E", "A", "A", "A"]  # each call screens A alone, never E again
+
+
+def test_empty_arrays_raise_no_floating_point_exception():
+    exact = CoeffGrid(_E)
+    with np.errstate(all="raise"):
+        assert spectral._ErrorReference(CoeffGrid(), 9).errors(CoeffGrid()) == (0.0, 0.0)
+        norms = (parseval_l2_norm(exact), sup_norm_on_grid(exact, 9))
+        assert spectral._ErrorReference(exact, 9).errors(CoeffGrid()) == norms
+        assert spectral._ErrorReference(exact, 9).errors(exact) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# the corner certificate: an exact sup where the signs of d_kj s1^k s2^j agree
+# the exact sup where the signs of d_kj s1^k s2^j agree at a corner: the corner sum
 
 _CORNERS = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
 
@@ -508,39 +516,26 @@ def _every_sample_max(a, resolution):
 @pytest.mark.parametrize("corner", _CORNERS)
 @pytest.mark.parametrize("shape", [(1, 1), (9, 1), (1, 11), (6, 6), (23, 17), (40, 33)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_certified_grid_has_the_exact_sup(corner, shape, seed, monkeypatch):
+def test_a_certified_grid_has_the_exact_sup(corner, shape, seed):
     d = _corner_grid(seed, shape, corner)
     grid = CoeffGrid(d)
-    bound = spectral._corner_bound(grid.array)
-    exact = _decimal_corner_sum(d)
-    assert abs(decimal.Decimal(bound) - exact) <= 4 * decimal.Decimal(math.ulp(bound))
-    # no sample grid is built, and the value is the fixed-order max over every sample
-    monkeypatch.setattr(spectral, "_SAMPLE_BASIS", {})
-    assert sup_norm_on_grid(grid, 17) == bound
-    assert spectral._SAMPLE_BASIS == {}
-    assert bound == _every_sample_max(grid.array, 17)
-    # the screened path, taken without the certificate, gives the same number
-    monkeypatch.setattr(spectral, "_corner_bound", lambda d: None)
-    assert sup_norm_on_grid(grid, 17) == bound
+    sup = sup_norm_on_grid(grid, 17)
+    # the corner sum bit for bit, within 4 ulp of the exact sup, and the fixed-order max
+    # over every sample
+    assert sup == spectral._corner_sum(grid.array)
+    assert abs(decimal.Decimal(sup) - _decimal_corner_sum(d)) <= 4 * decimal.Decimal(math.ulp(sup))
+    assert sup == _every_sample_max(grid.array, 17)
 
 
-def test_corner_certificates_of_edge_shapes():
-    assert spectral._corner_bound(np.zeros((0, 0))) == 0.0
+def test_the_sups_of_edge_shapes():
     assert sup_norm_on_grid(CoeffGrid(), 9) == 0.0
-    assert spectral._corner_bound(np.array([[-0.75]])) == 0.75 * math.sqrt(0.5) * math.sqrt(0.5)
-    # zeros of either sign are absent entries, in the leading block and past it
+    assert sup_norm_on_grid(CoeffGrid(np.array([[-0.75]])), 9) == 0.75 * math.sqrt(0.5) * math.sqrt(0.5)
+    # zeros of either sign are absent entries
     d = np.zeros((12, 10))
     d[5, 7], d[9, 4], d[0, 3], d[2, 2] = 2.0, -3.0, -0.0, -0.0
-    assert spectral._corner_bound(d) == pytest.approx(
+    assert sup_norm_on_grid(CoeffGrid(d), 9) == pytest.approx(
         float(_decimal_corner_sum(d)), rel=1e-15
     )
-    # every corner fails past the leading block: one entry breaks the one that held there
-    for at in [(7, 8), (39, 38)]:
-        d = np.ones((40, 40))
-        d[at] = -1e-300
-        assert spectral._corner_bound(d) is None
-        d[:, 1::2] *= -1.0
-        assert spectral._corner_bound(d[:, : at[1]]) is not None
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (5, 1), (1, 7), (2, 2), (30, 40)])
@@ -552,7 +547,6 @@ def test_mixed_signs_take_the_screened_path(shape, seed, monkeypatch):
     else:  # two entries of one parity class, of opposite signs
         d[0, 0], d[(2, 0) if shape[0] > 2 else (0, 2)] = 1.0, -1.0
     grid = CoeffGrid(d)
-    assert spectral._corner_bound(grid.array) is None
     screens = []
 
     def recording_screen(a, resolution):
@@ -562,7 +556,7 @@ def test_mixed_signs_take_the_screened_path(shape, seed, monkeypatch):
     sample_screen = spectral._sample_screen
     monkeypatch.setattr(spectral, "_sample_screen", recording_screen)
     result = sup_norm_on_grid(grid, 17)
-    assert screens == [(0, 0), shape]  # the zero reference's screen, built on demand, then A's
+    assert screens == [(0, 0), shape]  # the zero reference's screen, built by its constructor, then A's
     assert result == _every_sample_max(grid.array, 17)
 
 
@@ -570,7 +564,7 @@ def test_a_difference_that_is_minus_the_reference_has_the_norms_of_the_reference
     exact = CoeffGrid(_corner_grid(5, (30, 20), (-1, 1)))
     error_l2, error_c = spectral._ErrorReference(exact, 33).errors(CoeffGrid())
     assert error_l2 == parseval_l2_norm(exact)
-    assert error_c == spectral._corner_bound(exact.array)
+    assert error_c == spectral._corner_sum(exact.array)
     assert error_c == _every_sample_max(exact.array, 33)
 
 
@@ -600,14 +594,19 @@ def _signed_block(draw):
 @example(np.zeros((0, 0)))
 @example(np.array([[-0.0, 0.0], [0.0, -0.0]]))
 @example(np.ones((6, 6)))
-def test_corner_bound_follows_the_four_corner_sign_rule(d):
-    # certified iff, at some corner (s1, s2), d_kj s1^k s2^j has one sign over every
-    # nonzero entry, inside the 4 x 4 leading block and past it
+def test_the_sup_follows_the_four_corner_sign_rule(d):
+    # the sup is the fixed-order max over every sample, and where, at some corner (s1, s2),
+    # d_kj s1^k s2^j has one sign over every nonzero entry, that max is the corner sum
     certified = any(
         len({x * s1**k * s2**j > 0.0 for (k, j), x in np.ndenumerate(d) if x}) <= 1
         for s1, s2 in _CORNERS
     )
-    assert spectral._corner_bound(d) == (spectral._corner_sum(d) if certified else None)
+    grid = CoeffGrid(d)
+    for resolution in (2, 17):
+        sup = sup_norm_on_grid(grid, resolution)
+        assert sup == _every_sample_max(grid.array, resolution)
+        if certified:
+            assert sup == spectral._corner_sum(grid.array)
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
