@@ -80,10 +80,6 @@ class ConfigError(Exception):
         self.problems = problems
 
 
-def _parse_p(text: str) -> float:
-    return math.inf if text.strip().lower() == "inf" else float(text)
-
-
 def _json_safe(value):
     """``value``, with an infinite float spelled "inf" for JSON."""
     return "inf" if isinstance(value, float) and math.isinf(value) else value
@@ -205,7 +201,7 @@ _CONFIG_SCHEMA = {
     "orders": {"r1": ("r1", int), "r2": ("r2", int)},
     "noise": {
         "mode": ("noise_mode", str),
-        "p": ("p", _parse_p),
+        "p": ("p", float),
         "seed": ("seed", int),
         "num_seeds": ("num_seeds", int),
     },
@@ -420,7 +416,7 @@ def _diff_arguments(d: argparse.ArgumentParser) -> None:
     d.add_argument("--r1", type=int, required=True)
     d.add_argument("--r2", type=int, required=True)
     d.add_argument("--delta", type=float, required=True)
-    d.add_argument("--p", type=_parse_p, default=2.0, help="noise norm index, or 'inf'")
+    d.add_argument("--p", type=float, default=2.0, help="noise norm index, or 'inf'")
     d.add_argument("--s", type=float, default=2.0)
     d.add_argument("--mu", type=float, required=True)
     d.add_argument("--metric", choices=_CONFIG_METRICS, default="l2")
@@ -453,7 +449,7 @@ def _radius_arguments(r: argparse.ArgumentParser) -> None:
     r.add_argument("--r2", type=int, default=1)
     r.add_argument("--s", type=float, default=2.0)
     r.add_argument("--mu", type=float, default=3.0)
-    r.add_argument("--p", type=_parse_p, default=2.0)
+    r.add_argument("--p", type=float, default=2.0)
     r.add_argument("--resolution", type=int, default=257)
     r.add_argument("--out-json", required=True)
 

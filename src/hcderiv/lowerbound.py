@@ -23,6 +23,14 @@ over the derivative's coefficients d, summed in one fixed order with no
 BLAS call.  Those coefficients are nonnegative, so the value is also the
 derivative's sup norm, ``spectral.sup_norm_on_grid`` bit for bit (see
 ``verify_lower_bound_C``).
+
+Each closed form is taken directly where it is a float in (0, inf), else
+in a range-safe form (``truncation._in_range``): c_tilde with 4^mu
+factored out, the band value as 0.0, the rest in log form.  A c_tilde,
+band value, constant or bound still at 0.0 or inf, and a band-size
+threshold or measured value at inf, is refused with one line,
+"<quantity> underflows to 0.0 <where>" or "<quantity> overflows <where>",
+<where> naming the inputs; a threshold of 0.0 lets every N through.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .spectral import (
     parseval_l2_norm,
 )
 from .noise import lp_norm
-from .truncation import _inv
+from .truncation import _in_range
 
 __all__ = [
     "WitnessInfeasibleError",
@@ -96,20 +104,27 @@ class BoundReport:
     ratio: float
 
 
-def _c_tilde(cls: ClassParams) -> float:
-    """(1 + 4^(s mu))^(-1/s), with 4^mu factored out where 4^(s mu) overflows.
+def _refuse_outside(
+    value: float, quantity: str, where: str, *inputs: object, allow_zero: bool = False
+) -> float:
+    """``value``, refused with the module's one line where it is inf, or 0.0 unless allowed.
 
-    A value that underflows to 0.0 is refused: every bound and band
-    value is a multiple of it.
+    ``where`` is a format string for ``inputs``, filled only in a refusal.
     """
+    if value == math.inf or (value == 0.0 and not allow_zero):
+        past = "overflows" if value == math.inf else "underflows to 0.0"
+        raise ValueError(f"{quantity} {past} {where.format(*inputs)}")
+    return value
+
+
+def _c_tilde(cls: ClassParams) -> float:
+    """(1 + 4^(s mu))^(-1/s), with 4^mu factored out where 4^(s mu) overflows."""
     s, mu = cls.s, cls.mu
-    try:
-        c_tilde = (1.0 + 4.0 ** (s * mu)) ** (-1.0 / s)
-    except OverflowError:
-        c_tilde = 4.0**-mu * (1.0 + 4.0 ** -(s * mu)) ** (-1.0 / s)
-    if c_tilde == 0.0:
-        raise ValueError(f"c_tilde underflows to 0.0 at s={s!r}, mu={mu!r}")
-    return c_tilde
+    c_tilde = _in_range(
+        lambda: (1.0 + 4.0 ** (s * mu)) ** (-1.0 / s),
+        lambda: 4.0**-mu * (1.0 + 4.0 ** -(s * mu)) ** (-1.0 / s),
+    )
+    return _refuse_outside(c_tilde, "c_tilde", "at s={!r}, mu={!r}", s, mu)
 
 
 def build_witness_pair(
@@ -130,7 +145,7 @@ def build_witness_pair(
     and tops up with the other parity, which only a cross can make
     happen: the band's 2N + 1 indices hold N or N + 1 of each parity.
     An f1 array, (3N + r1 + 1) x (r2 + 1), over 2**26 cells is refused
-    first, and so is a band value that underflows to 0.0.
+    first.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -158,14 +173,11 @@ def build_witness_pair(
             other = admissible.compress(~preferred)[: N - selected.size]
             selected = np.sort(np.concatenate((selected, other)))
     c_tilde = _c_tilde(cls)
-    try:
-        value = c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu
-    except OverflowError:  # r2^mu is past the double range, so the value is below it
-        value = 0.0
-    if value == 0.0:
-        raise ValueError(
-            f"the witness band value underflows to 0.0 at N={N}, s={cls.s!r}, mu={cls.mu!r}"
-        )
+    # where r2^mu is past the double range, the value is below it
+    value = _in_range(lambda: c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu, lambda: 0.0)
+    value = _refuse_outside(
+        value, "the witness band value", "at N={}, s={!r}, mu={!r}", N, cls.s, cls.mu
+    )
     f2 = CoeffGrid._adopt(np.full((1, 1), c_tilde))
     band_rows = np.zeros((selected[-1] + 1, r2 + 1))
     band_rows[0, 0] = c_tilde
@@ -196,26 +208,15 @@ def _bound_constant(c_tilde: float, r2: int, mu: float, twos: float, m: int) -> 
     """c_tilde sqrt(r2 + 1/2) / (2^twos r2^mu) * (2 r2)! / (m! r2!).
 
     This is c_bar at (twos, m) = (r1 + r2, r1) and c_dbar at
-    (3 r1 + r2 - 3/2, r1 - 1).  Where this form overflows or leaves the
-    double range part way, the value is taken in log form, which may come
-    out as 0.0 or inf; ``_report`` refuses both.
+    (3 r1 + r2 - 3/2, r1 - 1).
     """
-    try:
-        value = (
-            c_tilde
-            * math.sqrt(r2 + 0.5)
-            / (2.0**twos * r2**mu)
-            * math.factorial(2 * r2)
-            / (math.factorial(m) * math.factorial(r2))
-        )
-    except OverflowError:  # a factorial or 2^twos is past the double range
-        value = math.nan
-    if 0.0 < value < math.inf:
-        return value
-    log_factorials = math.lgamma(2 * r2 + 1) - math.lgamma(m + 1) - math.lgamma(r2 + 1)
-    return _exp2(
-        math.log2(c_tilde) + 0.5 * math.log2(r2 + 0.5) - twos - mu * math.log2(r2)
-        + log_factorials / math.log(2.0)
+    return _in_range(
+        lambda: (c_tilde * math.sqrt(r2 + 0.5) / (2.0**twos * r2**mu)
+                 * math.factorial(2 * r2) / (math.factorial(m) * math.factorial(r2))),
+        lambda: _exp2(
+            math.log2(c_tilde) + 0.5 * math.log2(r2 + 0.5) - twos - mu * math.log2(r2)
+            + (math.lgamma(2 * r2 + 1) - math.lgamma(m + 1) - math.lgamma(r2 + 1)) / math.log(2.0)
+        ),
     )
 
 
@@ -234,33 +235,22 @@ def _report(
 ) -> BoundReport:
     """Compare ``measure`` of f1^(r1,r2) with constant * N^(-mu + 2 r1 - 1/s + extra).
 
-    A constant or bound outside the double range, 0.0 or inf, is refused
-    before the derivative is taken, and so is a derivative or measured
-    value that overflows.
+    The constant and the bound are refused before the derivative is taken.
     """
-    where = f"at N={w.N}, r1={w.r1}, r2={w.r2}, s={w.cls.s!r}, mu={w.cls.mu!r}"
-    if not 0.0 < constant < math.inf:
-        past = "underflows to 0.0" if constant == 0.0 else "overflows"
-        raise ValueError(f"the constant of metric {metric} {past} {where}")
+    where = ("at N={}, r1={}, r2={}, s={!r}, mu={!r}", w.N, w.r1, w.r2, w.cls.s, w.cls.mu)
+    _refuse_outside(constant, f"the constant of metric {metric}", *where)
     exponent = -w.cls.mu + 2 * w.r1 - 1.0 / w.cls.s + extra
-    try:
-        bound = constant * w.N**exponent
-    except OverflowError:  # N^exponent is past the double range; the bound need not be
-        bound = _exp2(math.log2(constant) + exponent * math.log2(w.N))
-    if bound == 0.0:
-        raise ValueError(
-            f"the lower bound of metric {metric} underflows to 0.0 at N={w.N}, "
-            f"s={w.cls.s!r}, mu={w.cls.mu!r}"
-        )
-    if bound == math.inf:
-        raise ValueError(f"the lower bound of metric {metric} overflows {where}")
+    bound = _in_range(
+        lambda: constant * w.N**exponent,
+        lambda: _exp2(math.log2(constant) + exponent * math.log2(w.N)),
+    )
+    _refuse_outside(bound, f"the lower bound of metric {metric}", *where)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             measured = float(measure(w.f1_derivative))
         except ValueError:  # CoeffGrid refuses a derivative that holds inf or nan
             measured = math.inf
-    if measured == math.inf:
-        raise ValueError(f"the measured value of metric {metric} overflows {where}")
+    _refuse_outside(measured, f"the measured value of metric {metric}", *where, allow_zero=True)
     return BoundReport(
         metric=metric,
         N=w.N,
@@ -297,30 +287,24 @@ def min_N_for_delta(delta: float, p: float, cls: ClassParams, r2: int) -> float:
 
     For N at or above (r2^mu delta / c_tilde)^(-1/(mu + 1/s - 1/p)) the
     coefficient distance of the pair is <= delta, so the two functions
-    are mutually indistinguishable under the perturbation model.  Where
-    this form leaves the double range the threshold is taken in log form;
-    one past the double range is refused, as is q = mu + 1/s - 1/p <= 0.
+    are mutually indistinguishable under the perturbation model.  q =
+    mu + 1/s - 1/p <= 0 is refused.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    q = cls.mu + 1.0 / cls.s - _inv(p)
+    q = cls.mu + 1.0 / cls.s - 1.0 / p
     if not q > 0:  # the witness distance does not shrink as N grows
         raise ValueError(f"q = mu + 1/s - 1/p must be > 0, got {q!r} at p={p!r}, s={cls.s!r}")
     c_tilde = _c_tilde(cls)
     exponent = -1.0 / q
-    try:
-        threshold = (r2**cls.mu * delta / c_tilde) ** exponent
-    except OverflowError:  # r2^mu or the power is past the double range
-        threshold = math.nan
-    if not 0.0 < threshold < math.inf:  # in log form, where this form left the double range
-        log_base = cls.mu * math.log2(r2) + math.log2(delta) - math.log2(c_tilde)
-        threshold = _exp2(exponent * log_base)
-    if threshold == math.inf:
-        raise ValueError(
-            f"the band-size threshold overflows at delta={delta!r}, p={p!r}, r2={r2}, "
-            f"s={cls.s!r}, mu={cls.mu!r}"
-        )
-    return threshold
+    threshold = _in_range(
+        lambda: (r2**cls.mu * delta / c_tilde) ** exponent,
+        lambda: _exp2(exponent * (cls.mu * math.log2(r2) + math.log2(delta) - math.log2(c_tilde))),
+    )
+    where = "at delta={!r}, p={!r}, r2={}, s={!r}, mu={!r}"
+    return _refuse_outside(
+        threshold, "the band-size threshold", where, delta, p, r2, cls.s, cls.mu, allow_zero=True
+    )
 
 
 def witness_for_cross(

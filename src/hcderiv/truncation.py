@@ -13,18 +13,16 @@ The admissible gamma range splits into open intervals where the error
 carries a clean power of n and isolated exceptional points where an
 extra logarithm appears; ``gamma_intervals`` lists both, tagged with
 the extra log exponent, from the (breakpoint, log exponent) pairs of
-one case table, which also names the case.  ``select_parameters``
-takes one path for every case: it picks gamma and the power of
-ln(1/delta) in n, then sizes n by the one formula.  The default gamma
-is the midpoint of the leftmost clean interval and therefore never an
-exceptional point; a forced gamma on an exceptional point gives n that
-point's logarithmic correction.
+one case table, which also names the case.  The default gamma is the
+midpoint of the leftmost clean interval and therefore never an
+exceptional point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .cross import _MAX_ROW, HyperbolicCross
 from .spectral import ClassParams, CoeffGrid, mixed_derivative_coeffs, restrict_to_cross
@@ -76,17 +74,13 @@ class SelectionInput:
         if self.metric not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
 
-    def admissibility_bound(self) -> float:
-        extra = 0.5 if self.metric == METRIC_L2 else 1.5
-        return 2 * self.r1 + extra - 1.0 / self.cls.s
-
     def check_admissible(self) -> None:
-        bound = self.admissibility_bound()
+        extra, text = (0.5, "1/2") if self.metric == METRIC_L2 else (1.5, "3/2")
+        bound = 2 * self.r1 + extra - 1.0 / self.cls.s
         if not self.cls.mu > bound:
-            extra = "1/2" if self.metric == METRIC_L2 else "3/2"
             raise AdmissibilityError(
                 f"smoothness violated for metric {self.metric}: "
-                f"need mu > 2*r1 + {extra} - 1/s = {bound:.6g}, got mu = {self.cls.mu:.6g}"
+                f"need mu > 2*r1 + {text} - 1/s = {bound:.6g}, got mu = {self.cls.mu:.6g}"
             )
 
 
@@ -182,20 +176,20 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
     midpoint of the leftmost clean interval and e = 0.  A forced gamma
     is kept as given, with e from the exceptional point it sits on, if
     any: within a relative 1e-9 of the point, on either side.  Where
-    1 / delta overflows, ln(1/delta) is read as -ln(delta) and n is taken
-    in log form.
+    this form leaves the double range, as where 1 / delta overflows, n is
+    taken in log form with ln(1/delta) read as -ln(delta).
     """
     si.check_admissible()
     if forced_gamma is not None and not forced_gamma >= 1:
         raise ValueError(f"gamma must be >= 1, got {forced_gamma}")
-    q = si.cls.mu - _inv(si.p) + 1.0 / si.cls.s
+    q = si.cls.mu - 1.0 / si.p + 1.0 / si.cls.s
     label, points = _case(si)
     gamma = None if forced_gamma is None else float(forced_gamma)
     log_exponent = 0.0
     suffix = "" if gamma is None else "-forced"
     if si.r1 == si.r2:
         gamma = 1.0 if gamma is None else gamma
-        log_exponent = _inv(si.p) - 1.0 / si.cls.s
+        log_exponent = 1.0 / si.p - 1.0 / si.cls.s
     elif gamma is None:
         # the midpoint of the leftmost clean interval, [1, g) or (1, g) for the first point g != 1
         top = next((g for g, _ in points if g != 1.0), None)
@@ -209,22 +203,28 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
         log_exponent = next(near, 0.0)
         if log_exponent != 0.0:
             suffix = "-exceptional"
-    try:
-        n = (si.delta / max(math.log(1.0 / si.delta), 1.0) ** log_exponent) ** (-1.0 / q)
-    except ZeroDivisionError:  # 1 / delta overflows, so the log factor reads 0 or inf
-        log_n = log_exponent * math.log(max(-math.log(si.delta), 1.0)) - math.log(si.delta)
-        n = math.exp(log_n / q)
+    n = _in_range(
+        lambda: (si.delta / max(math.log(1.0 / si.delta), 1.0) ** log_exponent) ** (-1.0 / q),
+        lambda: math.exp(
+            (log_exponent * math.log(max(-math.log(si.delta), 1.0)) - math.log(si.delta)) / q
+        ),
+    )
     return ParameterSelection(n=n, gamma=gamma, case_label=label + suffix)
 
 
-def _inv(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
+def _in_range(direct: Callable[[], float], safe: Callable[[], float]) -> float:
+    """``direct()`` where it is a float in (0, inf), else ``safe()``, a range-safe form."""
+    try:
+        value = direct()
+    except ArithmeticError:  # an overflow, or 0.0 to a negative power
+        return safe()
+    return value if 0.0 < value < math.inf else safe()
 
 
 def theoretical_error_exponent(si: SelectionInput) -> float:
     """Power of delta in the error bound under the default selection."""
     si.check_admissible()
-    q = si.cls.mu - _inv(si.p) + 1.0 / si.cls.s
+    q = si.cls.mu - 1.0 / si.p + 1.0 / si.cls.s
     extra = 0.5 if si.metric == METRIC_L2 else 1.5
     return (si.cls.mu - 2 * si.r1 + 1.0 / si.cls.s - extra) / q
 

@@ -25,6 +25,13 @@ they were when each found the header by a rule of its own:
 line reader any text, skipping blank and ``#`` lines above the header.
 ``test_spectral.py`` asserts that ``parse_grid`` gives the same grid, or
 the same error, as they do for every text.
+
+``c_tilde``, ``band_value``, ``bound_constant``, ``lower_bound`` and
+``min_N_for_delta`` are the witness constants as they were when each
+site caught its own range errors and wrote its own refusal line, and
+``select_parameters`` takes n in the same form.  ``test_lowerbound.py``
+asserts that the library gives the same bits, or the same refusal line,
+as they do.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 from hcderiv.cross import CROSS_HEADER_PREFIX, floor_guarded
 from hcderiv.harness import _monomial_eval
 from hcderiv.lowerbound import WitnessInfeasibleError
-from hcderiv.spectral import GRID_HEADER
+from hcderiv.spectral import GRID_HEADER, ClassParams
 from hcderiv.text import ENTRY, load_table
 from hcderiv.truncation import METRIC_L2, GammaRegion, ParameterSelection, SelectionInput
 
@@ -377,7 +384,11 @@ def _clamped_log(delta: float) -> float:
 
 
 def _n_from_delta(delta: float, q: float, log_exponent: float) -> float:
-    return (delta / _clamped_log(delta) ** log_exponent) ** (-1.0 / q)
+    try:
+        return (delta / _clamped_log(delta) ** log_exponent) ** (-1.0 / q)
+    except ZeroDivisionError:  # 1 / delta overflows, so the log factor reads 0 or inf
+        log_n = log_exponent * math.log(max(-math.log(delta), 1.0)) - math.log(delta)
+        return math.exp(log_n / q)
 
 
 def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> ParameterSelection:
@@ -387,7 +398,8 @@ def select_parameters(si: SelectionInput, forced_gamma: float | None = None) -> 
     log-corrected n; distinct orders use n = delta^(-1/(mu - 1/p + 1/s))
     and the midpoint of the leftmost clean gamma interval.  A forced
     gamma keeps the caller's value and, when it sits on an exceptional
-    point, applies that point's logarithmic n correction.
+    point, applies that point's logarithmic n correction.  Where 1 / delta
+    overflows, n is taken in log form with ln(1/delta) read as -ln(delta).
     """
     si.check_admissible()
     q = si.cls.mu - _inv(si.p) + 1.0 / si.cls.s
@@ -505,3 +517,103 @@ def line_table(text: str) -> np.ndarray:
         return np.fromiter(map(_grid_entry, islice(lines, 1, None)), ENTRY, len(lines) - 1)
     except OverflowError:
         raise ValueError("grid indices must fit in 64 bits") from None
+
+
+# ---------------------------------------------------------------------------
+# the witness constants, each with its own range check and refusal line
+
+
+def c_tilde(cls: ClassParams) -> float:
+    s, mu = cls.s, cls.mu
+    try:
+        c_tilde = (1.0 + 4.0 ** (s * mu)) ** (-1.0 / s)
+    except OverflowError:
+        c_tilde = 4.0**-mu * (1.0 + 4.0 ** -(s * mu)) ** (-1.0 / s)
+    if c_tilde == 0.0:
+        raise ValueError(f"c_tilde underflows to 0.0 at s={s!r}, mu={mu!r}")
+    return c_tilde
+
+
+def band_value(c_tilde: float, N: int, r2: int, cls: ClassParams) -> float:
+    try:
+        value = c_tilde * N ** (-(cls.mu + 1.0 / cls.s)) / r2**cls.mu
+    except OverflowError:  # r2^mu is past the double range, so the value is below it
+        value = 0.0
+    if value == 0.0:
+        raise ValueError(
+            f"the witness band value underflows to 0.0 at N={N}, s={cls.s!r}, mu={cls.mu!r}"
+        )
+    return value
+
+
+def _exp2(x: float) -> float:
+    try:
+        return 2.0**x
+    except OverflowError:
+        return math.inf
+
+
+def bound_constant(c_tilde: float, r2: int, mu: float, twos: float, m: int) -> float:
+    try:
+        value = (
+            c_tilde
+            * math.sqrt(r2 + 0.5)
+            / (2.0**twos * r2**mu)
+            * math.factorial(2 * r2)
+            / (math.factorial(m) * math.factorial(r2))
+        )
+    except OverflowError:  # a factorial or 2^twos is past the double range
+        value = math.nan
+    if 0.0 < value < math.inf:
+        return value
+    log_factorials = math.lgamma(2 * r2 + 1) - math.lgamma(m + 1) - math.lgamma(r2 + 1)
+    return _exp2(
+        math.log2(c_tilde) + 0.5 * math.log2(r2 + 0.5) - twos - mu * math.log2(r2)
+        + log_factorials / math.log(2.0)
+    )
+
+
+def lower_bound(
+    metric: str, constant: float, extra: float, N: int, r1: int, r2: int, cls: ClassParams
+) -> float:
+    """constant * N^(-mu + 2 r1 - 1/s + extra), with the constant's and the bound's refusals."""
+    where = f"at N={N}, r1={r1}, r2={r2}, s={cls.s!r}, mu={cls.mu!r}"
+    if not 0.0 < constant < math.inf:
+        past = "underflows to 0.0" if constant == 0.0 else "overflows"
+        raise ValueError(f"the constant of metric {metric} {past} {where}")
+    exponent = -cls.mu + 2 * r1 - 1.0 / cls.s + extra
+    try:
+        bound = constant * N**exponent
+    except OverflowError:  # N^exponent is past the double range; the bound need not be
+        bound = _exp2(math.log2(constant) + exponent * math.log2(N))
+    if bound == 0.0:
+        raise ValueError(
+            f"the lower bound of metric {metric} underflows to 0.0 at N={N}, "
+            f"s={cls.s!r}, mu={cls.mu!r}"
+        )
+    if bound == math.inf:
+        raise ValueError(f"the lower bound of metric {metric} overflows {where}")
+    return bound
+
+
+def min_N_for_delta(delta: float, p: float, cls: ClassParams, r2: int) -> float:
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    q = cls.mu + 1.0 / cls.s - _inv(p)
+    if not q > 0:  # the witness distance does not shrink as N grows
+        raise ValueError(f"q = mu + 1/s - 1/p must be > 0, got {q!r} at p={p!r}, s={cls.s!r}")
+    c = c_tilde(cls)
+    exponent = -1.0 / q
+    try:
+        threshold = (r2**cls.mu * delta / c) ** exponent
+    except OverflowError:  # r2^mu or the power is past the double range
+        threshold = math.nan
+    if not 0.0 < threshold < math.inf:  # in log form, where this form left the double range
+        log_base = cls.mu * math.log2(r2) + math.log2(delta) - math.log2(c)
+        threshold = _exp2(exponent * log_base)
+    if threshold == math.inf:
+        raise ValueError(
+            f"the band-size threshold overflows at delta={delta!r}, p={p!r}, r2={r2}, "
+            f"s={cls.s!r}, mu={cls.mu!r}"
+        )
+    return threshold

@@ -1007,7 +1007,7 @@ def test_radius_rejects_a_sup_resolution_over_the_limit(tmp_path, capsys):
      "error: the witness band value underflows to 0.0 at N=4, s=2.0, mu=520.0\n"),
     # the bound's 1 / (2^r1 r1!) takes it below the double range before the band value
     (["--n-values", "4,5,6,7", "--r1", 40, "--mu", 260],
-     "error: the lower bound of metric c underflows to 0.0 at N=4, s=2.0, mu=260.0\n"),
+     "error: the lower bound of metric c underflows to 0.0 at N=4, r1=40, r2=1, s=2.0, mu=260.0\n"),
     # r1! is past the double range, so c_bar is taken in log form, where it is below it
     (["--n-values", "4,5,6,7", "--r1", 400, "--mu", 3],
      "error: the constant of metric c underflows to 0.0 at N=4, r1=400, r2=1, s=2.0, mu=3.0\n"),

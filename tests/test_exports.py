@@ -2,8 +2,9 @@
 README's library API, no module defines a name twice, every private top-level name of
 the package is used in the package, only ``text.write_text`` writes files, only it
 and the grid reader ``spectral._read_grid`` open one, only the error step reaches
-the sup norm's sample basis, and every BLAS or LAPACK call, and every float kernel
-that numpy dispatches by CPU, has a stated reason."""
+the sup norm's sample basis, every BLAS or LAPACK call, and every float kernel
+that numpy dispatches by CPU, has a stated reason, and only the range helper and the
+power of 2 of the witness constants and the selection rule catch a range error."""
 
 import ast
 import importlib
@@ -327,12 +328,12 @@ KERNEL_SITES = {
     ("harness.py", "ExperimentConfig"): "the machine-independence re-pin: np.geomspace of the sweep deltas",
     ("harness.py", "fit_rate"): "the machine-independence re-pin: np.log",
     ("harness.py", "run_convergence_study"): "Python int",
-    ("lowerbound.py", "_c_tilde"): "Python float, with its overflow fallback",
+    ("lowerbound.py", "_c_tilde"): "Python float, direct or with 4^mu factored out",
     ("lowerbound.py", "build_witness_pair"): "Python float",
     ("lowerbound.py", "_exp2"): "Python float, the log form's power of 2",
-    ("lowerbound.py", "_bound_constant"): "Python float, with its log-form fallback",
-    ("lowerbound.py", "_report"): "Python float",
-    ("lowerbound.py", "min_N_for_delta"): "Python float",
+    ("lowerbound.py", "_bound_constant"): "Python float, direct or in log form",
+    ("lowerbound.py", "_report"): "Python float, direct or in log form",
+    ("lowerbound.py", "min_N_for_delta"): "Python float, direct or in log form",
     ("noise.py", "NoiseSpec"): "Python int",
     ("spectral.py", None): "Python int",
     ("spectral.py", "class_norm"): "the machine-independence re-pin; no output reads it, only tests",
@@ -344,7 +345,7 @@ KERNEL_SITES = {
     ("text.py", "_eisel_lemire"): "Python int",
     ("text.py", "_fold"): "Python int",
     ("text.py", "_read_block"): "Python int",
-    ("truncation.py", "select_parameters"): "Python float",
+    ("truncation.py", "select_parameters"): "Python float, direct or in log form",
 }
 _KERNEL_FUNCTIONS = {"exp", "log", "power", "geomspace"}
 
@@ -408,3 +409,57 @@ def test_every_cpu_dispatched_kernel_of_the_package_has_a_reason():
 )
 def test_the_kernel_guard_finds_each_kind_of_kernel(source, found):
     assert _kernel_sites(ast.parse(source)) == found
+
+
+# the functions of lowerbound.py and truncation.py that may catch a range error: the helper that
+# takes a closed form's direct or range-safe value, and the log forms' power of 2
+RANGE_CATCHERS = {("truncation.py", "_in_range"), ("lowerbound.py", "_exp2")}
+_RANGE_ERRORS = {
+    "OverflowError", "ZeroDivisionError", "ArithmeticError", "Exception", "BaseException"
+}
+
+
+def _range_catches(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """The enclosing top-level definition (None outside one) and line of each ``except`` in
+    ``tree`` that catches a range error: one that names ``OverflowError``,
+    ``ZeroDivisionError``, ``ArithmeticError`` or a base of it, alone or in a tuple, or a
+    bare ``except``."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and (node.type is None or _RANGE_ERRORS & {
+                getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.type)
+            }):
+                sites.append((owner, node.lineno))
+    return sites
+
+
+def test_only_the_range_helper_and_the_power_of_2_catch_a_range_error():
+    found = {
+        (name, owner)
+        for name in ("lowerbound.py", "truncation.py")
+        for owner, _ in _range_catches(
+            ast.parse((ROOT / "src" / "hcderiv" / name).read_text(encoding="utf-8"))
+        )
+    }
+    assert found == RANGE_CATCHERS
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("try:\n    x = 1.0 / d\nexcept ZeroDivisionError:\n    x = 0.0", [(None, 3)]),
+        ("def f(a):\n    try:\n        return 2.0**a\n    except OverflowError:\n        return 0",
+         [("f", 4)]),
+        ("def g():\n    try:\n        pass\n    except (ValueError, builtins.ArithmeticError):\n"
+         "        pass", [("g", 4)]),
+        ("class C:\n    def m(self):\n        try:\n            pass\n        except:\n"
+         "            pass", [("C", 5)]),
+        ("try:\n    pass\nexcept Exception as exc:\n    raise", [(None, 3)]),
+        ("def h(a):\n    try:\n        return float(a)\n    except ValueError:\n        return 0.0",
+         []),
+    ],
+)
+def test_the_range_guard_finds_each_kind_of_catch(source, found):
+    assert _range_catches(ast.parse(source)) == found

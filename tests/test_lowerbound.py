@@ -4,12 +4,16 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dict_oracle as oracle
 from hcderiv.cross import build_cross
 from hcderiv.lowerbound import (
     WitnessInfeasibleError,
+    _bound_constant,
     _c_tilde,
+    _report,
     build_witness_pair,
     min_N_for_delta,
     verify_lower_bound_C,
@@ -25,6 +29,7 @@ from hcderiv.spectral import (
     sup_norm_on_grid,
     synth_eval,
 )
+from hcderiv.truncation import SelectionInput, select_parameters
 
 CLS = ClassParams(2, 3)
 
@@ -253,6 +258,52 @@ def test_witness_constants_past_the_direct_form_match_exact_arithmetic(r1, r2):
     assert [w.c_bar, w.c_dbar] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("N, r1, r2, s, mu", [
+    # N^exponent overflows, and the bound of each metric does not
+    (64, 88, 10, 2.0, 3.0),
+    # N^exponent underflows to 0.0 and the bound does not; no witness pair reaches these
+    # orders at this N and mu, since r2^mu takes the band value below the double range first
+    (64, 109, 773, 10.0, 470.0),
+])
+def test_bounds_past_the_direct_form_match_exact_arithmetic(N, r1, r2, s, mu):
+    cls = ClassParams(s, mu)
+    c_tilde = _c_tilde(cls)
+    # the bound reads only N, the orders, s, mu and the constant, so a small pair is relabelled
+    w = dataclasses.replace(
+        build_witness_pair(1, 1, 1, cls), N=N, r1=r1, r2=r2,
+        c_bar=_bound_constant(c_tilde, r2, mu, r1 + r2, r1),
+        c_dbar=_bound_constant(c_tilde, r2, mu, 3 * r1 + r2 - 1.5, r1 - 1),
+    )
+    for metric, constant, extra in (("c", w.c_bar, 1.5), ("l2", w.c_dbar, 0.5)):
+        exponent = -mu + 2 * r1 - 1.0 / s + extra
+        try:
+            direct = N**exponent
+        except OverflowError:
+            direct = math.inf
+        assert direct in (0.0, math.inf)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            expected = float(Decimal(constant) * Decimal(N) ** Decimal(exponent))
+        assert 0.0 < expected < math.inf
+        assert _bound(w, metric) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta, p, mu, r2", [
+    (1e-3, 2.0, 110.0, 1000),  # r2^mu overflows
+    (1e-3, math.inf, 400.0, 2),  # r2^mu delta / c_tilde is about 2^1190
+])
+def test_thresholds_past_the_direct_form_match_exact_arithmetic(delta, p, mu, r2):
+    cls = ClassParams(2.0, mu)
+    q = mu + 1.0 / cls.s - 1.0 / p
+    with localcontext() as ctx:
+        ctx.prec = 50
+        base = Decimal(r2) ** Decimal(mu) * Decimal(delta) / Decimal(_c_tilde(cls))
+        expected = float(base ** (Decimal(-1) / Decimal(q)))
+    assert base > Decimal(2) ** 1024
+    assert 0.0 < expected < math.inf
+    assert min_N_for_delta(delta, p, cls, r2) == pytest.approx(expected, rel=1e-12)
+
+
 def test_values_below_the_double_range_are_refused():
     with pytest.raises(ValueError, match=r"^c_tilde underflows to 0.0 at s=2.0, mu=600.0$"):
         _c_tilde(ClassParams(2.0, 600.0))
@@ -262,5 +313,70 @@ def test_values_below_the_double_range_are_refused():
     assert verify_lower_bound_C(w).passed and verify_lower_bound_L2(w).passed
     # at r1 = 40 and N = 4, the bound's 1 / (2^r1 r1!) makes it about 2^-36 times the band value
     w = build_witness_pair(4, 40, 1, ClassParams(2.0, 260.0))
-    with pytest.raises(ValueError, match="metric c underflows to 0.0 at N=4, s=2.0, mu=260.0"):
+    line = "^the lower bound of metric c underflows to 0.0 at N=4, r1=40, r2=1, s=2.0, mu=260.0$"
+    with pytest.raises(ValueError, match=line):
         verify_lower_bound_C(w)
+
+
+def _outcome(f, *args):
+    """f(*args), or the line of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _bound(w, metric):
+    """The lower bound that ``_report`` compares with, taken beside an empty derivative."""
+    constant, extra = (w.c_bar, 1.5) if metric == "c" else (w.c_dbar, 0.5)
+    return _report(dataclasses.replace(w, f1=w.f2), metric, constant, extra, lambda d: 0.0).bound
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    N=st.integers(1, 64),
+    r1=st.integers(1, 1000),
+    r2=st.integers(1, 1000),
+    s=st.one_of(st.floats(1.0, 10.0), st.floats(1.0, 1e8)),
+    mu=st.one_of(st.floats(0.01, 20.0), st.floats(0.01, 5000.0)),
+    p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    delta=st.one_of(
+        st.floats(5e-324, 1.0, exclude_max=True), st.floats(-323.3, -1e-3).map(lambda e: 10.0**e)
+    ),
+)
+# (2 r2)! = 170! is a double and 172! is past the double range
+@example(N=4, r1=1, r2=85, s=2.0, mu=3.0, p=2.0, delta=1e-3)
+@example(N=4, r1=1, r2=86, s=2.0, mu=3.0, p=2.0, delta=1e-3)
+# 4^(s mu) = 2^1022 is a double and 2^1024 is past the double range
+@example(N=4, r1=1, r2=1, s=1.0, mu=511.0, p=2.0, delta=1e-3)
+@example(N=4, r1=1, r2=1, s=1.0, mu=512.0, p=2.0, delta=1e-3)
+def test_the_range_rule_gives_the_bits_or_the_refusal_of_the_per_site_checks(
+    N, r1, r2, s, mu, p, delta
+):
+    # the per-site code of dict_oracle gives each value, or the line that refuses it; only the
+    # bound's underflow line has changed, gaining the r1 and r2 that its overflow line names
+    cls = ClassParams(s, mu)
+    c_tilde = _outcome(oracle.c_tilde, cls)
+    assert _outcome(_c_tilde, cls) == c_tilde
+    assert _outcome(min_N_for_delta, delta, p, cls, r2) == _outcome(
+        oracle.min_N_for_delta, delta, p, cls, r2
+    )
+    for metric in ("l2", "c"):
+        si = SelectionInput(delta, p, cls, max(r1, r2), min(r1, r2), metric)
+        assert _outcome(select_parameters, si) == _outcome(oracle.select_parameters, si)
+    if isinstance(c_tilde, str):
+        return
+    value = _outcome(oracle.band_value, c_tilde, N, r2, cls)
+    w = _outcome(build_witness_pair, N, r1, r2, cls)
+    if isinstance(value, str):
+        assert w == value
+        return
+    assert w.f1.array[w.selected_k[0], r2] == value
+    c_bar = oracle.bound_constant(c_tilde, r2, mu, r1 + r2, r1)
+    c_dbar = oracle.bound_constant(c_tilde, r2, mu, 3 * r1 + r2 - 1.5, r1 - 1)
+    assert (w.c_bar, w.c_dbar) == (c_bar, c_dbar)
+    for metric, constant, extra in (("c", c_bar, 1.5), ("l2", c_dbar, 0.5)):
+        bound = _outcome(oracle.lower_bound, metric, constant, extra, N, r1, r2, cls)
+        if isinstance(bound, str):
+            bound = bound.replace(f"at N={N}, s=", f"at N={N}, r1={r1}, r2={r2}, s=")
+        assert _outcome(_bound, w, metric) == bound
