@@ -10,7 +10,7 @@ noisy-point and error steps, the noise-support rule and both studies
 live in :mod:`hcderiv.harness`), and serialises what comes back.
 
 Exit codes: 0 success, 2 input error, 3 admissibility violation,
-4 config validation failure, 5 witness infeasibility.
+4 config validation failure.  The parser is built once per process.
 
 Every emitted file references a manifest hash computed over the tool
 version, command, argument echo (for ``diff`` including the sha256 of
@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -59,7 +60,6 @@ from .harness import (
     run_convergence_study,
     run_radius_study,
 )
-from .lowerbound import WitnessInfeasibleError
 from .noise import RNG_ALGORITHM
 from .spectral import ClassParams, _ErrorReference, _read_grid, dump_grid
 from .text import write_text
@@ -69,7 +69,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_CONFIG = 4
-EXIT_INFEASIBLE = 5
 
 CSV_HEADER = ",".join(field.name for field in dataclasses.fields(SweepRecord))
 
@@ -118,11 +117,9 @@ def _stamped(text: str) -> Callable[[str], str]:
 
 def _cmd_coeffs(args) -> int:
     if args.function not in REGISTRY:
-        print(f"error: unknown function id {args.function!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"unknown function id {args.function!r}")
     if args.k < 0:
-        print(f"error: K must be >= 0, got {args.k}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"K must be >= 0, got {args.k}")
     grid = _registry_grid(args.function, args.k, args.seed, args.s, args.mu, args.epsilon, args.m)
     echo = {"function": args.function, "k": args.k, "m": args.m, "seed": args.seed}
     _emit("coeffs", echo, [(args.out, _stamped(dump_grid(grid)))])
@@ -341,6 +338,8 @@ def _svg_rate_plot(result: ExperimentResult, config: ExperimentConfig, digest: s
 
 
 def _cmd_experiment(args) -> int:
+    if not (args.out_csv or args.out_json or args.out_svg):
+        raise ValueError("experiment needs at least one of --out-csv/--out-json/--out-svg")
     config = load_experiment_config(args.config)
     result = run_convergence_study(config)
     config_json = {key: _json_safe(value) for key, value in dataclasses.asdict(config).items()}
@@ -385,8 +384,7 @@ def _cmd_radius(args) -> int:
     try:
         n_values = [int(x) for x in args.n_values.split(",") if x.strip()]
     except ValueError:
-        print(f"error: cannot parse band sizes {args.n_values!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"cannot parse band sizes {args.n_values!r}") from None
     cls = ClassParams(s=args.s, mu=args.mu)
     study = run_radius_study(n_values, cls, args.r1, args.r2, args.p)
     echo = {
@@ -466,14 +464,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the arguments of ``command`` alone if one is named.
-
-    Each subcommand is registered either way, so the top-level usage,
-    help and errors read the same.  The arguments of the subcommands
-    that will not run are about 40% of the cost of a parser, so ``main``
-    leaves them out when the subcommand is known up front.
-    """
+@functools.lru_cache(maxsize=1)
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and kept."""
     parser = argparse.ArgumentParser(
         prog="hcderiv",
         description="Mixed-derivative recovery from noisy Fourier-Legendre "
@@ -483,21 +476,13 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, add_arguments) in _COMMANDS.items():
         command_parser = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_arguments(command_parser)
+        add_arguments(command_parser)
         command_parser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # argv led by an option or by no known subcommand gets every subcommand's arguments
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
-    if args.command == "experiment" and not (args.out_csv or args.out_json or args.out_svg):
-        print("error: experiment needs at least one of --out-csv/--out-json/--out-svg",
-              file=sys.stderr)
-        return EXIT_INPUT
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AdmissibilityError as exc:
@@ -508,9 +493,6 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except WitnessInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

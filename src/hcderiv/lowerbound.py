@@ -26,7 +26,8 @@ derivative's sup norm, ``spectral.sup_norm_on_grid`` bit for bit (see
 
 Each closed form is taken directly where it is a float in (0, inf), else
 in a range-safe form (``truncation._in_range``): c_tilde with 4^mu
-factored out, the band value as 0.0, the rest in log form.  A c_tilde,
+factored out, the band value as 0.0, the rest in log form, and a bound
+also where its power of N is subnormal, so has lost bits.  A c_tilde,
 band value, constant or bound still at 0.0 or inf, and a band-size
 threshold or measured value at inf, is refused with one line,
 "<quantity> underflows to 0.0 <where>" or "<quantity> overflows <where>",
@@ -44,6 +45,7 @@ import numpy as np
 
 from .cross import HyperbolicCross
 from .spectral import (
+    _SMALLEST_NORMAL,
     ClassParams,
     CoeffGrid,
     _check_cells,
@@ -240,8 +242,8 @@ def _report(
     where = ("at N={}, r1={}, r2={}, s={!r}, mu={!r}", w.N, w.r1, w.r2, w.cls.s, w.cls.mu)
     _refuse_outside(constant, f"the constant of metric {metric}", *where)
     exponent = -w.cls.mu + 2 * w.r1 - 1.0 / w.cls.s + extra
-    bound = _in_range(
-        lambda: constant * w.N**exponent,
+    bound = _in_range(  # a subnormal N^exponent has lost bits, so it takes the log form too
+        lambda: constant * f if (f := w.N**exponent) >= _SMALLEST_NORMAL else 0.0,
         lambda: _exp2(math.log2(constant) + exponent * math.log2(w.N)),
     )
     _refuse_outside(bound, f"the lower bound of metric {metric}", *where)

@@ -57,7 +57,14 @@ def test_coeffs_constant(tmp_path):
 def test_coeffs_unknown_id(tmp_path, capsys):
     code = run("coeffs", "not-a-function", "--k", 2, "--out", tmp_path / "x.grid")
     assert code == 2
-    assert "not-a-function" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown function id 'not-a-function'\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_coeffs_rejects_a_negative_k(tmp_path, capsys):
+    assert run("coeffs", "poly", "--k", -1, "--out", tmp_path / "x.grid") == 2
+    assert capsys.readouterr().err == "error: K must be >= 0, got -1\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_coeffs_rejects_a_grid_over_the_cell_limit(tmp_path, capsys):
@@ -820,6 +827,45 @@ def test_experiment_invalid_field_values(tmp_path, capsys):
     assert "s:" in err and "mu:" in err
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("[class]\ncolour = red\n", "unknown key 'colour' in section [class]"),
+    ("[output]\ntiming = maybe\n", "timing: must be on/off, got 'maybe'"),
+    ("[noise]\np = 0.5\n", "p: must be >= 1, got 0.5"),
+    ("[sweep]\ncount = 0\n", "count: must be >= 1, got 0"),
+    (f"[noise]\nseed = {2**64}\n", f"seed: must be a 64-bit unsigned integer, got {2**64}"),
+    ("[noise]\nnum_seeds = 0\n", "num_seeds: must be >= 1, got 0"),
+    ("[function]\nid = nope\n", f"id: unknown function 'nope'; known: {sorted(REGISTRY)}"),
+    ("[function]\nepsilon = 0\n", "epsilon: must be > 0, got 0.0"),
+    ("[method]\nsup_resolution = 1\n", "sup_resolution: must be >= 2, got 1"),
+])
+def test_experiment_reports_a_config_problem_in_its_own_line(text, problem, tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert run("experiment", "--config", bad, "--out-csv", tmp_path / "x.csv") == 4
+    assert capsys.readouterr().err == f"error: invalid config:\n  - {problem}\n"
+    assert os.listdir(tmp_path) == ["bad.ini"]
+
+
+def test_experiment_refuses_a_key_above_every_section(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("s = 2\n[class]\nmu = 4\n")
+    assert run("experiment", "--config", bad, "--out-csv", tmp_path / "x.csv") == 4
+    assert capsys.readouterr().err.startswith(
+        "error: invalid config:\n  - config parse failure: File contains no section headers."
+    )
+    assert os.listdir(tmp_path) == ["bad.ini"]
+
+
+def test_experiment_json_holds_null_for_an_inadmissible_sup_exponent(tmp_path):
+    # at s = 2, mu = 3 and orders (1, 1) the L2 rate is admissible and the sup rate is not
+    config = tmp_path / "both.ini"
+    config.write_text("[class]\nmu = 3\n[sweep]\ndelta_stop = 1e-4\ncount = 3\n")
+    out = tmp_path / "b.json"
+    assert run("experiment", "--config", config, "--out-json", out) == 0
+    assert '"theoretical_exponent_c": null' in out.read_text()
+    assert json.loads(out.read_text())["theoretical_exponent_l2"] == pytest.approx(1 / 3)
+
+
 @pytest.mark.parametrize("gamma", ["0.5", "nan"])
 def test_experiment_rejects_a_gamma_override_below_one(tmp_path, capsys, gamma):
     bad = tmp_path / "gamma.ini"
@@ -893,14 +939,31 @@ def test_experiment_missing_config(tmp_path):
                "--out-csv", tmp_path / "x.csv") == 4
 
 
-def test_experiment_requires_an_output(tmp_path):
-    assert run("experiment", "--config", DEFAULT_CONFIG) == 2
+def test_experiment_requires_an_output(tmp_path, capsys):
+    # refused before the config is read, so a missing config gives the same line
+    for config in (DEFAULT_CONFIG, tmp_path / "nope.ini"):
+        assert run("experiment", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            "error: experiment needs at least one of --out-csv/--out-json/--out-svg\n"
+        )
 
 
 def test_experiment_svg_only(tmp_path):
     svg = tmp_path / "only.svg"
     assert run("experiment", "--config", DEFAULT_CONFIG, "--out-svg", svg) == 0
     assert svg.read_text().count("<polyline") == 2
+
+
+def test_experiment_svg_plots_the_sup_errors_under_metric_c(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text(DEFAULT_CONFIG.read_text().replace("metric = both", "metric = c"))
+    svg, out = tmp_path / "c.svg", tmp_path / "c.json"
+    assert run("experiment", "--config", config, "--out-svg", svg, "--out-json", out) == 0
+    payload = json.loads(out.read_text())
+    text = svg.read_text()
+    assert "log10 error (c)</text>" in text
+    assert (f"reference slope {payload['theoretical_exponent_c']:.4f}, "
+            f"fitted {payload['fitted_exponent_c']:.4f}</text>") in text
 
 
 def test_experiment_svg_without_positive_errors(tmp_path):
@@ -957,6 +1020,12 @@ def test_radius_matches_golden_files(golden, options, tmp_path):
     out = tmp_path / "r.json"
     assert run("radius", "--n-values", "8,16,32,64", *options, "--out-json", out) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_radius_rejects_unparsable_band_sizes(tmp_path, capsys):
+    assert run("radius", "--n-values", "4,x,6,7", "--out-json", tmp_path / "r.json") == 2
+    assert capsys.readouterr().err == "error: cannot parse band sizes '4,x,6,7'\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_radius_rejects_small_sweeps(tmp_path, capsys):
@@ -1068,6 +1137,10 @@ def test_radius_exits_with_a_documented_code_and_one_error_line(
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -1149,7 +1222,7 @@ def _diff_options(draw):
 
 
 # the exit codes the README documents for each subcommand
-_EXITS = {"coeffs": (0, 2), "cross": (0, 2), "diff": (0, 2, 3, 5)}
+_EXITS = {"coeffs": (0, 2), "cross": (0, 2), "diff": (0, 2, 3)}
 
 
 @settings(derandomize=True, max_examples=300, deadline=None,
@@ -1206,7 +1279,7 @@ def test_coeffs_cross_and_diff_exit_with_a_documented_code_and_one_error_line(
 
 
 # ---------------------------------------------------------------------------
-# main parses with the arguments of the invoked subcommand alone
+# main answers as the parser does
 
 # argv that the parser answers itself, with help, the version or a usage error
 PARSER_EXITS = [["--help"], ["--version"], [], ["nope"], ["-h", "radius"], ["cross", "--nope"]]
@@ -1223,14 +1296,3 @@ def test_main_answers_as_the_parser_with_every_subcommands_arguments(argv, capsy
         main(argv)
     assert (exc.value.code, *capsys.readouterr()) == expected
     assert expected[0] == (0 if {"-h", "--help", "--version"} & set(argv) else 2)
-
-
-@pytest.mark.parametrize("command", list(WRITES))
-def test_a_subcommand_parses_alike_with_its_arguments_alone(command):
-    argv = [str(a) for a in WRITES[command][0]]
-    alone, full = cli._build_parser(command), cli._build_parser()
-    assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv))
-    # the other subcommands are registered without their arguments, required ones too
-    for other in WRITES:
-        if other != command:
-            assert set(vars(alone.parse_args([other]))) == {"command", "func"}

@@ -4,7 +4,8 @@ the package is used in the package, only ``text.write_text`` writes files, only 
 and the grid reader ``spectral._read_grid`` open one, only the error step reaches
 the sup norm's sample basis, every BLAS or LAPACK call, and every float kernel
 that numpy dispatches by CPU, has a stated reason, and only the range helper and the
-power of 2 of the witness constants and the selection rule catch a range error."""
+power of 2 of the witness constants and the selection rule catch a range error, and only
+``cli.main`` reports an error."""
 
 import ast
 import importlib
@@ -463,3 +464,49 @@ def test_only_the_range_helper_and_the_power_of_2_catch_a_range_error():
 )
 def test_the_range_guard_finds_each_kind_of_catch(source, found):
     assert _range_catches(ast.parse(source)) == found
+
+
+# the one function of the package that may report an error: print to stderr, or return an exit
+# code other than EXIT_OK; every other step raises, and main's handlers print the one line
+REPORTER = ("cli.py", "main")
+
+
+def _report_sites(tree: ast.Module) -> list[tuple[str | None, int, str]]:
+    """The enclosing top-level definition (None outside one), line and kind of each error report
+    in ``tree``: a use of ``stderr``, as in ``print(..., file=sys.stderr)`` or
+    ``sys.stderr.write``, and a ``return`` of an ``EXIT_*`` name other than ``EXIT_OK``."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Return):
+                name = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+                if name and name.startswith("EXIT_") and name != "EXIT_OK":
+                    sites.append((owner, node.lineno, name))
+            elif "stderr" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                sites.append((owner, node.lineno, "stderr"))
+    return sorted(sites, key=lambda site: site[1])
+
+
+def test_only_main_reports_an_error():
+    found = {
+        (path.name, owner)
+        for path in PACKAGE
+        for owner, _, _ in _report_sites(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {REPORTER}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("print('error: x', file=sys.stderr)", [(None, 1, "stderr")]),
+        ("def f():\n    sys.stderr.write('x')", [("f", 2, "stderr")]),
+        ("def g():\n    print('x', file=stderr)\n    return EXIT_INPUT",
+         [("g", 2, "stderr"), ("g", 3, "EXIT_INPUT")]),
+        ("class C:\n    def m(self):\n        return cli.EXIT_CONFIG", [("C", 3, "EXIT_CONFIG")]),
+        ("def h(x):\n    print(x)\n    if x:\n        return x\n    return EXIT_OK", []),
+    ],
+)
+def test_the_report_guard_finds_each_kind_of_report(source, found):
+    assert _report_sites(ast.parse(source)) == found

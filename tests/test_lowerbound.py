@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dict_oracle as oracle
+from hcderiv import spectral
 from hcderiv.cross import build_cross
 from hcderiv.lowerbound import (
     WitnessInfeasibleError,
@@ -22,6 +23,7 @@ from hcderiv.lowerbound import (
     witness_lp_distance,
 )
 from hcderiv.spectral import (
+    _SMALLEST_NORMAL,
     ClassParams,
     class_norm,
     mixed_derivative_coeffs,
@@ -216,6 +218,37 @@ def test_witness_for_cross_avoids_cross():
     assert witness_lp_distance(w, 2) <= delta * (1 + 1e-12)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n=st.floats(1.0, 3e4),
+    gamma=st.floats(1.0, 4.0),
+    r2=st.integers(1, 6),
+    extra=st.integers(0, 4),
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    s=st.floats(1.0, 10.0),
+    mu=st.floats(0.01, 20.0),
+)
+def test_witness_for_cross_never_meets_an_infeasible_band(n, gamma, r2, extra, delta, p, s, mu):
+    """A pair, or a ValueError other than ``WitnessInfeasibleError``.
+
+    With K the cross's k extent, ``witness_for_cross`` takes N >= (K - r1) / 2 + 1.  The top
+    N rows of the band [N + r1, 3N + r1] start at 2N + r1 + 1 >= K + 3, past every row of
+    the cross, so at least N band rows are admissible and the band is never infeasible.
+    """
+    cross = build_cross(n, gamma, r2 + extra, r2)
+    with pytest.MonkeyPatch.context() as patch:
+        # keeps the witness arrays below 8 MB; a larger one is refused with a ValueError
+        patch.setattr(spectral, "_MAX_GRID_CELLS", 2**20)
+        try:
+            w = witness_for_cross(cross, delta, p, ClassParams(s, mu))
+        except ValueError as exc:
+            assert not isinstance(exc, WitnessInfeasibleError)
+            return
+    assert 2 * w.N + w.r1 + 1 >= cross.k_extent() + 3
+    assert not any((k, r2) in cross for k in w.selected_k)
+
+
 def test_witness_validation():
     with pytest.raises(ValueError):
         build_witness_pair(0, 1, 1, CLS)
@@ -255,7 +288,7 @@ def test_witness_constants_past_the_direct_form_match_exact_arithmetic(r1, r2):
 
         expected = [exact(r1 + r2, r1), exact(3 * r1 + r2 - 1.5, r1 - 1)]
     assert all(0.0 < value < math.inf for value in expected)
-    assert [w.c_bar, w.c_dbar] == pytest.approx(expected, rel=1e-12)
+    assert [w.c_bar, w.c_dbar] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("N, r1, r2, s, mu", [
@@ -264,6 +297,9 @@ def test_witness_constants_past_the_direct_form_match_exact_arithmetic(r1, r2):
     # N^exponent underflows to 0.0 and the bound does not; no witness pair reaches these
     # orders at this N and mu, since r2^mu takes the band value below the double range first
     (64, 109, 773, 10.0, 470.0),
+    # N^exponent is subnormal and the bound is a normal double: the direct product would be
+    # 2.4e-7 off, for the factor has lost bits; no witness pair reaches these inputs either
+    (64, 109, 690, 10.0, 395.0),
 ])
 def test_bounds_past_the_direct_form_match_exact_arithmetic(N, r1, r2, s, mu):
     cls = ClassParams(s, mu)
@@ -280,12 +316,13 @@ def test_bounds_past_the_direct_form_match_exact_arithmetic(N, r1, r2, s, mu):
             direct = N**exponent
         except OverflowError:
             direct = math.inf
-        assert direct in (0.0, math.inf)
+        assert not _SMALLEST_NORMAL <= direct < math.inf
         with localcontext() as ctx:
             ctx.prec = 50
             expected = float(Decimal(constant) * Decimal(N) ** Decimal(exponent))
         assert 0.0 < expected < math.inf
-        assert _bound(w, metric) == pytest.approx(expected, rel=1e-12)
+        # abs=0: approx's default absolute tolerance, 1e-12, would pass any bound this small
+        assert _bound(w, metric) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("delta, p, mu, r2", [
